@@ -6,8 +6,9 @@ transformed values: the classic Aitken/epsilon/theta family for linear
 convergence and alternating divergence, interpolation-based schemes
 (Richardson, rho, Osada, BDG) for logarithmic convergence, Levin-type
 transformations with explicit remainder estimates, and Pade approximants.
-Reference oracles (Euler-Maclaurin zeta, Stieltjes quadrature, a
-brute-force model solver) provide independently computed targets.
+Reference oracles (Euler-Maclaurin zeta, the closed-form Stieltjes sum of
+the Euler series, a brute-force model solver) provide independently
+computed targets.
 """
 
 __version__ = "0.1.0"

@@ -13,7 +13,9 @@ or from a file (``--input``, CSV with one scalar per line, or JSON with
 fixed column order transform, k, n, value, abs_error, valid (or a JSON
 mirror); invalid entries carry the marker NA, never a number.  Output is
 deterministic: identical inputs give byte-identical reports.  Exit codes:
-0 success, 2 ingest/config error, 3 total transform failure.
+0 success, 2 ingest/config error, 3 total transform failure; exits 2 and 3
+print one ``seqaccel: ...`` line on stderr.  Non-finite input is an ingest
+error.
 
 A flat ``key=value`` config file (``--config``) supplies defaults that
 command-line flags override.
@@ -22,6 +24,7 @@ command-line flags override.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from dataclasses import dataclass, field
@@ -89,6 +92,14 @@ def parse_scalar(text: str) -> Scalar:
         return complex(t.replace(" ", ""))
     except ValueError:
         raise ValueError(f"not a number: {text!r}") from None
+
+
+def parse_finite(raw) -> Scalar:
+    """A finite input number: a string is parsed, a JSON number is taken as is."""
+    value = parse_scalar(raw) if isinstance(raw, str) else raw + 0.0
+    if not cmath.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +422,7 @@ def ingest(
             if not item or item.startswith("#"):
                 continue
             try:
-                scalars.append(parse_scalar(item))
+                scalars.append(parse_finite(item))
             except ValueError as exc:
                 raise IngestError(str(exc), line=lineno) from exc
         if not scalars:
@@ -434,15 +445,12 @@ def ingest(
 
         def number_list(raw, key):
             try:
-                return tuple(
-                    parse_scalar(v) if isinstance(v, str) else v + 0.0 for v in raw
-                )
-            except (TypeError, ValueError) as exc:
+                return tuple(parse_finite(v) for v in raw)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise IngestError(f"bad entry in {key!r}: {exc}") from exc
 
         if limit is None and payload.get("limit") is not None:
-            raw_limit = payload["limit"]
-            limit = parse_scalar(raw_limit) if isinstance(raw_limit, str) else raw_limit + 0.0
+            (limit,) = number_list([payload["limit"]], "limit")
         if raw_values is not None and raw_terms is not None:
             sample = SequenceSample(
                 number_list(raw_values, "values"), terms=number_list(raw_terms, "terms")
@@ -554,14 +562,14 @@ def _load_config_file(path: str) -> dict:
         if not sep or key not in _CONFIG_KEYS:
             raise ConfigError(f"config line {lineno}: unknown setting {item!r}")
         raw = raw.strip()
-        if key in ("digits", "start_offset"):
-            out[key] = int(raw)
-        elif key == "guard_threshold":
-            out[key] = float(raw)
-        elif key == "values":
+        if key == "values":
             out[key] = raw.lower() in ("1", "true", "yes", "on")
-        else:
-            out[key] = raw
+            continue
+        convert = {"digits": int, "start_offset": int, "guard_threshold": float}.get(key, str)
+        try:
+            out[key] = convert(raw)
+        except ValueError:
+            raise ConfigError(f"config line {lineno}: bad {key} value {raw!r}") from None
     return out
 
 
@@ -584,7 +592,10 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--guard-threshold", type=float, default=1e-14)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[Mapping] = None) -> argparse.ArgumentParser:
+    """The argument parser; ``config`` (settings from a ``--config`` file)
+    replaces the built-in defaults, so flags given on the command line
+    still override it."""
     parser = argparse.ArgumentParser(
         prog="seqaccel",
         description="Convergence acceleration and divergent-series summation harness.",
@@ -628,26 +639,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--problem", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
+    for command in (p_run, p_cmp, p_est, p_pade, p_gen):
+        command.set_defaults(**(config or {}))
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    overrides = _load_config_file(args.config)
-    parser_defaults = {
-        "problem": None, "input": None, "input_format": "csv", "values": False,
-        "limit": None, "start_offset": 0, "transforms": None, "path": None,
-        "format": "tsv", "digits": 16, "output": None, "guard_threshold": 1e-14,
-    }
-    for key, value in overrides.items():
-        if hasattr(args, key) and getattr(args, key) == parser_defaults.get(key):
-            setattr(args, key, value)
+def _option_scalar(flag: str, text: str) -> Scalar:
+    try:
+        return parse_finite(text)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _resolve_sample(args: argparse.Namespace) -> tuple:
     """The (sample, label) pair named by --problem or --input."""
-    limit = parse_scalar(args.limit) if getattr(args, "limit", None) else None
+    limit = _option_scalar("--limit", args.limit) if getattr(args, "limit", None) else None
     offset = getattr(args, "start_offset", 0)
     if args.problem and args.input:
         raise ConfigError("give either --problem or --input, not both")
@@ -688,11 +694,22 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _outcome(ok: bool, reason: str) -> int:
+    """Exit code 0, or 3 with the one-line reason on stderr."""
+    if ok:
+        return 0
+    print(f"seqaccel: {reason}", file=sys.stderr)
+    return 3
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _run_config(args)
     report = run(config)
     _emit(args, report.render(args.format, args.digits))
-    return 0 if report.any_valid() else 3
+    failures = "; ".join(
+        f"{tr.name}: {tr.error or 'no valid entry'}" for tr in report.transforms
+    )
+    return _outcome(report.any_valid(), f"every requested transform failed ({failures})")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -720,7 +737,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         _emit(args, table.to_tsv(args.digits))
-    return 0 if table.rows else 3
+    return _outcome(bool(table.rows), "no transform produced a valid entry")
 
 
 def cmd_estimate_alpha(args: argparse.Namespace) -> int:
@@ -746,7 +763,7 @@ def cmd_estimate_alpha(args: argparse.Namespace) -> int:
         if summary is not None:
             lines.append(f"# alpha_estimate\t{fmt_scalar(summary, args.digits)}")
         _emit(args, "\n".join(lines) + "\n")
-    return 0 if valid else 3
+    return _outcome(bool(valid), "no valid decay-exponent estimate")
 
 
 def _resolve_series(args: argparse.Namespace) -> tuple:
@@ -770,7 +787,7 @@ def _resolve_series(args: argparse.Namespace) -> tuple:
             raise ConfigError("--coeffs needs --z")
         coeff_sample = ingest(args.coeffs, fmt="csv", values_mode=True)
         return (
-            PowerSeries(coeff_sample.values, parse_scalar(args.z)),
+            PowerSeries(coeff_sample.values, _option_scalar("--z", args.z)),
             None,
             args.coeffs,
         )
@@ -789,8 +806,7 @@ def cmd_pade(args: argparse.Namespace) -> int:
         try:
             approximant = pade_direct(series, args.l, args.m)
         except DegeneratePadeError as exc:
-            print(f"seqaccel: {exc}", file=sys.stderr)
-            return 3
+            return _outcome(False, str(exc))
         rows.append((args.l, args.m, approximant(series.z)))
     if args.format == "json":
         payload = {
@@ -818,7 +834,7 @@ def cmd_pade(args: argparse.Namespace) -> int:
                 f"\t{fmt_scalar(err, args.digits)}\t{1 if value is not None else 0}"
             )
         _emit(args, "\n".join(lines) + "\n")
-    return 0 if any(value is not None for _, _, value in rows) else 3
+    return _outcome(any(value is not None for _, _, value in rows), "no valid approximant")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -847,10 +863,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config_file(args)
+        if args.config:
+            args = build_parser(_load_config_file(args.config)).parse_args(argv)
         return args.func(args)
     except (
         ConfigError,

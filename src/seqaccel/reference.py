@@ -2,10 +2,10 @@
 
 Nothing here goes through a sequence transformation, so these values can
 sit on the other side of an equality test: the Euler-Maclaurin tail gives
-zeta(z) to near machine accuracy for Re z > 1, the Stieltjes integral
-gives the sum the divergent factorial series should be assigned, and the
-brute-force model solver recovers the limit of any explicit model
-sequence by plain linear algebra.
+zeta(z) to near machine accuracy for Re z > 1, the closed form of the
+Stieltjes integral gives the sum the divergent factorial series should be
+assigned, and the brute-force model solver recovers the limit of any
+explicit model sequence by plain linear algebra.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
-
-from scipy.integrate import quad
 
 from .core import Scalar, SequenceSample, make_partial_sums
 from .errors import (
@@ -117,16 +115,19 @@ def euler_maclaurin_zeta(z: Scalar, n: int = 40, k: int = 12) -> Scalar:
 def euler_series_value(x: float, tol: float = 1e-13) -> float:
     """The Stieltjes-integral sum assigned to ``sum_k k! (-x)^k``.
 
-    Evaluates ``integral_0^inf exp(-t) / (1 + x t) dt`` by adaptive
-    quadrature; the series itself diverges for every x > 0.
+    ``integral_0^inf exp(-t) / (1 + x t) dt`` has the closed form
+    ``y e^y E1(y)`` with ``y = 1/x``; it is evaluated with 30 digits and
+    rounded to the nearest float, so the result is correctly rounded and
+    meets every ``tol`` (kept for compatibility).  The series itself
+    diverges for every x > 0.
     """
     if not x > 0:
         raise DomainError("the Stieltjes integral needs x > 0")
-    value, _ = quad(
-        lambda t: math.exp(-t) / (1.0 + x * t), 0.0, math.inf,
-        epsabs=tol, epsrel=tol, limit=400,
-    )
-    return value
+    import mpmath  # here, not at module level: only Euler problems pay for it
+
+    with mpmath.workdps(30):
+        y = 1 / mpmath.mpf(x)
+        return float(y * mpmath.exp(y) * mpmath.e1(y))
 
 
 def e_oracle(samples: Sequence[Scalar], phis: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -228,6 +229,15 @@ def _param(spec: ProblemSpec, name: str, default=None):
 
 def generate_problem(spec: ProblemSpec) -> SequenceSample:
     """Terms, partial sums, and the known (anti)limit for a corpus problem."""
+    try:
+        return _generate(spec)
+    except OverflowError as exc:
+        raise InvalidParameterError(
+            f"{spec.describe()}: an element overflows double precision ({exc})"
+        ) from exc
+
+
+def _generate(spec: ProblemSpec) -> SequenceSample:
     count = spec.length + 1
     family = spec.family
 

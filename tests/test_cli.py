@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import seqaccel
 from seqaccel import GuardPolicy, IngestError, PathSpec, SequenceSample
 from seqaccel.cli import (
     CompareError,
@@ -301,3 +305,68 @@ class TestCliEndToEnd:
         src = write(tmp_path / "x.csv", "1\n2\n3\n")
         assert main(["run", "--problem", "geometric:s=1:c=1:lam=0.5:N=5",
                      "--input", src, "--transforms", "aitken"]) == 2
+
+
+def one_line_error(capsys, stdout_empty=False):
+    """The stderr of a failed call, checked to be one ``seqaccel:`` line."""
+    out, err = capsys.readouterr()
+    assert err.startswith("seqaccel: ") and err.count("\n") == 1, err
+    assert not (stdout_empty and out), out
+    return err
+
+
+class TestCliRobustness:
+    SMALL = ["run", "--problem", "zeta_dirichlet:z=2:N=10", "--transforms", "epsilon"]
+
+    def test_non_numeric_limit(self, capsys):
+        assert main(self.SMALL + ["--limit", "abc"]) == 2
+        assert "--limit" in one_line_error(capsys)
+
+    def test_non_numeric_config_setting(self, tmp_path, capsys):
+        cfg = write(tmp_path / "digits.cfg", "digits=abc\n")
+        assert main(self.SMALL + ["--config", cfg]) == 2
+        assert "line 1" in one_line_error(capsys)
+
+    def test_overflowing_problem(self, capsys):
+        assert main(["pade", "--problem", "power_series:name=exp:z=1:N=5000",
+                     "--l", "4", "--m", "4"]) == 2
+        assert "overflows" in one_line_error(capsys)
+
+    def test_flag_overrides_config_format(self, tmp_path, capsys):
+        cfg = write(tmp_path / "json.cfg", "format=json\n")
+        assert main(self.SMALL + ["--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("{")
+        assert main(self.SMALL + ["--format", "tsv", "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("transform\tk\tn\t")
+
+    @pytest.mark.parametrize("name, text, fmt", [
+        ("inf.csv", "1\n0.5\ninf\n0.25\n", "csv"),
+        ("nan.csv", "1\n0.5\nnan\n0.25\n", "csv"),
+        ("inf.json", '{"values": [1, 2, 1e999]}', "json"),
+        ("nan.json", '{"terms": [1, "nan"]}', "json"),
+        ("limit.json", '{"values": [1, 2, 3], "limit": "inf"}', "json"),
+    ])
+    def test_non_finite_input_is_rejected(self, tmp_path, capsys, name, text, fmt):
+        path = write(tmp_path / name, text)
+        assert main(["run", "--input", path, "--input-format", fmt,
+                     "--transforms", "epsilon", "--path", "order_constant:0"]) == 2
+        assert "not a finite number" in one_line_error(capsys, stdout_empty=True)
+        with pytest.raises(IngestError):
+            ingest(path, fmt=fmt)
+
+    def test_total_failure_names_the_reason(self, capsys):
+        argv = ["run", "--problem", "zeta_dirichlet:z=2:N=10",
+                "--transforms", "levin_u:zeta=-1"]
+        assert main(argv) == 3
+        assert "levin_u: zeta must be positive" in one_line_error(capsys)
+
+
+def test_cli_import_loads_neither_scipy_nor_mpmath():
+    src = os.path.dirname(os.path.dirname(seqaccel.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, seqaccel.cli; "
+            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -120,6 +120,26 @@ class TestEulerSeriesValue:
             euler_series_value(-1.0)
 
 
+class TestEulerSeriesClosedForm:
+    """``euler_series_value`` is ``y e^y E1(y)``, y = 1/x, correctly rounded."""
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-4, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3])
+    def test_within_half_ulp_of_60_digits(self, x):
+        value = euler_series_value(x)
+        with mpmath.workdps(60):
+            y = 1 / mpmath.mpf(x)
+            exact = y * mpmath.exp(y) * mpmath.e1(y)
+            assert abs(mpmath.mpf(value) - exact) <= mpmath.mpf(math.ulp(value)) / 2
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
+    def test_matches_the_stieltjes_integral(self, x):
+        with mpmath.workdps(30):
+            integral = mpmath.quad(
+                lambda t: mpmath.exp(-t) / (1 + x * t), [0, 1, mpmath.inf]
+            )
+        assert euler_series_value(x) == pytest.approx(float(integral), rel=1e-15)
+
+
 class TestModelOracle:
     def test_single_exponential(self):
         lam = 0.3
