@@ -18,6 +18,9 @@ from .core import (
     TransformTable,
     append_column,
     cross_rule_table,
+    lozenge_column,
+    stencil_table,
+    usable_rows,
 )
 from .errors import InsufficientDataError, SingularStepError
 
@@ -51,14 +54,9 @@ def iterated_aitken(sample: SequenceSample, guard: Optional[GuardPolicy] = None)
     s = sample.effective_values()
     if len(s) < 3:
         raise InsufficientDataError("iterated Aitken needs at least 3 elements")
-    columns = [list(s)]
-    valid = [[True] * len(s)]
-    while len(columns[-1]) >= 3:
-        cur, cur_ok = columns[-1], valid[-1]
 
-        def step(n, cur=cur, cur_ok=cur_ok):
-            if not (cur_ok[n] and cur_ok[n + 1] and cur_ok[n + 2]):
-                return None
+    def kernel(cur, k):
+        def step(n):
             d = cur[n + 1] - cur[n]
             dd = cur[n + 2] - 2 * cur[n + 1] + cur[n]
             num = d * d
@@ -66,11 +64,9 @@ def iterated_aitken(sample: SequenceSample, guard: Optional[GuardPolicy] = None)
                 return None
             return cur[n] - num / dd
 
-        append_column(columns, valid, len(cur) - 2, step)
-    return TransformTable(
-        "aitken", columns, valid,
-        consumed_first=[2 * k + 1 for k in range(len(columns))],
-    )
+        return step
+
+    return stencil_table("aitken", s, 3, kernel)
 
 
 def wynn_epsilon(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
@@ -97,50 +93,34 @@ def brezinski_theta(sample: SequenceSample, guard: Optional[GuardPolicy] = None)
     s = sample.effective_values()
     columns = [list(s)]
     valid = [[True] * len(s)]
-    consumed = [1]
-    while True:
+    while len(columns[-1]) >= 2:
         k = len(columns)
         if k % 2 == 1:
             # odd rule: theta_{2j+1}^(n) = theta_{2j-1}^(n+1) + 1 / (theta_{2j}^(n+1) - theta_{2j}^(n))
-            cur, cur_ok = columns[k - 1], valid[k - 1]
-            base, base_ok = (columns[k - 2], valid[k - 2]) if k >= 2 else (None, None)
-            length = len(cur) - 1
-
-            def step(n, cur=cur, cur_ok=cur_ok, base=base, base_ok=base_ok):
-                if not (cur_ok[n] and cur_ok[n + 1]):
-                    return None
-                if base is not None and not base_ok[n + 1]:
-                    return None
-                diff = cur[n + 1] - cur[n]
-                if guard.trips(diff, 1.0):
-                    return None
-                left = base[n + 1] if base is not None else 0.0
-                return left + 1.0 / diff
-
-        else:
-            # even rule: theta_{2j+2}^(n) = theta_{2j}^(n+1)
-            #   + (D theta_{2j}^(n+1)) (D theta_{2j+1}^(n+1)) / (D^2 theta_{2j+1}^(n))
-            even, even_ok = columns[k - 2], valid[k - 2]
-            odd, odd_ok = columns[k - 1], valid[k - 1]
-            length = min(len(even), len(odd)) - 2
-
-            def step(n, even=even, even_ok=even_ok, odd=odd, odd_ok=odd_ok):
-                if not (even_ok[n + 1] and even_ok[n + 2]):
-                    return None
-                if not (odd_ok[n] and odd_ok[n + 1] and odd_ok[n + 2]):
-                    return None
-                num = (even[n + 2] - even[n + 1]) * (odd[n + 2] - odd[n + 1])
-                den = odd[n + 2] - 2 * odd[n + 1] + odd[n]
-                if guard.trips(den, num):
-                    return None
-                return even[n + 1] + num / den
-
+            lozenge_column(columns, valid, lambda k, n: 1.0, guard)
+            continue
+        # even rule: theta_{2j+2}^(n) = theta_{2j}^(n+1)
+        #   + (D theta_{2j}^(n+1)) (D theta_{2j+1}^(n+1)) / (D^2 theta_{2j+1}^(n))
+        even, even_ok = columns[k - 2], valid[k - 2]
+        odd, odd_ok = columns[k - 1], valid[k - 1]
+        length = len(odd) - 2
         if length <= 0:
             break
-        append_column(columns, valid, length, step)
-        consumed.append(consumed[-1] + (1 if k % 2 == 1 else 2))
+
+        def step(n):
+            num = (even[n + 2] - even[n + 1]) * (odd[n + 2] - odd[n + 1])
+            den = odd[n + 2] - 2 * odd[n + 1] + odd[n]
+            if guard.trips(den, num):
+                return None
+            return even[n + 1] + num / den
+
+        usable = usable_rows(
+            length, (even_ok, 1), (even_ok, 2), (odd_ok, 0), (odd_ok, 1), (odd_ok, 2)
+        )
+        append_column(columns, valid, usable, step)
     return TransformTable(
-        "theta", columns, valid, order_step=2, consumed_first=consumed,
+        "theta", columns, valid, order_step=2,
+        consumed_first=[1 + 3 * (k // 2) + k % 2 for k in range(len(columns))],
     )
 
 
@@ -155,14 +135,9 @@ def iterated_theta(sample: SequenceSample, guard: Optional[GuardPolicy] = None) 
     s = sample.effective_values()
     if len(s) < 4:
         raise InsufficientDataError("iterated theta needs at least 4 elements")
-    columns = [list(s)]
-    valid = [[True] * len(s)]
-    while len(columns[-1]) >= 4:
-        cur, cur_ok = columns[-1], valid[-1]
 
-        def step(n, cur=cur, cur_ok=cur_ok):
-            if not all(cur_ok[n + i] for i in range(4)):
-                return None
+    def kernel(cur, k):
+        def step(n):
             d0 = cur[n + 1] - cur[n]
             d1 = cur[n + 2] - cur[n + 1]
             d2 = cur[n + 3] - cur[n + 2]
@@ -172,8 +147,6 @@ def iterated_theta(sample: SequenceSample, guard: Optional[GuardPolicy] = None) 
                 return None
             return cur[n + 1] - num / den
 
-        append_column(columns, valid, len(cur) - 3, step)
-    return TransformTable(
-        "theta_iterated", columns, valid,
-        consumed_first=[3 * k + 1 for k in range(len(columns))],
-    )
+        return step
+
+    return stencil_table("theta_iterated", s, 4, kernel)

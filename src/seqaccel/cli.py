@@ -13,9 +13,9 @@ or from a file (``--input``, CSV with one scalar per line, or JSON with
 fixed column order transform, k, n, value, abs_error, valid (or a JSON
 mirror); invalid entries carry the marker NA, never a number.  Output is
 deterministic: identical inputs give byte-identical reports.  Exit codes:
-0 success, 2 ingest/config error, 3 total transform failure; exits 2 and 3
-print one ``seqaccel: ...`` line on stderr.  Non-finite input is an ingest
-error.
+0 success, 2 ingest/config or other package error, 3 total transform
+failure; exits 2 and 3 print one ``seqaccel: ...`` line on stderr.
+Non-finite input is an ingest error.
 
 A flat ``key=value`` config file (``--config``) supplies defaults that
 command-line flags override.
@@ -27,7 +27,8 @@ import argparse
 import cmath
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import __version__
@@ -44,10 +45,7 @@ from .core import (
 from .errors import (
     CompareError,
     ConfigError,
-    ConsistencyError,
     DegeneratePadeError,
-    DomainError,
-    EmptyInputError,
     IngestError,
     InvalidParameterError,
     SequenceTransformError,
@@ -61,7 +59,7 @@ from .interpolatory import (
     richardson_standard,
     rho_standard,
 )
-from .levin import levin_variant, weniger_variant
+from .levin import WENIGER_NAMES, levin_variant, weniger_variant
 from .pade import PowerSeries, pade_direct, staircase_sequence
 from .reference import (
     ProblemSpec,
@@ -115,55 +113,23 @@ _REGISTRY: Mapping[str, tuple] = {
     "epsilon": (_fixed(wynn_epsilon), (), ()),
     "theta": (_fixed(brezinski_theta), (), ()),
     "theta_iterated": (_fixed(iterated_theta), (), ()),
-    "richardson": (
-        lambda sample, guard, params: richardson_standard(
-            sample, params.get("beta", 1.0), guard
-        ),
-        ("beta",), (),
-    ),
+    "richardson": (_fixed(richardson_standard), ("beta",), ()),
     "rho": (_fixed(rho_standard), (), ()),
     "rho_iterated": (_fixed(iterated_rho_standard), (), ()),
-    "rho_osada": (
-        lambda sample, guard, params: osada_rho(sample, params["alpha"], guard),
-        ("alpha",), ("alpha",),
+    "rho_osada": (_fixed(osada_rho), ("alpha",), ("alpha",)),
+    "bdg": (_fixed(bdg_transform), ("alpha",), ("alpha",)),
+    **{
+        f"levin_{rule}": (_fixed(partial(levin_variant, kind=rule)), ("zeta",), ())
+        for rule in WENIGER_NAMES
+    },
+    **{
+        f"weniger_{name}": (_fixed(partial(weniger_variant, kind=rule)), ("zeta",), ())
+        for rule, name in WENIGER_NAMES.items()
+    },
+    "pade_epsilon": (
+        lambda sample, guard, params: replace(wynn_epsilon(sample, guard), name="pade_epsilon"),
+        (), (),
     ),
-    "bdg": (
-        lambda sample, guard, params: bdg_transform(sample, params["alpha"], guard),
-        ("alpha",), ("alpha",),
-    ),
-    "levin_u": (
-        lambda sample, guard, params: levin_variant(sample, "u", params.get("zeta", 1.0), guard),
-        ("zeta",), (),
-    ),
-    "levin_t": (
-        lambda sample, guard, params: levin_variant(sample, "t", params.get("zeta", 1.0), guard),
-        ("zeta",), (),
-    ),
-    "levin_v": (
-        lambda sample, guard, params: levin_variant(sample, "v", params.get("zeta", 1.0), guard),
-        ("zeta",), (),
-    ),
-    "levin_d": (
-        lambda sample, guard, params: levin_variant(sample, "d", params.get("zeta", 1.0), guard),
-        ("zeta",), (),
-    ),
-    "weniger_y": (
-        lambda sample, guard, params: weniger_variant(sample, "u", params.get("zeta", 1.0), guard),
-        ("zeta",), (),
-    ),
-    "weniger_tau": (
-        lambda sample, guard, params: weniger_variant(sample, "t", params.get("zeta", 1.0), guard),
-        ("zeta",), (),
-    ),
-    "weniger_phi": (
-        lambda sample, guard, params: weniger_variant(sample, "v", params.get("zeta", 1.0), guard),
-        ("zeta",), (),
-    ),
-    "weniger_delta": (
-        lambda sample, guard, params: weniger_variant(sample, "d", params.get("zeta", 1.0), guard),
-        ("zeta",), (),
-    ),
-    "pade_epsilon": (_fixed(wynn_epsilon), (), ()),
 }
 
 
@@ -186,9 +152,7 @@ def apply_transform(
     missing = set(required) - set(params)
     if missing:
         raise ConfigError(f"{name} needs parameters {sorted(missing)}")
-    table = builder(sample, guard, dict(params))
-    table.name = name
-    return table
+    return builder(sample, guard, dict(params))
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +429,14 @@ def ingest(
 
 
 def _parse_param_value(key: str, raw: str):
-    if "," in raw:
-        return tuple(parse_scalar(item) for item in raw.split(",") if item)
+    if key == "name":  # power_series:name=exp
+        return raw
     try:
+        if "," in raw:
+            return tuple(parse_scalar(item) for item in raw.split(",") if item)
         return parse_scalar(raw)
     except ValueError:
-        return raw  # e.g. name=exp
+        raise ConfigError(f"problem parameter {key}={raw!r} is not numeric") from None
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -868,15 +834,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.config:
             args = build_parser(_load_config_file(args.config)).parse_args(argv)
         return args.func(args)
-    except (
-        ConfigError,
-        IngestError,
-        ConsistencyError,
-        CompareError,
-        InvalidParameterError,
-        DomainError,
-        EmptyInputError,
-    ) as exc:
+    except SequenceTransformError as exc:
         print(f"seqaccel: {exc}", file=sys.stderr)
         return 2
 

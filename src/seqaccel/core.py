@@ -12,7 +12,9 @@ unreliable number, and invalidity propagates to every dependent entry.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -33,10 +35,10 @@ _CONSISTENCY_RTOL = 1e-9
 
 def is_finite(value: Scalar) -> bool:
     """True unless value is a float/complex NaN or infinity."""
-    if isinstance(value, complex):
-        return math.isfinite(value.real) and math.isfinite(value.imag)
     if isinstance(value, (float, int)):
         return math.isfinite(value)
+    if isinstance(value, complex):
+        return math.isfinite(value.real) and math.isfinite(value.imag)
     return True
 
 
@@ -138,7 +140,7 @@ def make_partial_sums(terms: Sequence[Scalar]) -> SequenceSample:
     return SequenceSample(tuple(values), terms=terms)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformTable:
     """Triangular array ``T_k^(n)`` stored column-wise with validity flags.
 
@@ -147,7 +149,8 @@ class TransformTable:
     auxiliary quantities (epsilon, theta, rho families); approximants then
     live in the even columns only.  ``consumed_first[k]`` records how many
     input elements the first entry of column ``k`` consumes, from which the
-    data budget of any entry follows.
+    data budget of any entry follows.  Tables are frozen: a builder names
+    its table at construction (``dataclasses.replace`` makes a renamed copy).
     """
 
     name: str
@@ -199,23 +202,97 @@ class TransformTable:
         return first + (n - self.n_start)
 
 
-def append_column(columns: list, valid: list, length: int, step: Callable[[int], Optional[Scalar]]) -> None:
+def append_column(
+    columns: list, valid: list, usable: list, step: Callable[[int], Optional[Scalar]]
+) -> None:
     """Append one table column, flagging guard trips and non-finite values.
 
-    ``step(i)`` returns the entry at row ``i`` or ``None`` for a guard trip
-    or an invalid antecedent.
+    ``usable[i]`` is true when every antecedent of row ``i`` is valid;
+    ``step(i)`` runs on usable rows only and returns the entry or ``None``
+    for a guard trip.  Unusable rows are invalid without calling ``step``,
+    so a column without usable rows never calls it.
     """
-    col, ok = [], []
-    for i in range(max(0, length)):
+    col = [None] * len(usable)
+    ok = list(usable)
+    for i in compress(count(), usable):
         try:
             v = step(i)
         except (ZeroDivisionError, OverflowError):
             v = None
-        good = v is not None and is_finite(v)
-        col.append(v if good else None)
-        ok.append(good)
+        if v is not None and is_finite(v):
+            col[i] = v
+        else:
+            ok[i] = False
     columns.append(col)
     valid.append(ok)
+
+
+def usable_rows(length: int, *antecedents: tuple) -> list:
+    """The ``usable`` flags of ``append_column`` for a column of ``length`` rows.
+
+    Each antecedent is a ``(flags, shift)`` pair: row ``i`` is usable when
+    ``flags[i + shift]`` holds for every pair.  Lists without a false flag
+    are skipped, the common case of a fully valid antecedent column.
+    """
+    usable = None
+    for flags, shift in antecedents:
+        if all(flags):
+            continue
+        part = flags[shift:shift + length]
+        usable = part if usable is None else list(map(operator.and_, usable, part))
+    return [True] * length if usable is None else usable
+
+
+def stencil_table(
+    name: str,
+    values: Sequence[Scalar],
+    width: int,
+    kernel: Callable[[list, int], Callable[[int], Optional[Scalar]]],
+) -> TransformTable:
+    """Tables whose column ``k`` applies a ``width``-element step to column ``k-1``.
+
+    ``kernel(cur, k)`` returns the step computing row ``n`` of column ``k``
+    from ``cur[n] .. cur[n + width - 1]`` of column ``k-1``, so column ``k``
+    consumes ``(width-1)*k + 1`` elements.  Columns are added while the
+    last one still holds ``width`` entries.
+    """
+    columns = [list(values)]
+    valid = [[True] * len(values)]
+    while len(columns[-1]) >= width:
+        cur, cur_ok = columns[-1], valid[-1]
+        usable = usable_rows(len(cur) - width + 1, *zip(repeat(cur_ok), range(width)))
+        append_column(columns, valid, usable, kernel(cur, len(columns)))
+    return TransformTable(
+        name, columns, valid,
+        consumed_first=[(width - 1) * k + 1 for k in range(len(columns))],
+    )
+
+
+def lozenge_column(
+    columns: list, valid: list, numerator: Callable[[int, int], Scalar], guard: GuardPolicy
+) -> None:
+    """Append column ``k`` of the lozenge rule
+    ``T_k^(n) = T_{k-2}^(n+1) + numerator(k, n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``.
+
+    Column -1 is an implicit column of zeros.
+    """
+    k = len(columns)
+    cur, cur_ok = columns[k - 1], valid[k - 1]
+    antecedents = [(cur_ok, 0), (cur_ok, 1)]
+    if k >= 2:
+        base = columns[k - 2]
+        antecedents.append((valid[k - 2], 1))
+    else:
+        base = [0.0] * len(cur)
+
+    def step(n):
+        num = numerator(k, n)
+        diff = cur[n + 1] - cur[n]
+        if guard.trips(diff, num):
+            return None
+        return base[n + 1] + num / diff
+
+    append_column(columns, valid, usable_rows(len(cur) - 1, *antecedents), step)
 
 
 def cross_rule_table(
@@ -223,35 +300,19 @@ def cross_rule_table(
     values: Sequence[Scalar],
     numerator: Callable[[int, int], Scalar],
     guard: GuardPolicy,
-    consumed_first: Optional[list] = None,
 ) -> TransformTable:
     """Tables of the lozenge form ``T_{k}^(n) = T_{k-2}^(n+1) + num / diff``.
 
     The epsilon, rho, and Osada algorithms all share this recursion shape;
     they differ only in the numerator ``numerator(k, n)`` placed over
-    ``T_{k-1}^(n+1) - T_{k-1}^(n)``.  Column -1 is an implicit row of
-    zeros, and only even-order columns are approximants.
+    ``T_{k-1}^(n+1) - T_{k-1}^(n)``.  Only even-order columns are
+    approximants.
     """
     columns = [list(values)]
     valid = [[True] * len(values)]
-    for k in range(1, len(values)):
-        cur, cur_ok = columns[k - 1], valid[k - 1]
-        base, base_ok = (columns[k - 2], valid[k - 2]) if k >= 2 else (None, None)
-
-        def step(n, cur=cur, cur_ok=cur_ok, base=base, base_ok=base_ok, k=k):
-            if not (cur_ok[n] and cur_ok[n + 1]):
-                return None
-            if base is not None and not base_ok[n + 1]:
-                return None
-            num = numerator(k, n)
-            diff = cur[n + 1] - cur[n]
-            if guard.trips(diff, num):
-                return None
-            left = base[n + 1] if base is not None else 0.0
-            return left + num / diff
-
-        append_column(columns, valid, len(cur) - 1, step)
-    return TransformTable(name, columns, valid, order_step=2, consumed_first=consumed_first)
+    while len(columns[-1]) >= 2:
+        lozenge_column(columns, valid, numerator, guard)
+    return TransformTable(name, columns, valid, order_step=2)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ restore the ``O(n**(-alpha-2k))`` error order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .core import (
@@ -19,9 +19,9 @@ from .core import (
     Scalar,
     SequenceSample,
     TransformTable,
-    append_column,
     cross_rule_table,
     is_finite,
+    stencil_table,
 )
 from .errors import InsufficientDataError, InvalidParameterError
 
@@ -97,22 +97,18 @@ def neville_richardson(
     guard = guard or GuardPolicy()
     s = sample.effective_values()
     x = _require_points(points, TO_ZERO, len(s))
-    columns = [list(s)]
-    valid = [[True] * len(s)]
-    for k in range(1, len(s)):
-        cur, cur_ok = columns[k - 1], valid[k - 1]
 
-        def step(n, cur=cur, cur_ok=cur_ok, k=k):
-            if not (cur_ok[n] and cur_ok[n + 1]):
-                return None
+    def kernel(cur, k):
+        def step(n):
             num = x[n] * cur[n + 1] - x[n + k] * cur[n]
             den = x[n] - x[n + k]
             if guard.trips(den, num):
                 return None
             return num / den
 
-        append_column(columns, valid, len(cur) - 1, step)
-    return TransformTable("richardson_general", columns, valid)
+        return step
+
+    return stencil_table("richardson_general", s, 2, kernel)
 
 
 def richardson_standard(
@@ -129,18 +125,14 @@ def richardson_standard(
     if beta <= 0:
         raise InvalidParameterError("beta must be positive")
     s = sample.effective_values()
-    columns = [list(s)]
-    valid = [[True] * len(s)]
-    for k in range(1, len(s)):
-        cur, cur_ok = columns[k - 1], valid[k - 1]
 
-        def step(n, cur=cur, cur_ok=cur_ok, k=k):
-            if not (cur_ok[n] and cur_ok[n + 1]):
-                return None
+    def kernel(cur, k):
+        def step(n):
             return cur[n + 1] + (beta + n) / k * (cur[n + 1] - cur[n])
 
-        append_column(columns, valid, len(cur) - 1, step)
-    return TransformTable("richardson", columns, valid)
+        return step
+
+    return stencil_table("richardson", s, 2, kernel)
 
 
 def richardson_binomial(
@@ -184,9 +176,8 @@ def wynn_rho(
 
 def rho_standard(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
     """Wynn's rho algorithm on the standard points ``x_n = n + 1``."""
-    guard = guard or GuardPolicy()
-    s = sample.effective_values()
-    return cross_rule_table("rho", s, lambda k, n: float(k), guard)
+    points = natural_points(len(sample.effective_values()))
+    return replace(wynn_rho(sample, points, guard), name="rho")
 
 
 def osada_rho(
@@ -222,29 +213,20 @@ def iterated_rho(
     x = _require_points(points, TO_INFINITY, len(s))
     if len(s) < 3:
         raise InsufficientDataError("iterated rho needs at least 3 elements")
-    columns = [list(s)]
-    valid = [[True] * len(s)]
-    k = 0
-    while len(columns[-1]) >= 3:
-        cur, cur_ok = columns[-1], valid[-1]
 
-        def step(n, cur=cur, cur_ok=cur_ok, k=k):
-            if not (cur_ok[n] and cur_ok[n + 1] and cur_ok[n + 2]):
-                return None
+    def kernel(cur, k):
+        def step(n):
             d0 = cur[n + 1] - cur[n]
             d1 = cur[n + 2] - cur[n + 1]
-            num = (x[n + 2 * k + 2] - x[n]) * d1 * d0
-            den = (x[n + 2 * k + 2] - x[n + 1]) * d0 - (x[n + 2 * k + 1] - x[n]) * d1
+            num = (x[n + 2 * k] - x[n]) * d1 * d0
+            den = (x[n + 2 * k] - x[n + 1]) * d0 - (x[n + 2 * k - 1] - x[n]) * d1
             if guard.trips(den, num):
                 return None
             return cur[n + 1] + num / den
 
-        append_column(columns, valid, len(cur) - 2, step)
-        k += 1
-    return TransformTable(
-        "rho_iterated_general", columns, valid,
-        consumed_first=[2 * j + 1 for j in range(len(columns))],
-    )
+        return step
+
+    return stencil_table("rho_iterated_general", s, 3, kernel)
 
 
 def iterated_rho_standard(
@@ -255,29 +237,20 @@ def iterated_rho_standard(
     s = sample.effective_values()
     if len(s) < 3:
         raise InsufficientDataError("iterated rho needs at least 3 elements")
-    columns = [list(s)]
-    valid = [[True] * len(s)]
-    k = 0
-    while len(columns[-1]) >= 3:
-        cur, cur_ok = columns[-1], valid[-1]
 
-        def step(n, cur=cur, cur_ok=cur_ok, k=k):
-            if not (cur_ok[n] and cur_ok[n + 1] and cur_ok[n + 2]):
-                return None
+    def kernel(cur, k):
+        def step(n):
             d0 = cur[n + 1] - cur[n]
             d1 = cur[n + 2] - cur[n + 1]
-            num = (2 * k + 2) * d1 * d0
-            den = (2 * k + 1) * (d1 - d0)
+            num = 2 * k * d1 * d0
+            den = (2 * k - 1) * (d1 - d0)
             if guard.trips(den, num):
                 return None
             return cur[n + 1] - num / den
 
-        append_column(columns, valid, len(cur) - 2, step)
-        k += 1
-    return TransformTable(
-        "rho_iterated", columns, valid,
-        consumed_first=[2 * j + 1 for j in range(len(columns))],
-    )
+        return step
+
+    return stencil_table("rho_iterated", s, 3, kernel)
 
 
 def bdg_transform(
@@ -296,16 +269,11 @@ def bdg_transform(
     s = sample.effective_values()
     if len(s) < 3:
         raise InsufficientDataError("the BDG transformation needs at least 3 elements")
-    columns = [list(s)]
-    valid = [[True] * len(s)]
-    k = 0
-    while len(columns[-1]) >= 3:
-        cur, cur_ok = columns[-1], valid[-1]
-        factor = (2 * k + alpha + 1) / (2 * k + alpha)
 
-        def step(n, cur=cur, cur_ok=cur_ok, factor=factor):
-            if not (cur_ok[n] and cur_ok[n + 1] and cur_ok[n + 2]):
-                return None
+    def kernel(cur, k):
+        factor = (2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha)
+
+        def step(n):
             d0 = cur[n + 1] - cur[n]
             d1 = cur[n + 2] - cur[n + 1]
             num = factor * d1 * d0
@@ -314,12 +282,9 @@ def bdg_transform(
                 return None
             return cur[n + 1] - num / den
 
-        append_column(columns, valid, len(cur) - 2, step)
-        k += 1
-    return TransformTable(
-        "bdg", columns, valid,
-        consumed_first=[2 * j + 1 for j in range(len(columns))],
-    )
+        return step
+
+    return stencil_table("bdg", s, 3, kernel)
 
 
 def estimate_decay(

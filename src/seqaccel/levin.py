@@ -45,7 +45,8 @@ RemainderEstimateKind = Union[str, Sequence[Scalar]]
 
 _ESTIMATE_RULES = ("u", "t", "v", "d")
 
-_WENIGER_NAMES = {"u": "y", "t": "tau", "v": "phi", "d": "delta"}
+#: Names of the Weniger variants by the estimate rule they use.
+WENIGER_NAMES = {"u": "y", "t": "tau", "v": "phi", "d": "delta"}
 
 
 def _weight_ratio(family: str, zeta: float, n: int, k: int, j: int) -> float:
@@ -192,7 +193,7 @@ def _ratio_table(
                 return None
             return num / den
 
-        append_column(columns, valid, count - k, step)
+        append_column(columns, valid, [True] * (count - k), step)
     return TransformTable(
         name, columns, valid, n_start=n_start, order_step=1,
         consumed_first=[k + 1 + extra for k in range(len(columns))],
@@ -210,7 +211,7 @@ def _variant(
     start, omegas = _omega_with_start(sample, kind, zeta)
     values = sample.effective_values()[start:start + len(omegas)]
     if isinstance(kind, str):
-        rule = kind if family == LEVIN_POWER else _WENIGER_NAMES[kind]
+        rule = kind if family == LEVIN_POWER else WENIGER_NAMES[kind]
         stem = "levin_" if family == LEVIN_POWER else "weniger_"
         name = stem + rule
         extra = start + (1 if kind in ("v", "d") else 0)

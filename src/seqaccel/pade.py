@@ -11,7 +11,7 @@ highest approximant order available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .classic import wynn_epsilon
@@ -131,9 +131,7 @@ def pade_via_epsilon(series: PowerSeries, guard: Optional[GuardPolicy] = None) -
     The even entry (2k, n) of the returned table is the value of [n+k/k]
     at ``series.z``; use ``pade_label`` to translate indices.
     """
-    table = wynn_epsilon(series.sample(), guard)
-    table.name = "pade_epsilon"
-    return table
+    return replace(wynn_epsilon(series.sample(), guard), name="pade_epsilon")
 
 
 def pade_label(k: int, n: int) -> tuple:

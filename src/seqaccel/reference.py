@@ -235,6 +235,10 @@ def generate_problem(spec: ProblemSpec) -> SequenceSample:
         raise InvalidParameterError(
             f"{spec.describe()}: an element overflows double precision ({exc})"
         ) from exc
+    except TypeError as exc:  # a list where a number belongs, or the reverse
+        raise InvalidParameterError(
+            f"{spec.describe()}: a parameter has the wrong kind ({exc})"
+        ) from exc
 
 
 def _generate(spec: ProblemSpec) -> SequenceSample:

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seqaccel
 from seqaccel import GuardPolicy, IngestError, PathSpec, SequenceSample
@@ -20,6 +23,7 @@ from seqaccel.cli import (
     parse_transforms,
     parse_path,
     run,
+    transform_names,
 )
 
 
@@ -359,6 +363,104 @@ class TestCliRobustness:
                 "--transforms", "levin_u:zeta=-1"]
         assert main(argv) == 3
         assert "levin_u: zeta must be positive" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["estimate-alpha", "--problem", "geometric:s=1:c=1:lam=0.5:N=1"],
+         "at least 4 elements"),
+        (["compare", "--problem", "geometric:s=1:c=1:lam=0.5:N=2",
+          "--transforms", "theta_iterated"], "at least 4 elements"),
+        (["run", "--problem", "power_series:name=exp:N=4:z=abc", "--transforms", "aitken"],
+         "z='abc' is not numeric"),
+        (["run", "--problem", "exponential_sum:c=1:lam=0.5:N=4", "--transforms", "aitken"],
+         "wrong kind"),
+        (["run", "--problem", "euler_factorial:x=1j:N=4", "--transforms", "aitken"],
+         "wrong kind"),
+    ])
+    def test_package_errors_exit_2(self, capsys, argv, reason):
+        assert main(argv) == 2
+        assert reason in one_line_error(capsys, stdout_empty=True)
+
+
+_PROBLEM_PARAMS = {
+    "geometric": {"s": "1", "c": "1", "lam": "0.5"},
+    "zeta_dirichlet": {"z": "2"},
+    "power_series": {"name": "exp", "z": "0.5"},
+    "euler_factorial": {"x": "1"},
+    "decay_model": {"alpha": "0.5", "beta": "2"},
+    "exponential_sum": {"c": "1,-0.5", "lam": "0.5,-0.3"},
+    "no_such_family": {"z": "1"},
+}
+
+
+_MALFORMED_VALUES = ["abc", "", "-1", "1e", "1,2", "1j"]
+
+
+@st.composite
+def _problem_arg(draw):
+    family = draw(st.sampled_from(sorted(_PROBLEM_PARAMS)))
+    parts = []
+    for key, value in _PROBLEM_PARAMS[family].items():
+        parts.append(f"{key}={draw(st.sampled_from([value, value, *_MALFORMED_VALUES]))}")
+    if draw(st.booleans()):
+        parts.append("unknown_key=3")
+    n = draw(st.one_of(st.integers(-1, 8).map(str), st.sampled_from(["", "x", "2.5"])))
+    if n != "":
+        parts.append(f"N={n}")
+    return ":".join([family, *draw(st.permutations(parts))])
+
+
+_TRANSFORM_ARG = st.sampled_from(transform_names() + [
+    "rho_osada:alpha=0.5", "bdg:alpha=abc", "levin_u:zeta=-1", "weniger_delta:zeta=2",
+    "richardson:beta=0", "aitken:foo=1", "no_such_transform", "epsilon:alpha",
+])
+_PATH_ARG = st.sampled_from([
+    "staircase", "index_constant", "index_constant:1", "order_constant:0",
+    "order_constant:2", "order_constant", "order_constant:x", "order_constant:99",
+    "index_constant:-1", "no_such_path",
+])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["run", "compare", "estimate-alpha", "pade", "gen"]))
+    argv = [command]
+    if draw(st.integers(0, 9)):
+        argv += ["--problem", draw(_problem_arg())]
+    else:
+        argv += ["--input", "no-such-input.csv"]
+    if command in ("run", "compare"):
+        transforms = draw(st.lists(_TRANSFORM_ARG, min_size=1, max_size=3, unique=True))
+        argv += ["--transforms", ",".join(transforms)]
+        if draw(st.booleans()):
+            argv += ["--path", draw(_PATH_ARG)]
+    if command == "pade":
+        if draw(st.booleans()):
+            argv += ["--staircase"]
+        else:
+            argv += ["--l", str(draw(st.integers(-1, 3))), "--m", str(draw(st.integers(0, 3)))]
+    if command in ("run", "compare", "estimate-alpha") and draw(st.booleans()):
+        argv += ["--limit", draw(st.sampled_from(["1", "abc", "inf"]))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argv())
+def test_argv_never_escapes_as_traceback(argv):
+    """Any argv from the problem/transform/path grammar, well formed or not,
+    exits 0, 2 or 3; exits 2 and 3 print one ``seqaccel:`` line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse's own exit for a malformed flag
+        assert exc.code == 2, argv
+        return
+    assert code in (0, 2, 3), argv
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("seqaccel: "), (argv, lines)
 
 
 def test_cli_import_loads_neither_scipy_nor_mpmath():

@@ -241,3 +241,100 @@ class TestClassifyConvergence:
         vals = (1.0, 3.0, 1.5, 4.0, 1.2, 5.0, 1.1, 6.0)
         got = classify_convergence(SequenceSample(vals, limit=0.0))
         assert got.kind == "undetermined"
+
+
+class TestColumnPrimitives:
+    def test_step_runs_on_usable_rows_only(self):
+        from seqaccel.core import append_column
+
+        calls = []
+
+        def step(i):
+            calls.append(i)
+            return {0: 1.0, 2: None, 3: float("inf")}[i]
+
+        columns, valid = [], []
+        append_column(columns, valid, [True, False, True, True], step)
+        assert calls == [0, 2, 3]
+        assert columns == [[1.0, None, None, None]]
+        assert valid == [[True, False, False, False]]
+
+    def test_unusable_column_skips_step(self):
+        from seqaccel.core import append_column
+
+        def step(i):
+            raise AssertionError("step called on an unusable row")
+
+        columns, valid = [[1.0]], [[True]]
+        append_column(columns, valid, [False, False, False], step)
+        assert columns[1] == [None] * 3
+        assert valid[1] == [False] * 3
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_stencil_table_propagates_invalidity(self, width):
+        from seqaccel.core import stencil_table
+
+        values = [float(v) for v in range(12)]
+
+        def kernel(cur, k):
+            # the entry at n = 2 of column 1 trips; everything else sums its stencil
+            return lambda n: None if (k, n) == (1, 2) else sum(cur[n:n + width])
+
+        table = stencil_table("probe", values, width, kernel)
+        assert table.max_order == (len(values) - 1) // (width - 1)
+        bad = {(1, 2)}
+        for k in range(2, table.max_order + 1):
+            bad |= {(k, n) for n in range(len(table.columns[k]))
+                    if any((k - 1, n + j) in bad for j in range(width))}
+        for k, n, value, ok in table.entries():
+            assert ok == ((k, n) not in bad)
+            assert (value is None) == ((k, n) in bad)
+            assert table.consumed(k, n) == (width - 1) * k + 1 + n
+
+    def test_tables_are_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        table = wynn_epsilon(SequenceSample((1.0, 0.5, 0.75, 0.625)))
+        with pytest.raises(FrozenInstanceError):
+            table.name = "renamed"
+
+    def test_builders_name_their_tables(self):
+        from seqaccel import (
+            PowerSeries, ProblemSpec, generate_problem, pade_via_epsilon, rho_standard,
+        )
+        from seqaccel.cli import apply_transform, transform_names
+
+        sample = generate_problem(ProblemSpec("zeta_dirichlet", 12, {"z": 2.0}))
+        for name in transform_names():
+            params = {"alpha": 1.0} if name in ("rho_osada", "bdg") else {}
+            assert apply_transform(name, sample, GuardPolicy(), params).name == name
+        assert rho_standard(sample).name == "rho"
+        assert pade_via_epsilon(PowerSeries((1.0, 1.0, 0.5), 1.0)).name == "pade_epsilon"
+
+
+def test_no_unused_imports():
+    """Every name a module imports at top level is used in that module."""
+    import ast
+    import pathlib
+
+    import seqaccel
+
+    package = pathlib.Path(seqaccel.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        ]
+    assert not unused, unused
