@@ -54,8 +54,8 @@ class GuardPolicy:
     relative_threshold: float = 1e-14
 
     def __post_init__(self) -> None:
-        if self.relative_threshold < 0:
-            raise InvalidParameterError("guard threshold must be nonnegative")
+        if not 0 <= self.relative_threshold < math.inf:
+            raise InvalidParameterError("guard threshold must be a finite nonnegative number")
 
     def trips(self, denominator: Scalar, numerator_scale: Scalar = 1.0) -> bool:
         return abs(denominator) < self.relative_threshold * max(1.0, abs(numerator_scale))

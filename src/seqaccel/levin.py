@@ -21,6 +21,10 @@ Remainder estimate rules follow Levin and Smith/Ford:
 The backward difference at n=0 exists only when the series terms are
 stored (then ``s_0 - s_{-1} = a_0``); otherwise the u/t/v tables simply
 start at n=1.
+
+Every entry is its (k+1)-term binomial sum, built column by column with
+the binomial index outside and the rows inside, so a table still costs
+O(N^3) (Levin) or O(N^4) (Weniger) operations, at a smaller constant.
 """
 
 from __future__ import annotations
@@ -49,30 +53,11 @@ _ESTIMATE_RULES = ("u", "t", "v", "d")
 WENIGER_NAMES = {"u": "y", "t": "tau", "v": "phi", "d": "delta"}
 
 
-def _weight_ratio(family: str, zeta: float, n: int, k: int, j: int) -> float:
-    """The scaled weight ``w_k(n+j) / w_k(n+k)`` entering the binomial sums.
-
-    Dividing by the j=k weight keeps the summands of moderate size for
-    large orders.
-    """
-    if k <= 1:
-        return 1.0
-    if family == LEVIN_POWER:
-        return ((zeta + n + j) / (zeta + n + k)) ** (k - 1)
-    if family == WENIGER_POCHHAMMER:
-        r = 1.0
-        for i in range(k - 1):
-            r *= (zeta + n + j + i) / (zeta + n + k + i)
-        return r
-    raise InvalidParameterError(f"unknown weight family {family!r}")
-
-
 def _omega_with_start(
     sample: SequenceSample, kind: RemainderEstimateKind, zeta: float
 ) -> tuple:
     """Remainder estimates and the first sequence index they cover."""
-    if not zeta > 0:
-        raise InvalidParameterError("zeta must be positive")
+    _check_zeta(zeta)
     values = sample.effective_values()
     if not isinstance(kind, str):
         omegas = list(kind)
@@ -120,6 +105,11 @@ def _omega_with_start(
     return start, omegas
 
 
+def _check_zeta(zeta: float) -> None:
+    if isinstance(zeta, complex) or not 0 < zeta < math.inf:
+        raise InvalidParameterError("zeta must be positive and finite")
+
+
 def _reject_zero(omegas: Sequence[Scalar], start: int) -> None:
     for i, w in enumerate(omegas):
         if w == 0:
@@ -150,6 +140,9 @@ def weighted_ratio_transform(
     entry ``T_k^(n)`` is exact for ``s_n = s + omega_n z_n`` whenever the
     chosen weight family annihilates ``z_n`` at order k.
     """
+    if family not in (LEVIN_POWER, WENIGER_POCHHAMMER):
+        raise InvalidParameterError(f"unknown weight family {family!r}")
+    _check_zeta(zeta)
     guard = guard or GuardPolicy()
     values = sample.effective_values()
     omegas = list(omegas)
@@ -175,25 +168,42 @@ def _ratio_table(
     count = len(values)
     inv = [1.0 / w for w in omegas]
     ratio = [v * iw for v, iw in zip(values, inv)]
+    bases = [zeta + n for n in range(n_start, n_start + count)]
     columns = [list(values)]
     valid = [[True] * count]
     for k in range(1, count):
+        # One comprehension per j adds term j to every row's (num, den), with
+        # the per-entry sums' operations in their order, so no bit changes.
+        # w_k(n+j)/w_k(n+k) (1.0 at k=1) keeps the terms of moderate size.
+        rows = count - k
+        heads = [b + k for b in bases[:rows]]
+        p, rising = k - 1, range(k - 1)
 
-        def step(i, k=k):
-            n = n_start + i
-            num = 0.0
-            den = 0.0
-            sign = 1.0
+        def pochhammer_ratio(t, h):
+            return math.prod([(t + i) / (h + i) for i in rising], start=1.0)
+
+        acc = [(0.0, 0.0)] * rows
+        usable = [True] * rows
+        sign = 1.0
+        try:
             for j in range(k + 1):
-                w = sign * math.comb(k, j) * _weight_ratio(family, zeta, n, k, j)
-                num += w * ratio[i + j]
-                den += w * inv[i + j]
+                c = sign * math.comb(k, j)
+                terms = zip(acc, bases, heads, ratio[j:], inv[j:])
+                if family == LEVIN_POWER and k > 1:
+                    acc = [(x + y * r, z + y * u) for (x, z), b, h, r, u in terms
+                           for y in (c * ((b + j) / h) ** p,)]
+                else:
+                    acc = [(x + y * r, z + y * u) for (x, z), b, h, r, u in terms
+                           for y in (c * pochhammer_ratio(b + j, h),)]
                 sign = -sign
-            if guard.trips(den, num):
-                return None
-            return num / den
+        except OverflowError:  # float(comb(k, j)) overflows: the column has no entry
+            usable = [False] * rows
 
-        append_column(columns, valid, [True] * (count - k), step)
+        def step(i):
+            num, den = acc[i]
+            return None if guard.trips(den, num) else num / den
+
+        append_column(columns, valid, usable, step)
     return TransformTable(
         name, columns, valid, n_start=n_start, order_step=1,
         consumed_first=[k + 1 + extra for k in range(len(columns))],

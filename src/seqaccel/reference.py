@@ -230,7 +230,7 @@ def _param(spec: ProblemSpec, name: str, default=None):
 def generate_problem(spec: ProblemSpec) -> SequenceSample:
     """Terms, partial sums, and the known (anti)limit for a corpus problem."""
     try:
-        return _generate(spec)
+        sample = _generate(spec)
     except OverflowError as exc:
         raise InvalidParameterError(
             f"{spec.describe()}: an element overflows double precision ({exc})"
@@ -239,6 +239,12 @@ def generate_problem(spec: ProblemSpec) -> SequenceSample:
         raise InvalidParameterError(
             f"{spec.describe()}: a parameter has the wrong kind ({exc})"
         ) from exc
+    limit = () if sample.limit is None else (sample.limit,)
+    if not all(map(cmath.isfinite, sample.values + (sample.terms or ()) + limit)):
+        raise InvalidParameterError(
+            f"{spec.describe()}: an element or the limit is not a finite number"
+        )
+    return sample
 
 
 def _generate(spec: ProblemSpec) -> SequenceSample:

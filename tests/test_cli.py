@@ -364,6 +364,34 @@ class TestCliRobustness:
         assert main(argv) == 3
         assert "levin_u: zeta must be positive" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("zeta", ("inf", "1j"))
+    def test_zeta_must_be_positive_and_finite(self, capsys, zeta):
+        argv = ["run", "--problem", "zeta_dirichlet:z=2:N=10",
+                "--transforms", f"levin_u:zeta={zeta}"]
+        assert main(argv) == 3
+        assert "levin_u: zeta must be positive and finite" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("problem", (
+        "geometric:s=nan:c=1:lam=0.5:N=4", "geometric:s=0:c=1e308:lam=10:N=3",
+    ))
+    def test_non_finite_generated_problem_is_rejected(self, capsys, problem):
+        argv = ["run", "--problem", problem, "--transforms", "aitken",
+                "--path", "order_constant:0"]
+        assert main(argv) == 2
+        assert "not a finite number" in one_line_error(capsys, stdout_empty=True)
+
+    @pytest.mark.parametrize("setting", (
+        "--guard-threshold=nan", "--guard-threshold=inf", "guard_threshold=nan",
+    ))
+    def test_non_finite_guard_threshold(self, tmp_path, capsys, setting):
+        if setting.startswith("--"):
+            extra = [setting]
+        else:
+            extra = ["--config", write(tmp_path / "guard.cfg", setting + "\n")]
+        assert main(self.SMALL + extra) == 2
+        assert "guard threshold must be a finite nonnegative number" in one_line_error(
+            capsys, stdout_empty=True)
+
     @pytest.mark.parametrize("argv, reason", [
         (["estimate-alpha", "--problem", "geometric:s=1:c=1:lam=0.5:N=1"],
          "at least 4 elements"),

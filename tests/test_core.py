@@ -90,6 +90,11 @@ class TestGuardPolicy:
         with pytest.raises(InvalidParameterError):
             GuardPolicy(-1.0)
 
+    @pytest.mark.parametrize("threshold", (float("nan"), float("inf")))
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(InvalidParameterError, match="finite nonnegative number"):
+            GuardPolicy(threshold)
+
     def test_zero_threshold_never_crashes(self):
         # division by exact zero must still yield an invalid flag, not an error
         table = iterated_aitken(SequenceSample((7.0, 7.0, 7.0)), GuardPolicy(0.0))

@@ -1,9 +1,12 @@
+import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqaccel import (
+    GuardPolicy,
     InsufficientDataError,
     InvalidParameterError,
     LEVIN_POWER,
@@ -22,6 +25,7 @@ from seqaccel import (
     weniger_variant,
     ProblemSpec,
 )
+from seqaccel.core import is_finite
 from _helpers import rel_diff
 
 LN2_SUMS = (1.0, 0.5, 0.5 + 1.0 / 3.0)
@@ -136,6 +140,20 @@ class TestWeightedRatioTransform:
     def test_misaligned_estimates_rejected(self):
         with pytest.raises(InvalidParameterError):
             weighted_ratio_transform(SequenceSample(LN2_SUMS), [1.0, 2.0])
+
+    @pytest.mark.parametrize("size", (1, 2, 5))
+    def test_unknown_family_rejected_at_any_size(self, size):
+        sample = SequenceSample(tuple(1.0 + 0.5 ** n for n in range(size)))
+        with pytest.raises(InvalidParameterError, match="unknown weight family"):
+            weighted_ratio_transform(sample, [0.5 ** n for n in range(size)], family="bogus")
+
+    @pytest.mark.parametrize("zeta", (0.0, -1.0, float("inf"), float("nan"), 1j))
+    def test_zeta_must_be_positive_and_finite(self, zeta):
+        sample = SequenceSample(LN2_SUMS)
+        with pytest.raises(InvalidParameterError, match="zeta must be positive and finite"):
+            weighted_ratio_transform(sample, [1.0, -0.5, 1.0 / 3.0], zeta=zeta)
+        with pytest.raises(InvalidParameterError, match="zeta must be positive and finite"):
+            levin_variant(sample, "t", zeta=zeta)
 
 
 class TestLevinVariants:
@@ -262,3 +280,95 @@ class TestInvariances:
             for n, value, ok in base.column(k):
                 if ok and scaled.is_valid(k, n):
                     assert rel_diff(value, scaled.entry(k, n)) < 1e-9
+
+
+def _per_entry_ratio_table(values, omegas, family, zeta, guard, n_start):
+    """Every entry as its own (k+1)-term binomial sum, in the earlier kernel's
+    operation order: the oracle of the column-wise kernel's bit identity."""
+
+    def weight_ratio(n, k, j):
+        if k <= 1:
+            return 1.0
+        if family == LEVIN_POWER:
+            return ((zeta + n + j) / (zeta + n + k)) ** (k - 1)
+        r = 1.0
+        for i in range(k - 1):
+            r *= (zeta + n + j + i) / (zeta + n + k + i)
+        return r
+
+    inv = [1.0 / w for w in omegas]
+    ratio = [v * iw for v, iw in zip(values, inv)]
+    columns = [list(values)]
+    for k in range(1, len(values)):
+        column = []
+        for i in range(len(values) - k):
+            num = 0.0
+            den = 0.0
+            sign = 1.0
+            try:
+                for j in range(k + 1):
+                    w = sign * math.comb(k, j) * weight_ratio(n_start + i, k, j)
+                    num += w * ratio[i + j]
+                    den += w * inv[i + j]
+                    sign = -sign
+                value = None if guard.trips(den, num) else num / den
+            except (ZeroDivisionError, OverflowError):
+                value = None
+            column.append(value if value is not None and is_finite(value) else None)
+        columns.append(column)
+    return columns
+
+
+def _assert_bit_identical(table, oracle):
+    assert len(table.columns) == len(oracle)
+    for k, want in enumerate(oracle):
+        assert [repr(v) for v in table.columns[k]] == [repr(v) for v in want], k
+        assert table.valid[k] == [v is not None for v in want], k
+
+
+def _mpf_alternating(n):
+    with mpmath.workdps(30):
+        return make_partial_sums([mpmath.mpf(-1) ** j / (j + 1) for j in range(n + 1)])
+
+
+_BIT_IDENTITY_SAMPLES = {
+    "float": lambda: generate_problem(ProblemSpec("euler_factorial", 18, {"x": 1.0})),
+    "float_values": lambda: generate_problem(
+        ProblemSpec("zeta_dirichlet", 20, {"z": 1.1})).with_offset(1),
+    "complex": lambda: generate_problem(ProblemSpec("zeta_dirichlet", 14, {"z": 2.0 + 0.5j})),
+    "mpf": lambda: _mpf_alternating(12),
+}
+
+
+class TestColumnKernelBitIdentity:
+    """The column-wise kernel reproduces the per-entry binomial sums bit for bit."""
+
+    @pytest.mark.parametrize("zeta", (1.0, 0.3))
+    @pytest.mark.parametrize("kind", ("u", "t", "v", "d"))
+    @pytest.mark.parametrize("variant, family", (
+        (levin_variant, LEVIN_POWER), (weniger_variant, WENIGER_POCHHAMMER),
+    ))
+    @pytest.mark.parametrize("scalars", sorted(_BIT_IDENTITY_SAMPLES))
+    def test_variants(self, scalars, variant, family, kind, zeta):
+        sample = _BIT_IDENTITY_SAMPLES[scalars]()
+        guard = GuardPolicy()
+        with mpmath.workdps(30):
+            table = variant(sample, kind, zeta, guard)
+            omegas = omega_sequence(sample, kind, zeta)
+            values = sample.effective_values()[table.n_start:table.n_start + len(omegas)]
+            oracle = _per_entry_ratio_table(values, omegas, family, zeta, guard, table.n_start)
+        _assert_bit_identical(table, oracle)
+
+    @pytest.mark.parametrize("guard", (GuardPolicy(), GuardPolicy(0.0)))
+    @pytest.mark.parametrize("zeta", (1.0, 0.3))
+    @pytest.mark.parametrize("family", (LEVIN_POWER, WENIGER_POCHHAMMER))
+    @pytest.mark.parametrize("scalars", sorted(_BIT_IDENTITY_SAMPLES))
+    def test_weighted_ratio_transform(self, scalars, family, zeta, guard):
+        sample = _BIT_IDENTITY_SAMPLES[scalars]()
+        values = sample.effective_values()
+        # constant estimates make every first-order denominator exactly zero
+        for omegas in ([1.0] * len(values), [(-1.0) ** n / (n + 2) for n in range(len(values))]):
+            with mpmath.workdps(30):
+                table = weighted_ratio_transform(sample, omegas, family, zeta, guard)
+                oracle = _per_entry_ratio_table(values, omegas, family, zeta, guard, 0)
+            _assert_bit_identical(table, oracle)

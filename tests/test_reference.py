@@ -224,3 +224,8 @@ class TestGenerateProblem:
             generate_problem(ProblemSpec("power_series", 5, {"name": "tan", "z": 0.1}))
         with pytest.raises(InvalidParameterError):
             generate_problem(ProblemSpec("zeta_dirichlet", 5))
+        # a nan limit, and c * lam**n overflowing to inf, are not finite
+        for params in ({"s": float("nan"), "c": 1.0, "lam": 0.5},
+                       {"s": 0.0, "c": 1e308, "lam": 10.0}):
+            with pytest.raises(InvalidParameterError, match="not a finite number"):
+                generate_problem(ProblemSpec("geometric", 3, params))
