@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -309,6 +310,38 @@ class TestCliEndToEnd:
         src = write(tmp_path / "x.csv", "1\n2\n3\n")
         assert main(["run", "--problem", "geometric:s=1:c=1:lam=0.5:N=5",
                      "--input", src, "--transforms", "aitken"]) == 2
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+# The reports of every subcommand but ``run`` (pinned by the acceptance
+# tests), in both formats.  Input files are read from tests/golden, so the
+# report labels do not depend on where the suite runs.
+_REPORTS = {
+    "compare_zeta2": ["compare", "--problem", "zeta_dirichlet:z=2:N=12",
+                      "--transforms", "levin_u,rho,epsilon"],
+    "compare_nolimit": ["compare", "--input", "sums.csv", "--values",
+                        "--transforms", "aitken,epsilon,levin_t"],
+    "estimate_alpha": ["estimate-alpha", "--input", "decay.csv", "--values"],
+    "pade_direct": ["pade", "--problem", "power_series:name=exp:z=1:N=8",
+                    "--l", "3", "--m", "3"],
+    "pade_staircase": ["pade", "--coeffs", "coeffs.csv", "--z", "0.5", "--staircase"],
+}
+CLI_GOLDENS = [
+    (f"{stem}.{fmt}", argv + ["--format", fmt])
+    for stem, argv in _REPORTS.items() for fmt in ("tsv", "json")
+] + [
+    # gen writes data, not a report: always JSON
+    ("gen_geometric.json", ["gen", "--problem", "geometric:s=3:c=-2:lam=0.7:N=6"]),
+]
+
+
+@pytest.mark.parametrize("golden, argv", CLI_GOLDENS, ids=[g for g, _ in CLI_GOLDENS])
+def test_report_matches_golden(tmp_path, monkeypatch, golden, argv):
+    monkeypatch.chdir(GOLDEN_DIR)
+    out = tmp_path / golden
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
 def one_line_error(capsys, stdout_empty=False):
