@@ -21,13 +21,11 @@ from .classic import (
     wynn_epsilon,
 )
 from .core import (
-    ConvergenceClassification,
     GuardPolicy,
     PathSpec,
     Scalar,
     SequenceSample,
     TransformTable,
-    classify_convergence,
     extract_path,
     make_partial_sums,
     walk_path,

@@ -1,21 +1,22 @@
 """Command-line harness: apply transforms to sequences and report convergence.
 
-Subcommands:
-    run             apply one or more transforms along a table path
-    compare         cross-transform error table at matching data budgets
-    estimate-alpha  decay-exponent estimates with a median-tail summary
-    pade            direct or staircase Pade approximants of a series
+Subcommands, with the TSV columns and ``#`` trailer lines of their reports:
+    run             transform, k, n, value, abs_error, valid; # summary, # error
+    compare         budget, <name>:abs_error per transform (<name>:value
+                    when no limit is known), at matching data budgets
+    estimate-alpha  n, T_n, valid; # alpha_estimate (median-tail summary)
+    pade            l, m, value, abs_error, valid (direct or staircase)
     gen             write a corpus problem to a JSON file
 
 Sequences come from a generated problem (``--problem family:key=val:N=20``)
 or from a file (``--input``, CSV with one scalar per line, or JSON with
-``{"terms"|"values": [...], "limit": ...}``).  Reports are TSV with the
-fixed column order transform, k, n, value, abs_error, valid (or a JSON
-mirror); invalid entries carry the marker NA, never a number.  Output is
-deterministic: identical inputs give byte-identical reports.  Exit codes:
-0 success, 2 ingest/config or other package error, 3 total transform
-failure; exits 2 and 3 print one ``seqaccel: ...`` line on stderr.
-Non-finite input is an ingest error.
+``{"terms"|"values": [...], "limit": ...}``).  Invalid TSV entries carry the
+marker NA, never a number.  ``--format json`` mirrors a report with strings
+for scalars, ``null`` for a missing number and true/false for the valid
+flag; ``gen`` writes plain JSON numbers.  Output is deterministic: identical
+inputs give byte-identical reports.  Exit codes: 0 success, 2 ingest/config
+or other package error, 3 total transform failure; exits 2 and 3 print one
+``seqaccel: ...`` line on stderr.  Non-finite input is an ingest error.
 
 A flat ``key=value`` config file (``--config``) supplies defaults that
 command-line flags override.
@@ -166,6 +167,33 @@ class TransformReport:
     error: Optional[str] = None
 
 
+def _cell(value, digits: int, tsv: bool):
+    """One report cell, or a JSON tree of them, under the single policy."""
+    if isinstance(value, bool):  # before int: a flag is an int subclass
+        return int(value) if tsv else value
+    if value is None:
+        return "NA" if tsv else None
+    if isinstance(value, (int, str)):
+        return value
+    if isinstance(value, tuple):  # a (key, value) trailer field
+        return f"{value[0]}={_cell(value[1], digits, tsv)}"
+    if isinstance(value, dict):
+        return {key: _cell(item, digits, tsv) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_cell(item, digits, tsv) for item in value]
+    return fmt_scalar(value, digits)
+
+
+def render(fmt: str, digits: int, header, rows, trailers, meta) -> str:
+    """A report as TSV (header, rows, then ``#`` trailer lines) or as the
+    JSON tree ``meta``; every cell follows ``_cell``."""
+    if fmt == "json":
+        return json.dumps(_cell(meta, digits, False), indent=2, sort_keys=True) + "\n"
+    lines = ("\t".join(str(_cell(v, digits, True)) for v in line)
+             for line in (header, *rows, *trailers))
+    return "".join(line + "\n" for line in lines)
+
+
 @dataclass
 class ConvergenceReport:
     problem: str
@@ -173,59 +201,26 @@ class ConvergenceReport:
     path: str
     transforms: list
 
-    def to_tsv(self, digits: int = 16) -> str:
-        lines = ["transform\tk\tn\tvalue\tabs_error\tvalid"]
-        for tr in self.transforms:
-            for k, n, value, err, ok in tr.entries:
-                lines.append(
-                    f"{tr.name}\t{k}\t{n}\t{fmt_scalar(value, digits)}"
-                    f"\t{fmt_scalar(err, digits)}\t{1 if ok else 0}"
-                )
+    def render(self, fmt: str, digits: int) -> str:
+        header = ["transform", "k", "n", "value", "abs_error", "valid"]
+        rows = [[tr.name, *entry] for tr in self.transforms for entry in tr.entries]
+        trailers = []
         for tr in self.transforms:
             if tr.error is not None:
-                lines.append(f"# error\t{tr.name}\t{tr.error}")
+                trailers.append(["# error", tr.name, tr.error])
             elif tr.summary is not None:
                 s = tr.summary
-                lines.append(
-                    f"# summary\t{tr.name}\tbest_k={s['k']}\tbest_n={s['n']}"
-                    f"\tvalue={fmt_scalar(s['value'], digits)}"
-                    f"\tabs_error={fmt_scalar(s['abs_error'], digits)}"
-                )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self, digits: int = 16) -> str:
-        payload = {
-            "problem": self.problem,
-            "limit": None if self.limit is None else fmt_scalar(self.limit, digits),
-            "path": self.path,
+                trailers.append(["# summary", tr.name, ("best_k", s["k"]), ("best_n", s["n"]),
+                                 ("value", s["value"]), ("abs_error", s["abs_error"])])
+        meta = {
+            "problem": self.problem, "limit": self.limit, "path": self.path,
             "transforms": [
-                {
-                    "name": tr.name,
-                    "error": tr.error,
-                    "entries": [
-                        {
-                            "k": k,
-                            "n": n,
-                            "value": None if value is None else fmt_scalar(value, digits),
-                            "abs_error": None if err is None else fmt_scalar(err, digits),
-                            "valid": ok,
-                        }
-                        for k, n, value, err, ok in tr.entries
-                    ],
-                    "summary": None if tr.summary is None else {
-                        "k": tr.summary["k"],
-                        "n": tr.summary["n"],
-                        "value": fmt_scalar(tr.summary["value"], digits),
-                        "abs_error": fmt_scalar(tr.summary["abs_error"], digits),
-                    },
-                }
+                {"name": tr.name, "error": tr.error, "summary": tr.summary,
+                 "entries": [dict(zip(header[1:], entry)) for entry in tr.entries]}
                 for tr in self.transforms
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def render(self, fmt: str, digits: int) -> str:
-        return self.to_json(digits) if fmt == "json" else self.to_tsv(digits)
+        return render(fmt, digits, header, rows, trailers, meta)
 
     def any_valid(self) -> bool:
         return any(
@@ -267,25 +262,14 @@ def run(config: RunConfig) -> ConvergenceReport:
             report.error = str(exc)
             out.append(report)
             continue
-        best = None
         for k, n, value, ok in positions:
-            err = None
-            if ok and limit is not None:
-                err = abs(value - limit)
+            err = abs(value - limit) if ok and limit is not None else None
             report.entries.append((k, n, value if ok else None, err, ok))
-            if ok:
-                rank = err if limit is not None else None
-                if best is None:
-                    best = (rank, k, n, value)
-                elif limit is not None and rank < best[0]:
-                    best = (rank, k, n, value)
-                elif limit is None:
-                    best = (rank, k, n, value)  # latest valid entry wins
-        if best is not None:
-            report.summary = {
-                "k": best[1], "n": best[2], "value": best[3],
-                "abs_error": best[0],
-            }
+        valid = [entry for entry in report.entries if entry[4]]
+        if valid:
+            # the smallest error (the first of equals), else the latest entry
+            best = min(valid, key=lambda e: e[3]) if limit is not None else valid[-1]
+            report.summary = dict(zip(("k", "n", "value", "abs_error"), best))
         out.append(report)
     return ConvergenceReport(
         problem=config.problem_label,
@@ -302,16 +286,22 @@ class CompareTable:
     has_limit: bool
     rows: list  # (budget, {name: (value, abs_error)})
 
-    def to_tsv(self, digits: int = 16) -> str:
+    def render(self, fmt: str, digits: int) -> str:
         metric = "abs_error" if self.has_limit else "value"
-        lines = ["budget\t" + "\t".join(f"{n}:{metric}" for n in self.names)]
-        for budget, cells in self.rows:
-            parts = [str(budget)]
-            for name in self.names:
-                value, err = cells.get(name, (None, None))
-                parts.append(fmt_scalar(err if self.has_limit else value, digits))
-            lines.append("\t".join(parts))
-        return "\n".join(lines) + "\n"
+        pick = 1 if self.has_limit else 0  # cells hold (value, abs_error)
+        header = ["budget", *(f"{name}:{metric}" for name in self.names)]
+        rows = [
+            [budget, *(cells[name][pick] if name in cells else None for name in self.names)]
+            for budget, cells in self.rows
+        ]
+        meta = {
+            "problem": self.problem, "metric": metric, "transforms": self.names,
+            "rows": [
+                {"budget": budget, "cells": {name: cell[pick] for name, cell in cells.items()}}
+                for budget, cells in self.rows
+            ],
+        }
+        return render(fmt, digits, header, rows, (), meta)
 
 
 def compare(configs: Sequence[RunConfig]) -> CompareTable:
@@ -322,16 +312,13 @@ def compare(configs: Sequence[RunConfig]) -> CompareTable:
     """
     if not configs:
         raise CompareError("nothing to compare")
-    first = configs[0].sample
-    for config in configs[1:]:
-        same = (
-            config.sample.values == first.values
-            and config.sample.limit == first.limit
-            and config.sample.start_offset == first.start_offset
-        )
-        if not same:
-            raise CompareError("compare needs identical problems in every config")
-    limit = first.limit
+
+    def problem(config):
+        return config.sample.values, config.sample.limit, config.sample.start_offset
+
+    if any(problem(config) != problem(configs[0]) for config in configs[1:]):
+        raise CompareError("compare needs identical problems in every config")
+    limit = configs[0].sample.limit
     names, rows = [], {}
     for config in configs:
         path = config.path or PathSpec.index_constant()
@@ -391,10 +378,7 @@ def ingest(
                 raise IngestError(str(exc), line=lineno) from exc
         if not scalars:
             raise IngestError("no data rows found")
-        if values_mode:
-            sample = SequenceSample(tuple(scalars))
-        else:
-            sample = make_partial_sums(scalars)
+        sample = SequenceSample(tuple(scalars)) if values_mode else make_partial_sums(scalars)
     elif fmt == "json":
         try:
             payload = json.loads(text)
@@ -415,14 +399,9 @@ def ingest(
 
         if limit is None and payload.get("limit") is not None:
             (limit,) = number_list([payload["limit"]], "limit")
-        if raw_values is not None and raw_terms is not None:
-            sample = SequenceSample(
-                number_list(raw_values, "values"), terms=number_list(raw_terms, "terms")
-            )
-        elif raw_terms is not None:
-            sample = make_partial_sums(number_list(raw_terms, "terms"))
-        else:
-            sample = SequenceSample(number_list(raw_values, "values"))
+        values = None if raw_values is None else number_list(raw_values, "values")
+        terms = None if raw_terms is None else number_list(raw_terms, "terms")
+        sample = make_partial_sums(terms) if values is None else SequenceSample(values, terms)
     else:
         raise ConfigError(f"unknown input format {fmt!r}")
     return SequenceSample(sample.values, sample.terms, limit, start_offset)
@@ -550,12 +529,13 @@ def _source_arguments(parser: argparse.ArgumentParser) -> None:
                         help="exclude this many leading elements")
 
 
-def _common_arguments(parser: argparse.ArgumentParser) -> None:
+def _common_arguments(parser: argparse.ArgumentParser, report: bool = True) -> None:
     parser.add_argument("--config", help="key=value defaults file")
-    parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    parser.add_argument("--digits", type=int, default=16)
     parser.add_argument("--output", help="write the report here instead of stdout")
-    parser.add_argument("--guard-threshold", type=float, default=1e-14)
+    if report:
+        parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
+        parser.add_argument("--digits", type=int, default=16)
+        parser.add_argument("--guard-threshold", type=float, default=1e-14)
 
 
 def build_parser(config: Optional[Mapping] = None) -> argparse.ArgumentParser:
@@ -569,20 +549,17 @@ def build_parser(config: Optional[Mapping] = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="apply transforms along a table path")
-    _common_arguments(p_run)
-    _source_arguments(p_run)
-    p_run.add_argument("--transforms",
-                       help="comma list, e.g. levin_u,rho_osada:alpha=0.5")
-    p_run.add_argument("--path", help="index_constant[:n0] | order_constant:k | staircase")
-    p_run.set_defaults(func=cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="error table at matching data budgets")
-    _common_arguments(p_cmp)
-    _source_arguments(p_cmp)
-    p_cmp.add_argument("--transforms")
-    p_cmp.add_argument("--path")
-    p_cmp.set_defaults(func=cmd_compare)
+    for name, func, text in (
+        ("run", cmd_run, "apply transforms along a table path"),
+        ("compare", cmd_compare, "error table at matching data budgets"),
+    ):
+        command = sub.add_parser(name, help=text)
+        _common_arguments(command)
+        _source_arguments(command)
+        command.add_argument("--transforms",
+                             help="comma list, e.g. levin_u,rho_osada:alpha=0.5")
+        command.add_argument("--path", help="index_constant[:n0] | order_constant:k | staircase")
+        command.set_defaults(func=func)
 
     p_est = sub.add_parser("estimate-alpha", help="decay-exponent estimates")
     _common_arguments(p_est)
@@ -601,11 +578,11 @@ def build_parser(config: Optional[Mapping] = None) -> argparse.ArgumentParser:
     p_pade.set_defaults(func=cmd_pade)
 
     p_gen = sub.add_parser("gen", help="write a corpus problem to JSON")
-    _common_arguments(p_gen)
+    _common_arguments(p_gen, report=False)
     p_gen.add_argument("--problem", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
-    for command in (p_run, p_cmp, p_est, p_pade, p_gen):
+    for command in sub.choices.values():
         command.set_defaults(**(config or {}))
     return parser
 
@@ -619,8 +596,8 @@ def _option_scalar(flag: str, text: str) -> Scalar:
 
 def _resolve_sample(args: argparse.Namespace) -> tuple:
     """The (sample, label) pair named by --problem or --input."""
-    limit = _option_scalar("--limit", args.limit) if getattr(args, "limit", None) else None
-    offset = getattr(args, "start_offset", 0)
+    limit = _option_scalar("--limit", args.limit) if args.limit else None
+    offset = args.start_offset
     if args.problem and args.input:
         raise ConfigError("give either --problem or --input, not both")
     if args.problem:
@@ -634,8 +611,7 @@ def _resolve_sample(args: argparse.Namespace) -> tuple:
             args.input, fmt=args.input_format, values_mode=args.values,
             limit=limit, start_offset=offset,
         )
-        label = "stdin" if args.input == "-" else args.input
-        return sample, label
+        return sample, "stdin" if args.input == "-" else args.input
     raise ConfigError("a problem (--problem) or an input file (--input) is required")
 
 
@@ -648,13 +624,13 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    if not getattr(args, "transforms", None):
+    if not args.transforms:
         raise ConfigError("--transforms is required")
     sample, label = _resolve_sample(args)
     return RunConfig(
         sample=sample,
         transforms=parse_transforms(args.transforms),
-        path=parse_path(getattr(args, "path", None)),
+        path=parse_path(args.path),
         guard=GuardPolicy(args.guard_threshold),
         problem_label=label,
     )
@@ -669,8 +645,7 @@ def _outcome(ok: bool, reason: str) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    report = run(config)
+    report = run(_run_config(args))
     _emit(args, report.render(args.format, args.digits))
     failures = "; ".join(
         f"{tr.name}: {tr.error or 'no valid entry'}" for tr in report.transforms
@@ -679,57 +654,23 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    table = compare([config])
-    if args.format == "json":
-        payload = {
-            "problem": table.problem,
-            "metric": "abs_error" if table.has_limit else "value",
-            "transforms": table.names,
-            "rows": [
-                {
-                    "budget": budget,
-                    "cells": {
-                        name: fmt_scalar(
-                            (cells[name][1] if table.has_limit else cells[name][0]),
-                            args.digits,
-                        )
-                        for name in cells
-                    },
-                }
-                for budget, cells in table.rows
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(args, table.to_tsv(args.digits))
+    table = compare([_run_config(args)])
+    _emit(args, table.render(args.format, args.digits))
     return _outcome(bool(table.rows), "no transform produced a valid entry")
 
 
 def cmd_estimate_alpha(args: argparse.Namespace) -> int:
     sample, label = _resolve_sample(args)
     estimates = estimate_decay(sample, GuardPolicy(args.guard_threshold))
-    valid = [t for t in estimates if t is not None]
-    summary = median_last_quartile(estimates) if valid else None
-    if args.format == "json":
-        payload = {
-            "problem": label,
-            "estimates": [
-                {"n": n, "value": None if t is None else fmt_scalar(t, args.digits),
-                 "valid": t is not None}
-                for n, t in enumerate(estimates)
-            ],
-            "alpha_estimate": None if summary is None else fmt_scalar(summary, args.digits),
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = ["n\tT_n\tvalid"]
-        for n, t in enumerate(estimates):
-            lines.append(f"{n}\t{fmt_scalar(t, args.digits)}\t{1 if t is not None else 0}")
-        if summary is not None:
-            lines.append(f"# alpha_estimate\t{fmt_scalar(summary, args.digits)}")
-        _emit(args, "\n".join(lines) + "\n")
-    return _outcome(bool(valid), "no valid decay-exponent estimate")
+    rows = [[n, t, t is not None] for n, t in enumerate(estimates)]
+    summary = median_last_quartile(estimates) if any(row[2] for row in rows) else None
+    meta = {
+        "problem": label, "alpha_estimate": summary,
+        "estimates": [dict(zip(("n", "value", "valid"), row)) for row in rows],
+    }
+    trailers = [] if summary is None else [["# alpha_estimate", summary]]
+    _emit(args, render(args.format, args.digits, ["n", "T_n", "valid"], rows, trailers, meta))
+    return _outcome(summary is not None, "no valid decay-exponent estimate")
 
 
 def _resolve_series(args: argparse.Namespace) -> tuple:
@@ -737,35 +678,29 @@ def _resolve_series(args: argparse.Namespace) -> tuple:
         raise ConfigError("give either --problem or --coeffs, not both")
     if args.problem:
         spec = parse_problem(args.problem)
+        if spec.family not in ("power_series", "euler_factorial"):
+            raise ConfigError(
+                "pade needs a power_series or euler_factorial problem, or --coeffs"
+            )
+        sample = generate_problem(spec)
         if spec.family == "power_series":
-            sample = generate_problem(spec)
             coeffs = power_series_coefficients(spec.params["name"], spec.length + 1)
-            return PowerSeries(tuple(coeffs), spec.params["z"]), sample.limit, spec.describe()
-        if spec.family == "euler_factorial":
-            sample = generate_problem(spec)
-            coeffs = euler_factorial_coefficients(spec.length + 1)
-            return PowerSeries(tuple(coeffs), spec.params["x"]), sample.limit, spec.describe()
-        raise ConfigError(
-            "pade needs a power_series or euler_factorial problem, or --coeffs"
-        )
+            z = spec.params["z"]
+        else:
+            coeffs, z = euler_factorial_coefficients(spec.length + 1), spec.params["x"]
+        return PowerSeries(tuple(coeffs), z), sample.limit, spec.describe()
     if args.coeffs:
         if args.z is None:
             raise ConfigError("--coeffs needs --z")
         coeff_sample = ingest(args.coeffs, fmt="csv", values_mode=True)
-        return (
-            PowerSeries(coeff_sample.values, _option_scalar("--z", args.z)),
-            None,
-            args.coeffs,
-        )
+        return PowerSeries(coeff_sample.values, _option_scalar("--z", args.z)), None, args.coeffs
     raise ConfigError("pade needs --problem or --coeffs")
 
 
 def cmd_pade(args: argparse.Namespace) -> int:
     series, limit, label = _resolve_series(args)
-    rows = []
     if args.staircase:
-        for l, m, value in staircase_sequence(series, GuardPolicy(args.guard_threshold)):
-            rows.append((l, m, value))
+        approximants = staircase_sequence(series, GuardPolicy(args.guard_threshold))
     else:
         if args.l is None or args.m is None:
             raise ConfigError("pade needs --staircase or both --l and --m")
@@ -773,34 +708,17 @@ def cmd_pade(args: argparse.Namespace) -> int:
             approximant = pade_direct(series, args.l, args.m)
         except DegeneratePadeError as exc:
             return _outcome(False, str(exc))
-        rows.append((args.l, args.m, approximant(series.z)))
-    if args.format == "json":
-        payload = {
-            "problem": label,
-            "z": fmt_scalar(series.z, args.digits),
-            "limit": None if limit is None else fmt_scalar(limit, args.digits),
-            "approximants": [
-                {
-                    "l": l, "m": m,
-                    "value": None if value is None else fmt_scalar(value, args.digits),
-                    "abs_error": fmt_scalar(abs(value - limit), args.digits)
-                    if (value is not None and limit is not None) else None,
-                    "valid": value is not None,
-                }
-                for l, m, value in rows
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = ["l\tm\tvalue\tabs_error\tvalid"]
-        for l, m, value in rows:
-            err = abs(value - limit) if (value is not None and limit is not None) else None
-            lines.append(
-                f"{l}\t{m}\t{fmt_scalar(value, args.digits)}"
-                f"\t{fmt_scalar(err, args.digits)}\t{1 if value is not None else 0}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return _outcome(any(value is not None for _, _, value in rows), "no valid approximant")
+        approximants = [(args.l, args.m, approximant(series.z))]
+    header = ["l", "m", "value", "abs_error", "valid"]
+    rows = [
+        [l, m, value, None if value is None or limit is None else abs(value - limit),
+         value is not None]
+        for l, m, value in approximants
+    ]
+    meta = {"problem": label, "z": series.z, "limit": limit,
+            "approximants": [dict(zip(header, row)) for row in rows]}
+    _emit(args, render(args.format, args.digits, header, rows, (), meta))
+    return _outcome(any(row[4] for row in rows), "no valid approximant")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -819,11 +737,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
         "family": spec.family,
         "N": spec.length,
         "params": {key: plain(val) for key, val in sorted(spec.params.items())},
-        "values": [plain(v) for v in sample.values],
-        "limit": None if sample.limit is None else plain(sample.limit),
+        "values": plain(sample.values),
+        "limit": plain(sample.limit),
     }
     if sample.terms is not None:
-        payload["terms"] = [plain(t) for t in sample.terms]
+        payload["terms"] = plain(sample.terms)
     _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -20,7 +20,6 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .errors import (
     ConsistencyError,
     EmptyInputError,
-    InsufficientDataError,
     InvalidParameterError,
     PathRangeError,
 )
@@ -40,6 +39,12 @@ def is_finite(value: Scalar) -> bool:
     if isinstance(value, complex):
         return math.isfinite(value.real) and math.isfinite(value.imag)
     return True
+
+
+def check_positive(name: str, value) -> None:
+    """Reject a parameter that is not a real number in (0, inf)."""
+    if isinstance(value, complex) or not 0 < value < math.inf:
+        raise InvalidParameterError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -393,55 +398,3 @@ def walk_path(table: TransformTable, path: PathSpec) -> list:
 def extract_path(table: TransformTable, path: PathSpec) -> list:
     """Valid table entries along ``path``, as ``(k, n, value)`` triples."""
     return [(k, n, v) for k, n, v, ok in walk_path(table, path) if ok]
-
-
-@dataclass(frozen=True)
-class ConvergenceClassification:
-    kind: str  # "linear" | "logarithmic" | "undetermined"
-    rho: Optional[Scalar] = None
-
-
-def classify_convergence(
-    sample: SequenceSample,
-    tol: float = 0.05,
-    guard: Optional[GuardPolicy] = None,
-) -> ConvergenceClassification:
-    """Classify convergence from the trailing remainder ratios.
-
-    The ratios ``(s_{n+1} - s) / (s_n - s)`` are computed against the known
-    limit, or against the last element as a proxy when no limit is
-    attached.  If the last three usable ratios agree to within ``tol`` the
-    sequence is classified linear (``|rho| < 1 - tol``) or logarithmic
-    (``|rho - 1| <= tol``); everything else is undetermined.
-    """
-    guard = guard or GuardPolicy()
-    vals = sample.effective_values()
-    limit = sample.limit
-    if limit is None:
-        if len(vals) < 6:
-            raise InsufficientDataError(
-                "classification without a known limit needs at least 6 elements"
-            )
-        limit = vals[-1]
-        vals = vals[:-1]
-    ratios = []
-    for n in range(len(vals) - 1):
-        num = vals[n + 1] - limit
-        den = vals[n] - limit
-        if guard.trips(den, num) or den == 0:
-            continue
-        ratios.append(num / den)
-    if len(ratios) < 4:
-        raise InsufficientDataError(
-            f"only {len(ratios)} usable remainder ratios, need at least 4"
-        )
-    tail = ratios[-3:]
-    spread = max(abs(a - b) for a in tail for b in tail)
-    if spread > tol:
-        return ConvergenceClassification("undetermined")
-    rho = sum(tail) / 3
-    if abs(rho) < 1.0 - tol:
-        return ConvergenceClassification("linear", rho)
-    if abs(rho - 1.0) <= tol:
-        return ConvergenceClassification("logarithmic", rho)
-    return ConvergenceClassification("undetermined")

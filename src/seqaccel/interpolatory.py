@@ -19,6 +19,7 @@ from .core import (
     Scalar,
     SequenceSample,
     TransformTable,
+    check_positive,
     cross_rule_table,
     is_finite,
     stencil_table,
@@ -62,8 +63,7 @@ class InterpolationPoints:
 
 def reciprocal_points(length: int, beta: float = 1.0) -> InterpolationPoints:
     """The customary Richardson grid ``x_n = 1 / (n + beta)``."""
-    if beta <= 0:
-        raise InvalidParameterError("beta must be positive")
+    check_positive("beta", beta)
     return InterpolationPoints(tuple(1.0 / (n + beta) for n in range(length)), TO_ZERO)
 
 
@@ -122,8 +122,7 @@ def richardson_standard(
     integer; fails for nonintegral alpha.
     """
     guard = guard or GuardPolicy()
-    if beta <= 0:
-        raise InvalidParameterError("beta must be positive")
+    check_positive("beta", beta)
     s = sample.effective_values()
 
     def kernel(cur, k):
@@ -143,8 +142,7 @@ def richardson_binomial(
     Equivalent to the recursive scheme; kept as an explicit cross-check
     and for single-entry evaluation.
     """
-    if beta <= 0:
-        raise InvalidParameterError("beta must be positive")
+    check_positive("beta", beta)
     if k < 0 or n < 0 or n + k >= len(values):
         raise InvalidParameterError("entry (k, n) not computable from the given values")
     acc = 0.0
@@ -192,8 +190,7 @@ def osada_rho(
     ``n**(-alpha-2k)`` for any alpha > 0 (Osada 1990).
     """
     guard = guard or GuardPolicy()
-    if not alpha > 0:
-        raise InvalidParameterError("alpha must be positive")
+    check_positive("alpha", alpha)
     s = sample.effective_values()
     return cross_rule_table("rho_osada", s, lambda k, n: k - 1 + alpha, guard)
 
@@ -264,8 +261,7 @@ def bdg_transform(
     per level; the column-k error falls like ``n**(-alpha-2k)``.
     """
     guard = guard or GuardPolicy()
-    if not alpha > 0:
-        raise InvalidParameterError("alpha must be positive")
+    check_positive("alpha", alpha)
     s = sample.effective_values()
     if len(s) < 3:
         raise InsufficientDataError("the BDG transformation needs at least 3 elements")

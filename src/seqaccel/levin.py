@@ -38,6 +38,7 @@ from .core import (
     SequenceSample,
     TransformTable,
     append_column,
+    check_positive,
 )
 from .errors import InsufficientDataError, InvalidParameterError, ZeroRemainderError
 
@@ -57,7 +58,7 @@ def _omega_with_start(
     sample: SequenceSample, kind: RemainderEstimateKind, zeta: float
 ) -> tuple:
     """Remainder estimates and the first sequence index they cover."""
-    _check_zeta(zeta)
+    check_positive("zeta", zeta)
     values = sample.effective_values()
     if not isinstance(kind, str):
         omegas = list(kind)
@@ -105,11 +106,6 @@ def _omega_with_start(
     return start, omegas
 
 
-def _check_zeta(zeta: float) -> None:
-    if isinstance(zeta, complex) or not 0 < zeta < math.inf:
-        raise InvalidParameterError("zeta must be positive and finite")
-
-
 def _reject_zero(omegas: Sequence[Scalar], start: int) -> None:
     for i, w in enumerate(omegas):
         if w == 0:
@@ -142,7 +138,7 @@ def weighted_ratio_transform(
     """
     if family not in (LEVIN_POWER, WENIGER_POCHHAMMER):
         raise InvalidParameterError(f"unknown weight family {family!r}")
-    _check_zeta(zeta)
+    check_positive("zeta", zeta)
     guard = guard or GuardPolicy()
     values = sample.effective_values()
     omegas = list(omegas)

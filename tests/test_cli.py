@@ -314,10 +314,12 @@ class TestCliEndToEnd:
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
-# The reports of every subcommand but ``run`` (pinned by the acceptance
-# tests), in both formats.  Input files are read from tests/golden, so the
-# report labels do not depend on where the suite runs.
+# The reports of every subcommand, in both formats, beyond the ``run``
+# reports that the acceptance tests pin.  Input files are read from
+# tests/golden, so the report labels do not depend on where the suite runs.
 _REPORTS = {
+    "run_nolimit": ["run", "--input", "sums.csv", "--values",
+                    "--transforms", "aitken,levin_t"],
     "compare_zeta2": ["compare", "--problem", "zeta_dirichlet:z=2:N=12",
                       "--transforms", "levin_u,rho,epsilon"],
     "compare_nolimit": ["compare", "--input", "sums.csv", "--values",
@@ -397,12 +399,26 @@ class TestCliRobustness:
         assert main(argv) == 3
         assert "levin_u: zeta must be positive" in one_line_error(capsys)
 
-    @pytest.mark.parametrize("zeta", ("inf", "1j"))
-    def test_zeta_must_be_positive_and_finite(self, capsys, zeta):
-        argv = ["run", "--problem", "zeta_dirichlet:z=2:N=10",
-                "--transforms", f"levin_u:zeta={zeta}"]
+    @pytest.mark.parametrize("transform", (
+        "levin_u:zeta=inf", "levin_u:zeta=1j",
+        "rho_osada:alpha=1j", "bdg:alpha=1j", "richardson:beta=1j",
+        "richardson:beta=inf", "rho_osada:alpha=inf", "bdg:alpha=inf",
+        "richardson:beta=nan", "rho_osada:alpha=nan",
+    ))
+    def test_parameters_must_be_positive_and_finite(self, capsys, transform):
+        name, key = transform.split("=")[0].split(":")
+        argv = ["run", "--problem", "zeta_dirichlet:z=2:N=8", "--transforms", transform]
         assert main(argv) == 3
-        assert "levin_u: zeta must be positive and finite" in one_line_error(capsys)
+        assert f"{name}: {key} must be positive and finite" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("flag", (
+        ["--format", "tsv"], ["--digits", "3"], ["--guard-threshold", "5"],
+    ))
+    def test_gen_takes_no_report_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "--problem", "geometric:s=1:c=1:lam=0.5:N=4", *flag])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("problem", (
         "geometric:s=nan:c=1:lam=0.5:N=4", "geometric:s=0:c=1e308:lam=10:N=3",
@@ -473,6 +489,10 @@ def _problem_arg(draw):
 _TRANSFORM_ARG = st.sampled_from(transform_names() + [
     "rho_osada:alpha=0.5", "bdg:alpha=abc", "levin_u:zeta=-1", "weniger_delta:zeta=2",
     "richardson:beta=0", "aitken:foo=1", "no_such_transform", "epsilon:alpha",
+    *(f"{name}:{key}={value}"
+      for name, key in (("rho_osada", "alpha"), ("bdg", "alpha"), ("richardson", "beta"),
+                        ("levin_u", "zeta"), ("weniger_tau", "zeta"))
+      for value in ("1j", "inf", "nan")),
 ])
 _PATH_ARG = st.sampled_from([
     "staircase", "index_constant", "index_constant:1", "order_constant:0",
@@ -486,7 +506,8 @@ def _argv(draw):
     command = draw(st.sampled_from(["run", "compare", "estimate-alpha", "pade", "gen"]))
     argv = [command]
     if draw(st.integers(0, 9)):
-        argv += ["--problem", draw(_problem_arg())]
+        # a well-formed problem often enough that the transforms do run
+        argv += ["--problem", draw(st.one_of(st.just("zeta_dirichlet:z=2:N=8"), _problem_arg()))]
     else:
         argv += ["--input", "no-such-input.csv"]
     if command in ("run", "compare"):

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -8,12 +7,10 @@ from seqaccel import (
     EmptyInputError,
     ConsistencyError,
     GuardPolicy,
-    InsufficientDataError,
     InvalidParameterError,
     PathRangeError,
     PathSpec,
     SequenceSample,
-    classify_convergence,
     extract_path,
     iterated_aitken,
     make_partial_sums,
@@ -213,39 +210,6 @@ class TestGuardSoundness:
                     assert value is not None and is_finite(value)
                 else:
                     assert value is None
-
-
-class TestClassifyConvergence:
-    def test_geometric_is_linear(self):
-        vals = tuple(1.0 + 2.0 ** -n for n in range(8))
-        got = classify_convergence(SequenceSample(vals, limit=1.0))
-        assert got.kind == "linear"
-        assert got.rho == pytest.approx(0.5)
-
-    def test_zeta2_partial_sums_are_logarithmic(self):
-        terms = [(nu + 1.0) ** -2 for nu in range(41)]
-        sample = make_partial_sums(terms)
-        sample = SequenceSample(sample.values, sample.terms, limit=math.pi ** 2 / 6)
-        got = classify_convergence(sample)
-        assert got.kind == "logarithmic"
-        assert abs(got.rho - 1.0) <= 0.05
-
-    def test_alternating_is_linear_negative_rho(self):
-        vals = tuple(2.0 + (-0.8) ** n for n in range(10))
-        got = classify_convergence(SequenceSample(vals, limit=2.0))
-        assert got.kind == "linear"
-        assert got.rho == pytest.approx(-0.8)
-
-    def test_short_sample_insufficient(self):
-        with pytest.raises(InsufficientDataError):
-            classify_convergence(SequenceSample((1.0, 2.0, 3.0), limit=0.0))
-        with pytest.raises(InsufficientDataError):
-            classify_convergence(SequenceSample((1.0, 2.0, 3.0, 4.0, 5.0)))
-
-    def test_erratic_is_undetermined(self):
-        vals = (1.0, 3.0, 1.5, 4.0, 1.2, 5.0, 1.1, 6.0)
-        got = classify_convergence(SequenceSample(vals, limit=0.0))
-        assert got.kind == "undetermined"
 
 
 class TestColumnPrimitives:
