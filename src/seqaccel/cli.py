@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import sys
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -37,10 +35,12 @@ from .classic import brezinski_theta, iterated_aitken, iterated_theta, wynn_epsi
 from .core import (
     GuardPolicy,
     PathSpec,
+    Record,
     Scalar,
     SequenceSample,
     TransformTable,
     make_partial_sums,
+    replace,
     walk_path,
 )
 from .errors import (
@@ -48,6 +48,7 @@ from .errors import (
     ConfigError,
     DegeneratePadeError,
     IngestError,
+    InsufficientDataError,
     InvalidParameterError,
     SequenceTransformError,
 )
@@ -159,10 +160,9 @@ def apply_transform(
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
-class TransformReport:
+class TransformReport(Record):
     name: str
-    entries: list = field(default_factory=list)  # (k, n, value|None, abs_error|None, valid)
+    entries: list  # (k, n, value|None, abs_error|None, valid)
     summary: Optional[dict] = None
     error: Optional[str] = None
 
@@ -188,14 +188,15 @@ def render(fmt: str, digits: int, header, rows, trailers, meta) -> str:
     """A report as TSV (header, rows, then ``#`` trailer lines) or as the
     JSON tree ``meta``; every cell follows ``_cell``."""
     if fmt == "json":
+        import json  # only JSON reports and inputs pay for it
+
         return json.dumps(_cell(meta, digits, False), indent=2, sort_keys=True) + "\n"
     lines = ("\t".join(str(_cell(v, digits, True)) for v in line)
              for line in (header, *rows, *trailers))
     return "".join(line + "\n" for line in lines)
 
 
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(Record):
     problem: str
     limit: Optional[Scalar]
     path: str
@@ -228,8 +229,7 @@ class ConvergenceReport:
         )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     sample: SequenceSample
     transforms: tuple  # ((name, params dict), ...)
     path: Optional[PathSpec] = None
@@ -252,25 +252,26 @@ def run(config: RunConfig) -> ConvergenceReport:
     path = config.path or PathSpec.index_constant()
     out = []
     for name, params in config.transforms:
-        report = TransformReport(name=name)
         try:
             table = apply_transform(name, config.sample, config.guard, params)
             positions = walk_path(table, path)
         except ConfigError:
             raise
         except SequenceTransformError as exc:
-            report.error = str(exc)
-            out.append(report)
+            out.append(TransformReport(name, [], error=str(exc)))
             continue
-        for k, n, value, ok in positions:
-            err = abs(value - limit) if ok and limit is not None else None
-            report.entries.append((k, n, value if ok else None, err, ok))
-        valid = [entry for entry in report.entries if entry[4]]
+        entries = [
+            (k, n, value if ok else None,
+             abs(value - limit) if ok and limit is not None else None, ok)
+            for k, n, value, ok in positions
+        ]
+        valid = [entry for entry in entries if entry[4]]
+        summary = None
         if valid:
             # the smallest error (the first of equals), else the latest entry
             best = min(valid, key=lambda e: e[3]) if limit is not None else valid[-1]
-            report.summary = dict(zip(("k", "n", "value", "abs_error"), best))
-        out.append(report)
+            summary = dict(zip(("k", "n", "value", "abs_error"), best))
+        out.append(TransformReport(name, entries, summary))
     return ConvergenceReport(
         problem=config.problem_label,
         limit=limit,
@@ -279,8 +280,7 @@ def run(config: RunConfig) -> ConvergenceReport:
     )
 
 
-@dataclass
-class CompareTable:
+class CompareTable(Record):
     problem: str
     names: list
     has_limit: bool
@@ -380,6 +380,8 @@ def ingest(
             raise IngestError("no data rows found")
         sample = SequenceSample(tuple(scalars)) if values_mode else make_partial_sums(scalars)
     elif fmt == "json":
+        import json
+
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -663,7 +665,10 @@ def cmd_estimate_alpha(args: argparse.Namespace) -> int:
     sample, label = _resolve_sample(args)
     estimates = estimate_decay(sample, GuardPolicy(args.guard_threshold))
     rows = [[n, t, t is not None] for n, t in enumerate(estimates)]
-    summary = median_last_quartile(estimates) if any(row[2] for row in rows) else None
+    try:
+        summary = median_last_quartile(estimates)
+    except InsufficientDataError:  # no valid estimate in the last quartile
+        summary = None
     meta = {
         "problem": label, "alpha_estimate": summary,
         "estimates": [dict(zip(("n", "value", "valid"), row)) for row in rows],
@@ -722,6 +727,8 @@ def cmd_pade(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    import json
+
     spec = parse_problem(args.problem)
     sample = generate_problem(spec)
 

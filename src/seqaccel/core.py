@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -47,8 +46,86 @@ def check_positive(name: str, value) -> None:
         raise InvalidParameterError(f"{name} must be positive and finite")
 
 
-@dataclass(frozen=True)
-class GuardPolicy:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass's fields are its base's fields, then its own annotated
+    names, in order; a class value, when present, is the field's default.
+    Construction binds positional and keyword arguments to the fields,
+    then runs ``__post_init__`` (which may normalise a field with
+    ``object.__setattr__``).  Records compare equal when their types are
+    the same and their fields are equal, hash by their fields, and refuse
+    attribute assignment and deletion with
+    ``dataclasses.FrozenInstanceError``.  Unlike ``dataclasses``, whose
+    import and per-class code generation cost a cold CLI call more than
+    its arithmetic, the base is plain Python.
+    """
+
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        bound = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in bound:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            bound[name] = value
+        for name in fields:
+            if name in bound:
+                value = bound[name]
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, *value) -> None:
+        from dataclasses import FrozenInstanceError  # only this error path pays for it
+
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of ``record`` with ``changes`` applied; ``__post_init__`` runs again."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
+class GuardPolicy(Record):
     """Near-zero denominator detection for transform recursions.
 
     A denominator ``d`` trips the guard when
@@ -78,8 +155,7 @@ def _check_partial_sums(values: Sequence[Scalar], terms: Sequence[Scalar]) -> No
             )
 
 
-@dataclass(frozen=True)
-class SequenceSample:
+class SequenceSample(Record):
     """A finite prefix ``s_0 .. s_N`` of a real or complex sequence.
 
     ``terms``, when present, are series terms ``a_k`` with
@@ -145,8 +221,7 @@ def make_partial_sums(terms: Sequence[Scalar]) -> SequenceSample:
     return SequenceSample(tuple(values), terms=terms)
 
 
-@dataclass(frozen=True)
-class TransformTable:
+class TransformTable(Record):
     """Triangular array ``T_k^(n)`` stored column-wise with validity flags.
 
     ``columns[k][n - n_start]`` holds ``T_k^(n)`` (``None`` when invalid).
@@ -155,7 +230,7 @@ class TransformTable:
     live in the even columns only.  ``consumed_first[k]`` records how many
     input elements the first entry of column ``k`` consumes, from which the
     data budget of any entry follows.  Tables are frozen: a builder names
-    its table at construction (``dataclasses.replace`` makes a renamed copy).
+    its table at construction (``core.replace`` makes a renamed copy).
     """
 
     name: str
@@ -320,8 +395,7 @@ def cross_rule_table(
     return TransformTable(name, columns, valid, order_step=2)
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(Record):
     """A traversal of a transform table.
 
     ``order_constant`` walks one column with increasing ``n``;

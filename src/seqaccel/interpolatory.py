@@ -11,17 +11,18 @@ restore the ``O(n**(-alpha-2k))`` error order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .core import (
     GuardPolicy,
+    Record,
     Scalar,
     SequenceSample,
     TransformTable,
     check_positive,
     cross_rule_table,
     is_finite,
+    replace,
     stencil_table,
 )
 from .errors import InsufficientDataError, InvalidParameterError
@@ -30,8 +31,7 @@ TO_ZERO = "to_zero"
 TO_INFINITY = "to_infinity"
 
 
-@dataclass(frozen=True)
-class InterpolationPoints:
+class InterpolationPoints(Record):
     """The grid ``x_n`` on which a sequence is read as samples of a function.
 
     Polynomial extrapolation sends strictly decreasing positive points to

@@ -11,19 +11,17 @@ highest approximant order available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .classic import wynn_epsilon
-from .core import GuardPolicy, Scalar, SequenceSample, TransformTable
+from .core import GuardPolicy, Record, Scalar, SequenceSample, TransformTable, replace
 from .errors import DegeneratePadeError, InvalidParameterError, SingularMatrixError
 from .linalg import solve_dense
 
 _PIVOT_RTOL = 1e-13
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Record):
     """Coefficients gamma_0..gamma_N of a (formal) power series and a point z."""
 
     coefficients: tuple
@@ -61,8 +59,7 @@ def _polyval(coeffs, z):
     return acc
 
 
-@dataclass(frozen=True)
-class PadeApproximant:
+class PadeApproximant(Record):
     """The rational function [l/m] = P_l / Q_m with Q normalized to Q(0) = 1."""
 
     l: int

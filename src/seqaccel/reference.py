@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .core import Scalar, SequenceSample, make_partial_sums
+from .core import Record, Scalar, SequenceSample, make_partial_sums
 from .errors import (
     DegenerateModelError,
     DomainError,
@@ -34,36 +32,49 @@ class BernoulliTables:
 
     Built once from the defining recurrence
     ``B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j`` with the B_1 = -1/2
-    convention, then shared read-only.
+    convention, then shared read-only.  Each B_m is kept as a reduced
+    integer pair (numerator, positive denominator); the float of a pair is
+    ``num / den``, which Python rounds correctly, as ``float(Fraction)`` does.
     """
 
     def __init__(self, j_max: int = DEFAULT_BERNOULLI_ORDER):
         if j_max < 1:
             raise InvalidParameterError("j_max must be at least 1")
         self.j_max = j_max
-        numbers = [Fraction(1)]
+        nums, dens = [1], [1]
         for m in range(1, 2 * j_max + 1):
-            acc = Fraction(0)
-            for j in range(m):
-                acc += math.comb(m + 1, j) * numbers[j]
-            numbers.append(-acc / (m + 1))
-        self._numbers = tuple(numbers)
+            den = math.lcm(*dens)
+            num = -sum(
+                math.comb(m + 1, j) * n * (den // d) for j, (n, d) in enumerate(zip(nums, dens))
+            )
+            den *= m + 1
+            g = math.gcd(num, den)
+            nums.append(num // g)
+            dens.append(den // g)
+        self._nums, self._dens = tuple(nums), tuple(dens)
 
-    def number(self, m: int) -> Fraction:
-        """The Bernoulli number B_m."""
+    def _pair(self, m: int) -> tuple:
         if not 0 <= m <= 2 * self.j_max:
             raise InvalidParameterError(f"B_{m} outside the built range")
-        return self._numbers[m]
+        return self._nums[m], self._dens[m]
+
+    def number(self, m: int) -> "Fraction":
+        """The Bernoulli number B_m."""
+        from fractions import Fraction  # only callers of the exact value pay for it
+
+        return Fraction(*self._pair(m))
 
     def even_float(self, j: int) -> float:
         """B_{2j} as a float."""
-        return float(self.number(2 * j))
+        num, den = self._pair(2 * j)
+        return num / den
 
     def polynomial(self, m: int, x: Scalar) -> Scalar:
         """The Bernoulli polynomial B_m(x); B_m(0) equals B_m."""
         acc = 0.0
         for k in range(m + 1):
-            acc = acc + math.comb(m, k) * float(self.number(k)) * x ** (m - k)
+            num, den = self._pair(k)
+            acc = acc + math.comb(m, k) * (num / den) * x ** (m - k)
         return acc
 
 
@@ -193,13 +204,12 @@ PROBLEM_FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     """A named test problem: family, parameters, and length N (indices 0..N)."""
 
     family: str
     length: int
-    params: Mapping = field(default_factory=dict)
+    params: Mapping = {}  # __post_init__ copies it, so no instance shares it
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))

@@ -441,6 +441,17 @@ class TestCliRobustness:
         assert "guard threshold must be a finite nonnegative number" in one_line_error(
             capsys, stdout_empty=True)
 
+    def test_estimate_alpha_without_a_last_quartile_estimate(self, capsys):
+        argv = ["estimate-alpha", "--problem", "decay_model:alpha=0.5:N=16",
+                "--guard-threshold", "1e-3"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert err == "seqaccel: no valid decay-exponent estimate\n"
+        lines = out.splitlines()
+        # a valid estimate exists (n=0), but none in the last quartile
+        assert lines[:2] == ["n\tT_n\tvalid", "0\t0.4693151302808907\t1"]
+        assert not any(line.startswith("# alpha_estimate") for line in lines)
+
     @pytest.mark.parametrize("argv, reason", [
         (["estimate-alpha", "--problem", "geometric:s=1:c=1:lam=0.5:N=1"],
          "at least 4 elements"),
@@ -554,3 +565,22 @@ def test_cli_import_loads_neither_scipy_nor_mpmath():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    """``import seqaccel.cli`` stays cheap: no dataclasses (and the inspect,
+    ast and tokenize it pulls in), fractions, decimal or json.  Modules the
+    bare interpreter already loads (``site`` hooks) do not count."""
+    src = os.path.dirname(os.path.dirname(seqaccel.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def loaded(code):
+        result = subprocess.run([sys.executable, "-c", code + "print(*sys.modules)"],
+                                env=env, capture_output=True, text=True, check=True)
+        return set(result.stdout.split())
+
+    added = loaded("import sys, seqaccel.cli; ") - loaded("import sys; ")
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "json"}
+    assert "seqaccel.cli" in added
+    assert sorted(heavy & added) == []

@@ -18,6 +18,7 @@ from seqaccel import (
     walk_path,
     wynn_epsilon,
 )
+from seqaccel.core import Record, replace
 
 
 class TestMakePartialSums:
@@ -96,6 +97,83 @@ class TestGuardPolicy:
         # division by exact zero must still yield an invalid flag, not an error
         table = iterated_aitken(SequenceSample((7.0, 7.0, 7.0)), GuardPolicy(0.0))
         assert not table.is_valid(1, 0)
+
+
+class TestRecord:
+    """The value-type base: binding, immutability, equality, repr, replace."""
+
+    def test_positional_keyword_and_default_binding(self):
+        sample = SequenceSample([1.0, 2.0], None, limit=3.0)
+        assert (sample.values, sample.terms, sample.limit, sample.start_offset) == (
+            (1.0, 2.0), None, 3.0, 0)
+        assert sample == SequenceSample(limit=3.0, values=(1.0, 2.0))
+        assert PathSpec("order_constant", 2).order == 2
+        assert GuardPolicy().relative_threshold == 1e-14
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {}),
+        ((), {"limit": 1.0}),
+        (((1.0,),), {"unknown": 1}),
+        (((1.0,),), {"values": (2.0,)}),
+        (((1.0,), None, None, 0, "extra"), {}),
+    ], ids=["missing", "missing-with-keyword", "unknown", "repeated", "too-many"])
+    def test_bad_arguments_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            SequenceSample(*args, **kwargs)
+
+    def test_assignment_and_deletion_are_refused(self):
+        from dataclasses import FrozenInstanceError
+
+        guard = GuardPolicy()
+        with pytest.raises(FrozenInstanceError):
+            guard.relative_threshold = 0.5
+        with pytest.raises(FrozenInstanceError):
+            guard.other = 0.5
+        with pytest.raises(FrozenInstanceError):
+            del guard.relative_threshold
+        assert guard.relative_threshold == 1e-14
+
+    def test_replace_reruns_validation(self):
+        sample = SequenceSample((1.0, 2.0), start_offset=1)
+        assert replace(sample, limit=2.5) == SequenceSample((1.0, 2.0), None, 2.5, 1)
+        assert replace(sample, values=[3.0, 4.0]).values == (3.0, 4.0)
+        with pytest.raises(EmptyInputError):
+            replace(sample, values=())
+        with pytest.raises(TypeError):
+            replace(sample, unknown=1)
+
+    def test_equality_needs_the_same_type(self):
+        class Left(Record):
+            x: int
+
+        class Right(Record):
+            x: int
+
+        assert Left(1) == Left(1) and hash(Left(1)) == hash(Left(1))
+        assert Left(1) != Left(2)
+        assert (Left(1) == Right(1)) is False
+        assert GuardPolicy(1e-3) == GuardPolicy(1e-3)
+        assert hash(GuardPolicy(1e-3)) == hash(GuardPolicy(1e-3))
+
+    def test_subclass_fields_follow_the_base_fields(self):
+        class Base(Record):
+            x: int
+            y: int = 2
+
+        class Child(Base):
+            z: int = 3
+
+        child = Child(1, z=4)
+        assert (child.x, child.y, child.z) == (1, 2, 4)
+        assert Child(1, 5, 6) == Child(x=1, y=5, z=6)
+
+    def test_repr_matches_the_former_dataclass_repr(self):
+        from seqaccel import ProblemSpec
+
+        assert repr(GuardPolicy()) == "GuardPolicy(relative_threshold=1e-14)"
+        assert repr(PathSpec.staircase()) == "PathSpec(kind='staircase', order=None, index=None)"
+        assert repr(ProblemSpec("zeta_dirichlet", 20, {"z": 1.1})) == (
+            "ProblemSpec(family='zeta_dirichlet', length=20, params={'z': 1.1})")
 
 
 class TestPaths:

@@ -57,6 +57,25 @@ class TestBernoulli:
         tables = bernoulli_tables()
         assert tables.polynomial(4, 1.0) == pytest.approx(float(tables.number(4)))
 
+    def test_integer_tables_match_the_fraction_recurrence(self):
+        """The integer-pair tables give the numbers of the exact Fraction
+        recurrence, and floats identical to the floats of those Fractions."""
+        oracle = [Fraction(1)]
+        for m in range(1, 41):
+            acc = Fraction(0)
+            for j in range(m):
+                acc += math.comb(m + 1, j) * oracle[j]
+            oracle.append(-acc / (m + 1))
+        tables = bernoulli_tables()
+        assert [tables.number(m) for m in range(41)] == oracle
+        for j in range(21):
+            assert repr(tables.even_float(j)) == repr(float(oracle[2 * j]))
+        for m in range(41):
+            want = 0.0
+            for k in range(m + 1):
+                want = want + math.comb(m, k) * float(oracle[k]) * 0.3 ** (m - k)
+            assert repr(tables.polynomial(m, 0.3)) == repr(want)
+
     def test_range_guard(self):
         with pytest.raises(InvalidParameterError):
             BernoulliTables(0)
