@@ -9,6 +9,7 @@ iteration additionally handle a good deal of logarithmic convergence.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional
 
 from .core import (
@@ -37,10 +38,7 @@ def aitken_step(s0: Scalar, s1: Scalar, s2: Scalar, guard: Optional[GuardPolicy]
     num = d * d
     if guard.trips(dd, num):
         raise SingularStepError("second difference vanished in Aitken step")
-    try:
-        return s0 - num / dd
-    except ZeroDivisionError:
-        raise SingularStepError("second difference vanished in Aitken step") from None
+    return s0 - num / dd
 
 
 def iterated_aitken(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
@@ -56,15 +54,16 @@ def iterated_aitken(sample: SequenceSample, guard: Optional[GuardPolicy] = None)
         raise InsufficientDataError("iterated Aitken needs at least 3 elements")
 
     def kernel(cur, k):
-        def step(n):
-            d = cur[n + 1] - cur[n]
-            dd = cur[n + 2] - 2 * cur[n + 1] + cur[n]
-            num = d * d
-            if guard.trips(dd, num):
-                return None
-            return cur[n] - num / dd
+        def column(rows):
+            # cur[n] - d^2 / dd
+            d = [cur[n + 1] - cur[n] for n in rows]
+            return guard.divide(
+                [-(x * x) for x in d],
+                [cur[n + 2] - 2 * cur[n + 1] + cur[n] for n in rows],
+                [cur[n] for n in rows],
+            )
 
-        return step
+        return column
 
     return stencil_table("aitken", s, 3, kernel)
 
@@ -79,7 +78,7 @@ def wynn_epsilon(sample: SequenceSample, guard: Optional[GuardPolicy] = None) ->
     """
     guard = guard or GuardPolicy()
     s = sample.effective_values()
-    return cross_rule_table("epsilon", s, lambda k, n: 1.0, guard)
+    return cross_rule_table("epsilon", s, lambda k, rows: repeat(1.0), guard)
 
 
 def brezinski_theta(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
@@ -97,7 +96,7 @@ def brezinski_theta(sample: SequenceSample, guard: Optional[GuardPolicy] = None)
         k = len(columns)
         if k % 2 == 1:
             # odd rule: theta_{2j+1}^(n) = theta_{2j-1}^(n+1) + 1 / (theta_{2j}^(n+1) - theta_{2j}^(n))
-            lozenge_column(columns, valid, lambda k, n: 1.0, guard)
+            lozenge_column(columns, valid, lambda k, rows: repeat(1.0), guard)
             continue
         # even rule: theta_{2j+2}^(n) = theta_{2j}^(n+1)
         #   + (D theta_{2j}^(n+1)) (D theta_{2j+1}^(n+1)) / (D^2 theta_{2j+1}^(n))
@@ -107,17 +106,17 @@ def brezinski_theta(sample: SequenceSample, guard: Optional[GuardPolicy] = None)
         if length <= 0:
             break
 
-        def step(n):
-            num = (even[n + 2] - even[n + 1]) * (odd[n + 2] - odd[n + 1])
-            den = odd[n + 2] - 2 * odd[n + 1] + odd[n]
-            if guard.trips(den, num):
-                return None
-            return even[n + 1] + num / den
+        def column(rows):
+            return guard.divide(
+                [(even[n + 2] - even[n + 1]) * (odd[n + 2] - odd[n + 1]) for n in rows],
+                [odd[n + 2] - 2 * odd[n + 1] + odd[n] for n in rows],
+                [even[n + 1] for n in rows],
+            )
 
-        usable = usable_rows(
-            length, (even_ok, 1), (even_ok, 2), (odd_ok, 0), (odd_ok, 1), (odd_ok, 2)
-        )
-        append_column(columns, valid, usable, step)
+        # the odd column first: once the table saturates it is the one that
+        # holds no valid entry, and usable_rows stops there
+        usable = usable_rows(length, (odd_ok, (0, 1, 2)), (even_ok, (1, 2)))
+        append_column(columns, valid, usable, column)
     return TransformTable(
         "theta", columns, valid, order_step=2,
         consumed_first=[1 + 3 * (k // 2) + k % 2 for k in range(len(columns))],
@@ -137,16 +136,16 @@ def iterated_theta(sample: SequenceSample, guard: Optional[GuardPolicy] = None) 
         raise InsufficientDataError("iterated theta needs at least 4 elements")
 
     def kernel(cur, k):
-        def step(n):
-            d0 = cur[n + 1] - cur[n]
-            d1 = cur[n + 2] - cur[n + 1]
-            d2 = cur[n + 3] - cur[n + 2]
-            num = d0 * d1 * (d2 - d1)
-            den = d2 * (d1 - d0) - d0 * (d2 - d1)
-            if guard.trips(den, num):
-                return None
-            return cur[n + 1] - num / den
+        def column(rows):
+            # cur[n+1] - num / den
+            d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1], cur[n + 3] - cur[n + 2])
+                 for n in rows]
+            return guard.divide(
+                [-(d0 * d1 * (d2 - d1)) for d0, d1, d2 in d],
+                [d2 * (d1 - d0) - d0 * (d2 - d1) for d0, d1, d2 in d],
+                [cur[n + 1] for n in rows],
+            )
 
-        return step
+        return column
 
     return stencil_table("theta_iterated", s, 4, kernel)

@@ -96,6 +96,8 @@ def parse_scalar(text: str) -> Scalar:
 
 def parse_finite(raw) -> Scalar:
     """A finite input number: a string is parsed, a JSON number is taken as is."""
+    if isinstance(raw, bool):  # a JSON true/false would pass for 1 or 0
+        raise ValueError(f"not a number: {raw!r}")
     value = parse_scalar(raw) if isinstance(raw, str) else raw + 0.0
     if not cmath.isfinite(value):
         raise ValueError(f"not a finite number: {raw!r}")

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import compress, count, repeat
-from typing import Callable, Iterator, Optional, Sequence, Union
+from itertools import compress, repeat
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     ConsistencyError,
@@ -32,12 +32,32 @@ _CONSISTENCY_RTOL = 1e-9
 
 
 def is_finite(value: Scalar) -> bool:
-    """True unless value is a float/complex NaN or infinity."""
-    if isinstance(value, (float, int)):
-        return math.isfinite(value)
-    if isinstance(value, complex):
-        return math.isfinite(value.real) and math.isfinite(value.imag)
-    return True
+    """True unless value is a NaN or an infinity, of any scalar type.
+
+    ``x * 0`` is zero exactly when ``x`` is finite (for ``float``,
+    ``complex``, ``mpmath.mpf`` and ``mpc`` alike), so no type is named.
+    """
+    return value * 0 == 0
+
+
+def finite_entries(values: list) -> list:
+    """``values`` with every NaN or infinity replaced by ``None``.
+
+    One pass over the nonzero entries (``None`` is skipped) clears the
+    common case.  For ``float`` and ``complex`` it is a sum, finite only
+    when every entry is; for other types, such as ``mpmath.mpf``, whose
+    additions cost more than a product with zero, it looks for an
+    ``x * 0`` that is not zero.  A column that fails the pass (a sum of
+    finite entries can overflow) has each entry checked.
+    """
+    present = filter(None, values)
+    if not values or type(values[-1]) in (float, complex):
+        clear = is_finite(sum(present))
+    else:
+        clear = not any(map(operator.mul, present, repeat(0)))
+    if clear:
+        return values
+    return [v if v is None or is_finite(v) else None for v in values]
 
 
 def check_positive(name: str, value) -> None:
@@ -128,7 +148,7 @@ def replace(record: Record, **changes) -> Record:
 class GuardPolicy(Record):
     """Near-zero denominator detection for transform recursions.
 
-    A denominator ``d`` trips the guard when
+    A denominator ``d`` trips the guard when it is exactly zero or when
     ``|d| < relative_threshold * max(1, |numerator|)``.  A tripped guard
     flags the affected table entry invalid; no division is attempted.
     """
@@ -139,8 +159,26 @@ class GuardPolicy(Record):
         if not 0 <= self.relative_threshold < math.inf:
             raise InvalidParameterError("guard threshold must be a finite nonnegative number")
 
+    def divide(self, nums: Iterable, dens: Iterable, bases: Optional[Iterable] = None) -> list:
+        """Row-wise ``base + num / den`` (``num / den`` without ``bases``).
+
+        Every kernel divides through here, so this is the one place the
+        guard is evaluated: a row whose denominator trips it is ``None``.
+        A kernel of the form ``a - num / den`` passes ``-num``, since
+        ``a + (-num) / den`` is the same number to the last bit.
+        ``max(1, |num|)`` is spelt out because a call to ``max`` per row
+        costs more than the rest of the row.
+        """
+        threshold = self.relative_threshold
+        return [
+            None if not d or abs(d) < threshold * (m if (m := abs(n)) > 1.0 else 1.0)
+            else n / d if b is None else b + n / d
+            for n, d, b in zip(nums, dens, repeat(None) if bases is None else bases)
+        ]
+
     def trips(self, denominator: Scalar, numerator_scale: Scalar = 1.0) -> bool:
-        return abs(denominator) < self.relative_threshold * max(1.0, abs(numerator_scale))
+        """True when ``divide`` gives ``None`` for this denominator and numerator."""
+        return self.divide((numerator_scale,), (denominator,))[0] is None
 
 
 def _check_partial_sums(values: Sequence[Scalar], terms: Sequence[Scalar]) -> None:
@@ -283,43 +321,50 @@ class TransformTable(Record):
 
 
 def append_column(
-    columns: list, valid: list, usable: list, step: Callable[[int], Optional[Scalar]]
+    columns: list, valid: list, usable: list, column: Callable[[Sequence[int]], list]
 ) -> None:
     """Append one table column, flagging guard trips and non-finite values.
 
-    ``usable[i]`` is true when every antecedent of row ``i`` is valid;
-    ``step(i)`` runs on usable rows only and returns the entry or ``None``
-    for a guard trip.  Unusable rows are invalid without calling ``step``,
-    so a column without usable rows never calls it.
+    ``usable[i]`` is true when every antecedent of row ``i`` is valid.
+    ``column(rows)`` returns the entries of the usable rows ``rows``, in
+    order, ``None`` for a guard trip.  Unusable rows are invalid without
+    being computed, and a column without a usable row never calls
+    ``column``.  Finiteness is checked once for the whole column.
     """
-    col = [None] * len(usable)
-    ok = list(usable)
-    for i in compress(count(), usable):
-        try:
-            v = step(i)
-        except (ZeroDivisionError, OverflowError):
-            v = None
-        if v is not None and is_finite(v):
-            col[i] = v
-        else:
-            ok[i] = False
+    length = len(usable)
+    if not any(usable):
+        columns.append([None] * length)
+        valid.append([False] * length)
+        return
+    if all(usable):
+        col = finite_entries(column(range(length)))
+    else:
+        rows = list(compress(range(length), usable))
+        col = [None] * length
+        for i, value in zip(rows, finite_entries(column(rows))):
+            col[i] = value
     columns.append(col)
-    valid.append(ok)
+    valid.append([v is not None for v in col])
 
 
 def usable_rows(length: int, *antecedents: tuple) -> list:
     """The ``usable`` flags of ``append_column`` for a column of ``length`` rows.
 
-    Each antecedent is a ``(flags, shift)`` pair: row ``i`` is usable when
-    ``flags[i + shift]`` holds for every pair.  Lists without a false flag
-    are skipped, the common case of a fully valid antecedent column.
+    Each antecedent is a ``(flags, shifts)`` pair, one per antecedent
+    column: row ``i`` is usable when ``flags[i + shift]`` holds for every
+    pair and shift.  Lists without a false flag are skipped, the common
+    case of a fully valid antecedent column, and a slice without a true
+    flag is returned at once: no row is usable.
     """
     usable = None
-    for flags, shift in antecedents:
+    for flags, shifts in antecedents:
         if all(flags):
             continue
-        part = flags[shift:shift + length]
-        usable = part if usable is None else list(map(operator.and_, usable, part))
+        for shift in shifts:
+            part = flags[shift:shift + length]
+            if not any(part):
+                return part
+            usable = part if usable is None else list(map(operator.and_, usable, part))
     return [True] * length if usable is None else usable
 
 
@@ -327,20 +372,21 @@ def stencil_table(
     name: str,
     values: Sequence[Scalar],
     width: int,
-    kernel: Callable[[list, int], Callable[[int], Optional[Scalar]]],
+    kernel: Callable[[list, int], Callable[[Sequence[int]], list]],
 ) -> TransformTable:
     """Tables whose column ``k`` applies a ``width``-element step to column ``k-1``.
 
-    ``kernel(cur, k)`` returns the step computing row ``n`` of column ``k``
-    from ``cur[n] .. cur[n + width - 1]`` of column ``k-1``, so column ``k``
-    consumes ``(width-1)*k + 1`` elements.  Columns are added while the
-    last one still holds ``width`` entries.
+    ``kernel(cur, k)`` returns the ``column`` function of ``append_column``
+    for column ``k``: row ``n`` comes from ``cur[n] .. cur[n + width - 1]``
+    of column ``k-1``, so column ``k`` consumes ``(width-1)*k + 1``
+    elements.  Columns are added while the last one still holds ``width``
+    entries; once one has no valid entry, the rest cost no arithmetic.
     """
     columns = [list(values)]
     valid = [[True] * len(values)]
     while len(columns[-1]) >= width:
         cur, cur_ok = columns[-1], valid[-1]
-        usable = usable_rows(len(cur) - width + 1, *zip(repeat(cur_ok), range(width)))
+        usable = usable_rows(len(cur) - width + 1, (cur_ok, range(width)))
         append_column(columns, valid, usable, kernel(cur, len(columns)))
     return TransformTable(
         name, columns, valid,
@@ -349,42 +395,42 @@ def stencil_table(
 
 
 def lozenge_column(
-    columns: list, valid: list, numerator: Callable[[int, int], Scalar], guard: GuardPolicy
+    columns: list,
+    valid: list,
+    numerator: Callable[[int, Sequence[int]], Iterable[Scalar]],
+    guard: GuardPolicy,
 ) -> None:
     """Append column ``k`` of the lozenge rule
-    ``T_k^(n) = T_{k-2}^(n+1) + numerator(k, n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``.
+    ``T_k^(n) = T_{k-2}^(n+1) + num_k^(n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``.
 
-    Column -1 is an implicit column of zeros.
+    ``numerator(k, rows)`` gives ``num_k^(n)`` for the usable rows: a
+    repeated constant (epsilon, Osada) or one value per row (rho on
+    explicit points).  Column -1 is an implicit column of zeros.
     """
     k = len(columns)
     cur, cur_ok = columns[k - 1], valid[k - 1]
-    antecedents = [(cur_ok, 0), (cur_ok, 1)]
+    antecedents = [(cur_ok, (0, 1))]
     if k >= 2:
         base = columns[k - 2]
-        antecedents.append((valid[k - 2], 1))
-    else:
-        base = [0.0] * len(cur)
+        antecedents.append((valid[k - 2], (1,)))
 
-    def step(n):
-        num = numerator(k, n)
-        diff = cur[n + 1] - cur[n]
-        if guard.trips(diff, num):
-            return None
-        return base[n + 1] + num / diff
+    def column(rows):
+        bases = repeat(0.0) if k == 1 else [base[n + 1] for n in rows]
+        return guard.divide(numerator(k, rows), [cur[n + 1] - cur[n] for n in rows], bases)
 
-    append_column(columns, valid, usable_rows(len(cur) - 1, *antecedents), step)
+    append_column(columns, valid, usable_rows(len(cur) - 1, *antecedents), column)
 
 
 def cross_rule_table(
     name: str,
     values: Sequence[Scalar],
-    numerator: Callable[[int, int], Scalar],
+    numerator: Callable[[int, Sequence[int]], Iterable[Scalar]],
     guard: GuardPolicy,
 ) -> TransformTable:
     """Tables of the lozenge form ``T_{k}^(n) = T_{k-2}^(n+1) + num / diff``.
 
     The epsilon, rho, and Osada algorithms all share this recursion shape;
-    they differ only in the numerator ``numerator(k, n)`` placed over
+    they differ only in the numerator ``numerator(k, rows)`` placed over
     ``T_{k-1}^(n+1) - T_{k-1}^(n)``.  Only even-order columns are
     approximants.
     """

@@ -11,6 +11,7 @@ restore the ``O(n**(-alpha-2k))`` error order.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .core import (
@@ -21,7 +22,7 @@ from .core import (
     TransformTable,
     check_positive,
     cross_rule_table,
-    is_finite,
+    finite_entries,
     replace,
     stencil_table,
 )
@@ -99,14 +100,13 @@ def neville_richardson(
     x = _require_points(points, TO_ZERO, len(s))
 
     def kernel(cur, k):
-        def step(n):
-            num = x[n] * cur[n + 1] - x[n + k] * cur[n]
-            den = x[n] - x[n + k]
-            if guard.trips(den, num):
-                return None
-            return num / den
+        def column(rows):
+            return guard.divide(
+                [x[n] * cur[n + 1] - x[n + k] * cur[n] for n in rows],
+                [x[n] - x[n + k] for n in rows],
+            )
 
-        return step
+        return column
 
     return stencil_table("richardson_general", s, 2, kernel)
 
@@ -126,10 +126,10 @@ def richardson_standard(
     s = sample.effective_values()
 
     def kernel(cur, k):
-        def step(n):
-            return cur[n + 1] + (beta + n) / k * (cur[n + 1] - cur[n])
+        def column(rows):
+            return [cur[n + 1] + (beta + n) / k * (cur[n + 1] - cur[n]) for n in rows]
 
-        return step
+        return column
 
     return stencil_table("richardson", s, 2, kernel)
 
@@ -169,7 +169,9 @@ def wynn_rho(
     guard = guard or GuardPolicy()
     s = sample.effective_values()
     x = _require_points(points, TO_INFINITY, len(s))
-    return cross_rule_table("rho_general", s, lambda k, n: x[n + k] - x[n], guard)
+    return cross_rule_table(
+        "rho_general", s, lambda k, rows: [x[n + k] - x[n] for n in rows], guard
+    )
 
 
 def rho_standard(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
@@ -192,7 +194,7 @@ def osada_rho(
     guard = guard or GuardPolicy()
     check_positive("alpha", alpha)
     s = sample.effective_values()
-    return cross_rule_table("rho_osada", s, lambda k, n: k - 1 + alpha, guard)
+    return cross_rule_table("rho_osada", s, lambda k, rows: repeat(k - 1 + alpha), guard)
 
 
 def iterated_rho(
@@ -212,16 +214,16 @@ def iterated_rho(
         raise InsufficientDataError("iterated rho needs at least 3 elements")
 
     def kernel(cur, k):
-        def step(n):
-            d0 = cur[n + 1] - cur[n]
-            d1 = cur[n + 2] - cur[n + 1]
-            num = (x[n + 2 * k] - x[n]) * d1 * d0
-            den = (x[n + 2 * k] - x[n + 1]) * d0 - (x[n + 2 * k - 1] - x[n]) * d1
-            if guard.trips(den, num):
-                return None
-            return cur[n + 1] + num / den
+        def column(rows):
+            d = [(n, cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
+            return guard.divide(
+                [(x[n + 2 * k] - x[n]) * d1 * d0 for n, d0, d1 in d],
+                [(x[n + 2 * k] - x[n + 1]) * d0 - (x[n + 2 * k - 1] - x[n]) * d1
+                 for n, d0, d1 in d],
+                [cur[n + 1] for n in rows],
+            )
 
-        return step
+        return column
 
     return stencil_table("rho_iterated_general", s, 3, kernel)
 
@@ -236,16 +238,16 @@ def iterated_rho_standard(
         raise InsufficientDataError("iterated rho needs at least 3 elements")
 
     def kernel(cur, k):
-        def step(n):
-            d0 = cur[n + 1] - cur[n]
-            d1 = cur[n + 2] - cur[n + 1]
-            num = 2 * k * d1 * d0
-            den = (2 * k - 1) * (d1 - d0)
-            if guard.trips(den, num):
-                return None
-            return cur[n + 1] - num / den
+        def column(rows):
+            # cur[n+1] - num / den
+            d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
+            return guard.divide(
+                [-(2 * k * d1 * d0) for d0, d1 in d],
+                [(2 * k - 1) * (d1 - d0) for d0, d1 in d],
+                [cur[n + 1] for n in rows],
+            )
 
-        return step
+        return column
 
     return stencil_table("rho_iterated", s, 3, kernel)
 
@@ -269,16 +271,16 @@ def bdg_transform(
     def kernel(cur, k):
         factor = (2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha)
 
-        def step(n):
-            d0 = cur[n + 1] - cur[n]
-            d1 = cur[n + 2] - cur[n + 1]
-            num = factor * d1 * d0
-            den = d1 - d0
-            if guard.trips(den, num):
-                return None
-            return cur[n + 1] - num / den
+        def column(rows):
+            # cur[n+1] - num / den
+            d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
+            return guard.divide(
+                [-(factor * d1 * d0) for d0, d1 in d],
+                [d1 - d0 for d0, d1 in d],
+                [cur[n + 1] for n in rows],
+            )
 
-        return step
+        return column
 
     return stencil_table("bdg", s, 3, kernel)
 
@@ -298,24 +300,16 @@ def estimate_decay(
     s = sample.effective_values()
     if len(s) < 4:
         raise InsufficientDataError("decay estimation needs at least 4 elements")
-    out = []
-    for n in range(len(s) - 3):
-        d0 = s[n + 1] - s[n]
-        d1 = s[n + 2] - s[n + 1]
-        d2 = s[n + 3] - s[n + 2]
-        dd0 = d1 - d0
-        dd1 = d2 - d1
-        num = dd0 * dd1
-        den = d1 * dd1 - d2 * dd0
-        if guard.trips(den, num):
-            out.append(None)
-            continue
-        try:
-            t = num / den - 1.0
-        except ZeroDivisionError:
-            t = None
-        out.append(t if t is not None and is_finite(t) else None)
-    return out
+    # T_n = dd_n dd_{n+1} / (d_{n+1} dd_{n+1} - d_{n+2} dd_n) - 1, with
+    # d_n = s_{n+1} - s_n and dd_n = d_{n+1} - d_n
+    d = [b - a for a, b in zip(s, s[1:])]
+    dd = [b - a for a, b in zip(d, d[1:])]
+    rows = range(len(s) - 3)
+    ratios = guard.divide(
+        [dd[n] * dd[n + 1] for n in rows],
+        [d[n + 1] * dd[n + 1] - d[n + 2] * dd[n] for n in rows],
+    )
+    return finite_entries([None if t is None else t - 1.0 for t in ratios])
 
 
 def median_last_quartile(estimates: Sequence[Optional[Scalar]]) -> Scalar:

@@ -195,11 +195,11 @@ def _ratio_table(
         except OverflowError:  # float(comb(k, j)) overflows: the column has no entry
             usable = [False] * rows
 
-        def step(i):
-            num, den = acc[i]
-            return None if guard.trips(den, num) else num / den
-
-        append_column(columns, valid, usable, step)
+        # a column is usable in full or not at all, so rows are all of acc
+        append_column(
+            columns, valid, usable,
+            lambda rows: guard.divide([num for num, _ in acc], [den for _, den in acc]),
+        )
     return TransformTable(
         name, columns, valid, n_start=n_start, order_step=1,
         consumed_first=[k + 1 + extra for k in range(len(columns))],

@@ -393,6 +393,20 @@ class TestCliRobustness:
         with pytest.raises(IngestError):
             ingest(path, fmt=fmt)
 
+    @pytest.mark.parametrize("text", (
+        '{"values": [true, false, true, 0.5], "limit": true}',
+        '{"values": [1, 0.5, 0.25, false]}',
+        '{"terms": [1, 0.5, true]}',
+        '{"values": [1, 0.5, 0.25], "limit": false}',
+    ))
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys, text):
+        path = write(tmp_path / "bool.json", text)
+        assert main(["run", "--input", path, "--input-format", "json",
+                     "--transforms", "epsilon", "--path", "order_constant:0"]) == 2
+        assert "not a number" in one_line_error(capsys, stdout_empty=True)
+        with pytest.raises(IngestError):
+            ingest(path, fmt="json")
+
     def test_total_failure_names_the_reason(self, capsys):
         argv = ["run", "--problem", "zeta_dirichlet:z=2:N=10",
                 "--transforms", "levin_u:zeta=-1"]

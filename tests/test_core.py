@@ -1,5 +1,7 @@
+import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,10 +95,60 @@ class TestGuardPolicy:
         with pytest.raises(InvalidParameterError, match="finite nonnegative number"):
             GuardPolicy(threshold)
 
-    def test_zero_threshold_never_crashes(self):
-        # division by exact zero must still yield an invalid flag, not an error
-        table = iterated_aitken(SequenceSample((7.0, 7.0, 7.0)), GuardPolicy(0.0))
-        assert not table.is_valid(1, 0)
+    @pytest.mark.parametrize("scalar", (float, complex, mpmath.mpf))
+    def test_zero_threshold_never_crashes(self, scalar):
+        # division by exact zero must still yield an invalid flag, not an error:
+        # on a constant sequence every denominator of column 1 is exactly zero
+        from seqaccel import (
+            bdg_transform, brezinski_theta, estimate_decay, iterated_rho,
+            iterated_rho_standard, iterated_theta, natural_points, osada_rho,
+            rho_standard, wynn_rho,
+        )
+
+        guard = GuardPolicy(0.0)
+        sample = SequenceSample(tuple(scalar(7) for _ in range(9)))
+        points = natural_points(9)
+        builders = [
+            iterated_aitken, wynn_epsilon, brezinski_theta, iterated_theta,
+            rho_standard, iterated_rho_standard,
+            lambda s, g: osada_rho(s, 0.7, g),
+            lambda s, g: bdg_transform(s, 0.7, g),
+            lambda s, g: wynn_rho(s, points, g),
+            lambda s, g: iterated_rho(s, points, g),
+        ]
+        for build in builders:
+            table = build(sample, guard)
+            assert not any(table.valid[1])
+            assert all(v is None for v in table.columns[1])
+        assert estimate_decay(sample, guard) == [None] * 6
+
+    @pytest.mark.parametrize("threshold", (1e-14, 0.0))
+    def test_divide_agrees_with_trips(self, threshold):
+        guard = GuardPolicy(threshold)
+        tiny = math.nextafter(threshold, 0.0)
+        cases = [
+            (0.0, 1.0, True), (-0.0, 1.0, True), (0.0, 0.0, True), (0j, 1.0, True),
+            (mpmath.mpf(0), 1.0, True), (5e-324, 1.0, threshold > 0),
+            (math.nan, 1.0, False),  # not tripped: the non-finite quotient is rejected later
+            (1j, 1.0, False), (mpmath.mpf(1), 1.0, False), (mpmath.mpf(1), mpmath.mpf(2), False),
+        ]
+        if threshold:
+            cases += [
+                (threshold, 1.0, False),  # |d| < threshold fails on the boundary
+                (tiny, 1.0, True), (-tiny, 1.0, True), (threshold * 1j, 0.5, False),
+                (tiny * 1j, 1.0, True), (mpmath.mpf(tiny), 1.0, True),
+                (2 * threshold, 3.0, True), (2 * threshold, 1.5, False),
+            ]
+        for den, num, trips in cases:
+            assert guard.trips(den, num) is trips, (den, num)
+            assert (guard.divide([num], [den])[0] is None) is trips, (den, num)
+            assert (guard.divide([num], [den], [1.0])[0] is None) is trips, (den, num)
+
+    def test_divide_adds_bases_in_order(self):
+        guard = GuardPolicy()
+        assert guard.divide([1.0, -2.0, 3.0], [4.0, 0.0, -8.0]) == [0.25, None, -0.375]
+        got = guard.divide([1.0, -2.0], [4.0, 2.0], [-0.0, 1.0])
+        assert got == [0.25, 0.0] and repr(got) == "[0.25, 0.0]"
 
 
 class TestRecord:
@@ -290,42 +342,83 @@ class TestGuardSoundness:
                     assert value is None
 
 
+class TestNonFiniteScalars:
+    NON_FINITE = (
+        float("inf"), float("nan"), complex(float("inf"), 0.0), complex(0.0, float("nan")),
+        mpmath.mpf("inf"), mpmath.mpf("-inf"), mpmath.mpf("nan"), mpmath.mpc(mpmath.inf, 0),
+    )
+    FINITE = (0, 3, 0.0, -0.0, 1e308, 5e-324, 1e308 + 1e308j, mpmath.mpf("1e400"), mpmath.mpc(1, 2))
+
+    def test_is_finite_of_any_scalar_type(self):
+        from seqaccel.core import is_finite
+
+        assert not any(is_finite(v) for v in self.NON_FINITE)
+        assert all(is_finite(v) for v in self.FINITE)
+
+    def test_finite_entries_drops_each_non_finite_value(self):
+        from seqaccel.core import finite_entries
+
+        for finite in (list(self.FINITE) + [None], [1e308, 1e308], [1e308j, 1e308j], []):
+            assert finite_entries(finite) == finite  # an overflowing sum is no verdict
+        for bad in self.NON_FINITE:
+            assert finite_entries([1.0, bad, None, 2.0]) == [1.0, None, None, 2.0]
+            two = mpmath.mpf(2)
+            assert finite_entries([bad, None, two]) == [None, None, two]
+
+    def test_non_finite_mpf_entries_are_invalid(self):
+        values = tuple(mpmath.mpf(x) for x in (1, 2, mpmath.mpf("inf"), 3, 4, 5))
+        table = iterated_aitken(SequenceSample(values))
+        for k, n, value, ok in table.entries():
+            if k > 0:
+                assert ok == (value is not None)
+                assert not ok or mpmath.isfinite(value), (k, n, value)
+        assert table.is_valid(1, 0)
+        assert not any(table.valid[2])
+
+
 class TestColumnPrimitives:
-    def test_step_runs_on_usable_rows_only(self):
+    def test_column_runs_on_usable_rows_only(self):
         from seqaccel.core import append_column
 
         calls = []
 
-        def step(i):
-            calls.append(i)
-            return {0: 1.0, 2: None, 3: float("inf")}[i]
+        def column(rows):
+            calls.append(list(rows))
+            return [{0: 1.0, 2: None, 3: float("inf")}[i] for i in rows]
 
         columns, valid = [], []
-        append_column(columns, valid, [True, False, True, True], step)
-        assert calls == [0, 2, 3]
+        append_column(columns, valid, [True, False, True, True], column)
+        assert calls == [[0, 2, 3]]
         assert columns == [[1.0, None, None, None]]
         assert valid == [[True, False, False, False]]
 
-    def test_unusable_column_skips_step(self):
+    def test_unusable_column_skips_column(self):
         from seqaccel.core import append_column
 
-        def step(i):
-            raise AssertionError("step called on an unusable row")
+        def column(rows):
+            raise AssertionError("column called without a usable row")
 
+        usable = [False, False, False]
         columns, valid = [[1.0]], [[True]]
-        append_column(columns, valid, [False, False, False], step)
+        append_column(columns, valid, usable, column)
         assert columns[1] == [None] * 3
         assert valid[1] == [False] * 3
+        assert valid[1] is not usable
 
     @pytest.mark.parametrize("width", [2, 3, 4])
     def test_stencil_table_propagates_invalidity(self, width):
         from seqaccel.core import stencil_table
 
         values = [float(v) for v in range(12)]
+        seen = set()
 
         def kernel(cur, k):
             # the entry at n = 2 of column 1 trips; everything else sums its stencil
-            return lambda n: None if (k, n) == (1, 2) else sum(cur[n:n + width])
+            def column(rows):
+                seen.update((k, n) for n in rows)
+                return [None if (k, n) == (1, 2) else sum(cur[n:n + width]) for n in rows]
+
+            return column
 
         table = stencil_table("probe", values, width, kernel)
         assert table.max_order == (len(values) - 1) // (width - 1)
@@ -337,6 +430,44 @@ class TestColumnPrimitives:
             assert ok == ((k, n) not in bad)
             assert (value is None) == ((k, n) in bad)
             assert table.consumed(k, n) == (width - 1) * k + 1 + n
+            # only rows with valid antecedents were computed
+            assert ((k, n) in seen) == (k > 0 and ((k, n) not in bad or (k, n) == (1, 2)))
+
+    @pytest.mark.parametrize("build, width", [(iterated_aitken, 3), (wynn_epsilon, 2)])
+    def test_dead_columns_keep_shape(self, build, width):
+        # column 1 of Aitken and column 2 of epsilon are exactly 1.0 on this
+        # geometric sequence, so every later denominator vanishes
+        values = tuple(1.0 + 0.5 ** n for n in range(13))
+        table = build(SequenceSample(values))
+        exact = 1 if width == 3 else 2
+        assert table.columns[exact] == [1.0] * len(table.columns[exact])
+        dead = range(exact + 1, table.max_order + 1)
+        assert len(dead) >= 3
+        for k in range(table.max_order + 1):
+            assert len(table.columns[k]) == len(values) - (width - 1) * k
+        for k in dead:
+            assert table.columns[k] == [None] * len(table.columns[k])
+            assert table.valid[k] == [False] * len(table.columns[k])
+        if width == 3:
+            assert [table.consumed(k, 0) for k in dead] == [2 * k + 1 for k in dead]
+
+    def test_dead_column_never_calls_the_kernel(self):
+        from seqaccel.core import stencil_table
+
+        calls = []
+
+        def kernel(cur, k):
+            def column(rows):
+                calls.append(k)
+                return [None if k == 2 else cur[n] + cur[n + 1] for n in rows]
+
+            return column
+
+        table = stencil_table("probe", [1.0] * 9, 2, kernel)
+        assert calls == [1, 2]
+        assert table.max_order == 8
+        assert all(v is None for k in range(2, 9) for v in table.columns[k])
+        assert [table.consumed(k, 0) for k in range(9)] == list(range(1, 10))
 
     def test_tables_are_frozen(self):
         from dataclasses import FrozenInstanceError
