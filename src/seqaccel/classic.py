@@ -53,17 +53,14 @@ def iterated_aitken(sample: SequenceSample, guard: Optional[GuardPolicy] = None)
     if len(s) < 3:
         raise InsufficientDataError("iterated Aitken needs at least 3 elements")
 
-    def kernel(cur, k):
-        def column(rows):
-            # cur[n] - d^2 / dd
-            d = [cur[n + 1] - cur[n] for n in rows]
-            return guard.divide(
-                [-(x * x) for x in d],
-                [cur[n + 2] - 2 * cur[n + 1] + cur[n] for n in rows],
-                [cur[n] for n in rows],
-            )
-
-        return column
+    def kernel(cur, k, rows):
+        # cur[n] - d^2 / dd
+        d = [cur[n + 1] - cur[n] for n in rows]
+        return guard.divide(
+            [-(x * x) for x in d],
+            [cur[n + 2] - 2 * cur[n + 1] + cur[n] for n in rows],
+            [cur[n] for n in rows],
+        )
 
     return stencil_table("aitken", s, 3, kernel)
 
@@ -135,17 +132,14 @@ def iterated_theta(sample: SequenceSample, guard: Optional[GuardPolicy] = None) 
     if len(s) < 4:
         raise InsufficientDataError("iterated theta needs at least 4 elements")
 
-    def kernel(cur, k):
-        def column(rows):
-            # cur[n+1] - num / den
-            d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1], cur[n + 3] - cur[n + 2])
-                 for n in rows]
-            return guard.divide(
-                [-(d0 * d1 * (d2 - d1)) for d0, d1, d2 in d],
-                [d2 * (d1 - d0) - d0 * (d2 - d1) for d0, d1, d2 in d],
-                [cur[n + 1] for n in rows],
-            )
-
-        return column
+    def kernel(cur, k, rows):
+        # cur[n+1] - num / den
+        d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1], cur[n + 3] - cur[n + 2])
+             for n in rows]
+        return guard.divide(
+            [-(d0 * d1 * (d2 - d1)) for d0, d1, d2 in d],
+            [d2 * (d1 - d0) - d0 * (d2 - d1) for d0, d1, d2 in d],
+            [cur[n + 1] for n in rows],
+        )
 
     return stencil_table("theta_iterated", s, 4, kernel)

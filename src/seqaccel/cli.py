@@ -28,7 +28,7 @@ import argparse
 import cmath
 import sys
 from functools import partial
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import __version__
 from .classic import brezinski_theta, iterated_aitken, iterated_theta, wynn_epsilon
@@ -40,7 +40,6 @@ from .core import (
     SequenceSample,
     TransformTable,
     make_partial_sums,
-    replace,
     walk_path,
 )
 from .errors import (
@@ -62,7 +61,7 @@ from .interpolatory import (
     rho_standard,
 )
 from .levin import WENIGER_NAMES, levin_variant, weniger_variant
-from .pade import PowerSeries, pade_direct, staircase_sequence
+from .pade import PowerSeries, pade_direct, pade_epsilon, staircase_sequence
 from .reference import (
     ProblemSpec,
     euler_factorial_coefficients,
@@ -107,33 +106,26 @@ def parse_finite(raw) -> Scalar:
 # ---------------------------------------------------------------------------
 # transform registry
 
-def _fixed(fn: Callable) -> Callable:
-    return lambda sample, guard, params: fn(sample, guard=guard, **params)
-
-
 _REGISTRY: Mapping[str, tuple] = {
-    # name: (builder(sample, guard, params), allowed params, required params)
-    "aitken": (_fixed(iterated_aitken), (), ()),
-    "epsilon": (_fixed(wynn_epsilon), (), ()),
-    "theta": (_fixed(brezinski_theta), (), ()),
-    "theta_iterated": (_fixed(iterated_theta), (), ()),
-    "richardson": (_fixed(richardson_standard), ("beta",), ()),
-    "rho": (_fixed(rho_standard), (), ()),
-    "rho_iterated": (_fixed(iterated_rho_standard), (), ()),
-    "rho_osada": (_fixed(osada_rho), ("alpha",), ("alpha",)),
-    "bdg": (_fixed(bdg_transform), ("alpha",), ("alpha",)),
+    # name: (builder(sample, guard=..., **params), allowed params, required params)
+    "aitken": (iterated_aitken, (), ()),
+    "epsilon": (wynn_epsilon, (), ()),
+    "theta": (brezinski_theta, (), ()),
+    "theta_iterated": (iterated_theta, (), ()),
+    "richardson": (richardson_standard, ("beta",), ()),
+    "rho": (rho_standard, (), ()),
+    "rho_iterated": (iterated_rho_standard, (), ()),
+    "rho_osada": (osada_rho, ("alpha",), ("alpha",)),
+    "bdg": (bdg_transform, ("alpha",), ("alpha",)),
     **{
-        f"levin_{rule}": (_fixed(partial(levin_variant, kind=rule)), ("zeta",), ())
+        f"levin_{rule}": (partial(levin_variant, kind=rule), ("zeta",), ())
         for rule in WENIGER_NAMES
     },
     **{
-        f"weniger_{name}": (_fixed(partial(weniger_variant, kind=rule)), ("zeta",), ())
+        f"weniger_{name}": (partial(weniger_variant, kind=rule), ("zeta",), ())
         for rule, name in WENIGER_NAMES.items()
     },
-    "pade_epsilon": (
-        lambda sample, guard, params: replace(wynn_epsilon(sample, guard), name="pade_epsilon"),
-        (), (),
-    ),
+    "pade_epsilon": (pade_epsilon, (), ()),
 }
 
 
@@ -156,7 +148,7 @@ def apply_transform(
     missing = set(required) - set(params)
     if missing:
         raise ConfigError(f"{name} needs parameters {sorted(missing)}")
-    return builder(sample, guard, dict(params))
+    return builder(sample, guard=guard, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -306,41 +298,32 @@ class CompareTable(Record):
         return render(fmt, digits, header, rows, (), meta)
 
 
-def compare(configs: Sequence[RunConfig]) -> CompareTable:
-    """Merge runs on one problem into an error table keyed by data budget.
+def compare(config: RunConfig) -> CompareTable:
+    """Merge the configured transforms into an error table keyed by data budget.
 
     The budget of an entry is the number of input elements it consumed,
     so transforms are compared at equal information.
     """
-    if not configs:
-        raise CompareError("nothing to compare")
-
-    def problem(config):
-        return config.sample.values, config.sample.limit, config.sample.start_offset
-
-    if any(problem(config) != problem(configs[0]) for config in configs[1:]):
-        raise CompareError("compare needs identical problems in every config")
-    limit = configs[0].sample.limit
+    limit = config.sample.limit
+    path = config.path or PathSpec.index_constant()
     names, rows = [], {}
-    for config in configs:
-        path = config.path or PathSpec.index_constant()
-        for name, params in config.transforms:
-            if name in names:
-                raise CompareError(f"transform {name} listed twice")
-            names.append(name)
-            table = apply_transform(name, config.sample, config.guard, params)
-            for k, n, value, ok in walk_path(table, path):
-                if not ok:
-                    continue
-                budget = table.consumed(k, n)
-                err = abs(value - limit) if limit is not None else None
-                cells = rows.setdefault(budget, {})
-                # keep the more accurate entry if a budget repeats
-                if name not in cells or (err is not None and err < cells[name][1]):
-                    cells[name] = (value, err)
+    for name, params in config.transforms:
+        if name in names:
+            raise CompareError(f"transform {name} listed twice")
+        names.append(name)
+        table = apply_transform(name, config.sample, config.guard, params)
+        for k, n, value, ok in walk_path(table, path):
+            if not ok:
+                continue
+            budget = table.consumed(k, n)
+            err = abs(value - limit) if limit is not None else None
+            cells = rows.setdefault(budget, {})
+            # keep the more accurate entry if a budget repeats
+            if name not in cells or (err is not None and err < cells[name][1]):
+                cells[name] = (value, err)
     ordered = [(budget, rows[budget]) for budget in sorted(rows)]
     return CompareTable(
-        problem=configs[0].problem_label,
+        problem=config.problem_label,
         names=names,
         has_limit=limit is not None,
         rows=ordered,
@@ -489,9 +472,22 @@ def parse_path(text: Optional[str]) -> Optional[PathSpec]:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+_INPUT_FORMATS = ("csv", "json")
+_REPORT_FORMATS = ("tsv", "json")
+_SWITCH = {"1": True, "true": True, "yes": True, "on": True,
+           "0": False, "false": False, "no": False, "off": False}
+
+
+def _one_of(allowed: tuple):
+    return lambda raw: allowed[allowed.index(raw)]  # ValueError when raw is not allowed
+
+
+#: config key -> parser of its raw value (ValueError or KeyError when bad)
 _CONFIG_KEYS = {
-    "problem", "input", "input_format", "values", "limit", "start_offset",
-    "transforms", "path", "format", "digits", "output", "guard_threshold",
+    "problem": str, "input": str, "limit": str, "transforms": str, "path": str, "output": str,
+    "input_format": _one_of(_INPUT_FORMATS), "format": _one_of(_REPORT_FORMATS),
+    "values": lambda raw: _SWITCH[raw.lower()],
+    "digits": int, "start_offset": int, "guard_threshold": float,
 }
 
 
@@ -511,13 +507,9 @@ def _load_config_file(path: str) -> dict:
         if not sep or key not in _CONFIG_KEYS:
             raise ConfigError(f"config line {lineno}: unknown setting {item!r}")
         raw = raw.strip()
-        if key == "values":
-            out[key] = raw.lower() in ("1", "true", "yes", "on")
-            continue
-        convert = {"digits": int, "start_offset": int, "guard_threshold": float}.get(key, str)
         try:
-            out[key] = convert(raw)
-        except ValueError:
+            out[key] = _CONFIG_KEYS[key](raw)
+        except (KeyError, ValueError):
             raise ConfigError(f"config line {lineno}: bad {key} value {raw!r}") from None
     return out
 
@@ -525,7 +517,7 @@ def _load_config_file(path: str) -> dict:
 def _source_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--problem", help="generated problem, e.g. zeta_dirichlet:z=1.1:N=20")
     parser.add_argument("--input", help="sequence file, or - for stdin")
-    parser.add_argument("--input-format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--input-format", choices=_INPUT_FORMATS, default="csv")
     parser.add_argument("--values", action="store_true",
                         help="CSV rows are partial sums, not series terms")
     parser.add_argument("--limit", help="known limit for error reporting")
@@ -537,7 +529,7 @@ def _common_arguments(parser: argparse.ArgumentParser, report: bool = True) -> N
     parser.add_argument("--config", help="key=value defaults file")
     parser.add_argument("--output", help="write the report here instead of stdout")
     if report:
-        parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
+        parser.add_argument("--format", choices=_REPORT_FORMATS, default="tsv")
         parser.add_argument("--digits", type=int, default=16)
         parser.add_argument("--guard-threshold", type=float, default=1e-14)
 
@@ -658,7 +650,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    table = compare([_run_config(args)])
+    table = compare(_run_config(args))
     _emit(args, table.render(args.format, args.digits))
     return _outcome(bool(table.rows), "no transform produced a valid entry")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -329,19 +330,30 @@ def append_column(
     ``column(rows)`` returns the entries of the usable rows ``rows``, in
     order, ``None`` for a guard trip.  Unusable rows are invalid without
     being computed, and a column without a usable row never calls
-    ``column``.  Finiteness is checked once for the whole column.
+    ``column``.  A column that raises ``OverflowError`` is computed again
+    row by row, an overflowing row being invalid.  Finiteness is checked
+    once for the whole column.
     """
     length = len(usable)
     if not any(usable):
         columns.append([None] * length)
         valid.append([False] * length)
         return
-    if all(usable):
-        col = finite_entries(column(range(length)))
+    rows = range(length) if all(usable) else list(compress(range(length), usable))
+    try:
+        entries = column(rows)
+    except OverflowError:
+        entries = []
+        for n in rows:
+            try:
+                entries += column((n,))
+            except OverflowError:
+                entries.append(None)
+    if len(rows) == length:
+        col = finite_entries(entries)
     else:
-        rows = list(compress(range(length), usable))
         col = [None] * length
-        for i, value in zip(rows, finite_entries(column(rows))):
+        for i, value in zip(rows, finite_entries(entries)):
             col[i] = value
     columns.append(col)
     valid.append([v is not None for v in col])
@@ -372,22 +384,22 @@ def stencil_table(
     name: str,
     values: Sequence[Scalar],
     width: int,
-    kernel: Callable[[list, int], Callable[[Sequence[int]], list]],
+    kernel: Callable[[list, int, Sequence[int]], list],
 ) -> TransformTable:
     """Tables whose column ``k`` applies a ``width``-element step to column ``k-1``.
 
-    ``kernel(cur, k)`` returns the ``column`` function of ``append_column``
-    for column ``k``: row ``n`` comes from ``cur[n] .. cur[n + width - 1]``
-    of column ``k-1``, so column ``k`` consumes ``(width-1)*k + 1``
-    elements.  Columns are added while the last one still holds ``width``
-    entries; once one has no valid entry, the rest cost no arithmetic.
+    ``kernel(cur, k, rows)`` returns column ``k`` at the usable ``rows``:
+    row ``n`` comes from ``cur[n] .. cur[n + width - 1]`` of column
+    ``k-1``, so column ``k`` consumes ``(width-1)*k + 1`` elements.
+    Columns are added while the last one still holds ``width`` entries;
+    once one has no valid entry, the rest cost no arithmetic.
     """
     columns = [list(values)]
     valid = [[True] * len(values)]
     while len(columns[-1]) >= width:
         cur, cur_ok = columns[-1], valid[-1]
         usable = usable_rows(len(cur) - width + 1, (cur_ok, range(width)))
-        append_column(columns, valid, usable, kernel(cur, len(columns)))
+        append_column(columns, valid, usable, partial(kernel, cur, len(columns)))
     return TransformTable(
         name, columns, valid,
         consumed_first=[(width - 1) * k + 1 for k in range(len(columns))],
@@ -509,9 +521,8 @@ def walk_path(table: TransformTable, path: PathSpec) -> list:
                 out.append((k, n0, table.entry(k, n0), table.is_valid(k, n0)))
     else:
         for k in table.approximant_orders():
-            for n in (table.n_start, table.n_start + 1):
-                if table.has_entry(k, n):
-                    out.append((k, n, table.entry(k, n), table.is_valid(k, n)))
+            col, ok = table.columns[k], table.valid[k]
+            out += [(k, table.n_start + i, col[i], ok[i]) for i in range(min(2, len(col)))]
     return out
 
 

@@ -62,7 +62,7 @@ class IngestError(SequenceTransformError):
 
 
 class CompareError(SequenceTransformError):
-    """Comparison requested across different problems."""
+    """A comparison lists the same transform twice."""
 
 
 class ConfigError(SequenceTransformError):

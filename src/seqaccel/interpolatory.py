@@ -99,14 +99,11 @@ def neville_richardson(
     s = sample.effective_values()
     x = _require_points(points, TO_ZERO, len(s))
 
-    def kernel(cur, k):
-        def column(rows):
-            return guard.divide(
-                [x[n] * cur[n + 1] - x[n + k] * cur[n] for n in rows],
-                [x[n] - x[n + k] for n in rows],
-            )
-
-        return column
+    def kernel(cur, k, rows):
+        return guard.divide(
+            [x[n] * cur[n + 1] - x[n + k] * cur[n] for n in rows],
+            [x[n] - x[n + k] for n in rows],
+        )
 
     return stencil_table("richardson_general", s, 2, kernel)
 
@@ -125,11 +122,8 @@ def richardson_standard(
     check_positive("beta", beta)
     s = sample.effective_values()
 
-    def kernel(cur, k):
-        def column(rows):
-            return [cur[n + 1] + (beta + n) / k * (cur[n + 1] - cur[n]) for n in rows]
-
-        return column
+    def kernel(cur, k, rows):
+        return [cur[n + 1] + (beta + n) / k * (cur[n + 1] - cur[n]) for n in rows]
 
     return stencil_table("richardson", s, 2, kernel)
 
@@ -213,17 +207,14 @@ def iterated_rho(
     if len(s) < 3:
         raise InsufficientDataError("iterated rho needs at least 3 elements")
 
-    def kernel(cur, k):
-        def column(rows):
-            d = [(n, cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
-            return guard.divide(
-                [(x[n + 2 * k] - x[n]) * d1 * d0 for n, d0, d1 in d],
-                [(x[n + 2 * k] - x[n + 1]) * d0 - (x[n + 2 * k - 1] - x[n]) * d1
-                 for n, d0, d1 in d],
-                [cur[n + 1] for n in rows],
-            )
-
-        return column
+    def kernel(cur, k, rows):
+        d = [(n, cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
+        return guard.divide(
+            [(x[n + 2 * k] - x[n]) * d1 * d0 for n, d0, d1 in d],
+            [(x[n + 2 * k] - x[n + 1]) * d0 - (x[n + 2 * k - 1] - x[n]) * d1
+             for n, d0, d1 in d],
+            [cur[n + 1] for n in rows],
+        )
 
     return stencil_table("rho_iterated_general", s, 3, kernel)
 
@@ -237,17 +228,14 @@ def iterated_rho_standard(
     if len(s) < 3:
         raise InsufficientDataError("iterated rho needs at least 3 elements")
 
-    def kernel(cur, k):
-        def column(rows):
-            # cur[n+1] - num / den
-            d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
-            return guard.divide(
-                [-(2 * k * d1 * d0) for d0, d1 in d],
-                [(2 * k - 1) * (d1 - d0) for d0, d1 in d],
-                [cur[n + 1] for n in rows],
-            )
-
-        return column
+    def kernel(cur, k, rows):
+        # cur[n+1] - num / den
+        d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
+        return guard.divide(
+            [-(2 * k * d1 * d0) for d0, d1 in d],
+            [(2 * k - 1) * (d1 - d0) for d0, d1 in d],
+            [cur[n + 1] for n in rows],
+        )
 
     return stencil_table("rho_iterated", s, 3, kernel)
 
@@ -268,19 +256,15 @@ def bdg_transform(
     if len(s) < 3:
         raise InsufficientDataError("the BDG transformation needs at least 3 elements")
 
-    def kernel(cur, k):
+    def kernel(cur, k, rows):
         factor = (2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha)
-
-        def column(rows):
-            # cur[n+1] - num / den
-            d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
-            return guard.divide(
-                [-(factor * d1 * d0) for d0, d1 in d],
-                [d1 - d0 for d0, d1 in d],
-                [cur[n + 1] for n in rows],
-            )
-
-        return column
+        # cur[n+1] - num / den
+        d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
+        return guard.divide(
+            [-(factor * d1 * d0) for d0, d1 in d],
+            [d1 - d0 for d0, d1 in d],
+            [cur[n + 1] for n in rows],
+        )
 
     return stencil_table("bdg", s, 3, kernel)
 

@@ -20,7 +20,9 @@ Remainder estimate rules follow Levin and Smith/Ford:
 
 The backward difference at n=0 exists only when the series terms are
 stored (then ``s_0 - s_{-1} = a_0``); otherwise the u/t/v tables simply
-start at n=1.
+start at n=1.  User-supplied estimates ``omega_n`` go through
+``weighted_ratio_transform``; ``levin_variant`` and ``weniger_variant``
+take a rule name.
 
 Every entry is its (k+1)-term binomial sum, built column by column with
 the binomial index outside and the rows inside, so a table still costs
@@ -30,7 +32,7 @@ O(N^3) (Levin) or O(N^4) (Weniger) operations, at a smaller constant.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .core import (
     GuardPolicy,
@@ -40,13 +42,10 @@ from .core import (
     append_column,
     check_positive,
 )
-from .errors import InsufficientDataError, InvalidParameterError, ZeroRemainderError
+from .errors import DomainError, InsufficientDataError, InvalidParameterError, ZeroRemainderError
 
 LEVIN_POWER = "levin_power"
 WENIGER_POCHHAMMER = "weniger_pochhammer"
-
-#: u/t/v/d rule name, or an explicit estimate sequence aligned with the sample.
-RemainderEstimateKind = Union[str, Sequence[Scalar]]
 
 _ESTIMATE_RULES = ("u", "t", "v", "d")
 
@@ -54,20 +53,10 @@ _ESTIMATE_RULES = ("u", "t", "v", "d")
 WENIGER_NAMES = {"u": "y", "t": "tau", "v": "phi", "d": "delta"}
 
 
-def _omega_with_start(
-    sample: SequenceSample, kind: RemainderEstimateKind, zeta: float
-) -> tuple:
+def _omega_with_start(sample: SequenceSample, kind: str, zeta: float) -> tuple:
     """Remainder estimates and the first sequence index they cover."""
     check_positive("zeta", zeta)
     values = sample.effective_values()
-    if not isinstance(kind, str):
-        omegas = list(kind)
-        if len(omegas) != len(values):
-            raise InvalidParameterError(
-                f"{len(omegas)} explicit estimates for {len(values)} elements"
-            )
-        _reject_zero(omegas, 0)
-        return 0, omegas
     if kind not in _ESTIMATE_RULES:
         raise InvalidParameterError(f"unknown remainder estimate kind {kind!r}")
 
@@ -78,30 +67,30 @@ def _omega_with_start(
         # s_n - s_{n-1}; at n=0 this is the series term a_0 when available
         return diffs[n - 1] if n >= 1 else terms[0]
 
-    if kind == "d":
-        start = 0
-    else:
-        start = 0 if terms is not None else 1
+    start = 0 if kind == "d" or terms is not None else 1
     omegas = []
     last = len(values) - 2 if kind in ("v", "d") else len(values) - 1
     if last < start:
         raise InsufficientDataError(
             f"too few elements for the {kind} remainder estimate"
         )
-    for n in range(start, last + 1):
-        if kind == "u":
-            w = (zeta + n) * backward(n)
-        elif kind == "t":
-            w = backward(n)
-        elif kind == "d":
-            w = diffs[n]
-        else:  # v
-            b, f = backward(n), diffs[n]
-            den = b - f
-            if den == 0:
-                raise ZeroRemainderError(n, f"v estimate undefined at n={n}: equal differences")
-            w = b * f / den
-        omegas.append(w)
+    try:
+        for n in range(start, last + 1):
+            if kind == "u":
+                w = (zeta + n) * backward(n)
+            elif kind == "t":
+                w = backward(n)
+            elif kind == "d":
+                w = diffs[n]
+            else:  # v
+                b, f = backward(n), diffs[n]
+                den = b - f
+                if den == 0:
+                    raise ZeroRemainderError(n, f"v estimate undefined at n={n}: equal differences")
+                w = b * f / den
+            omegas.append(w)
+    except OverflowError:  # an int element beyond the double range
+        raise DomainError(f"the {kind} remainder estimate overflows a double") from None
     _reject_zero(omegas, start)
     return start, omegas
 
@@ -112,10 +101,8 @@ def _reject_zero(omegas: Sequence[Scalar], start: int) -> None:
             raise ZeroRemainderError(start + i)
 
 
-def omega_sequence(
-    sample: SequenceSample, kind: RemainderEstimateKind, zeta: float = 1.0
-) -> list:
-    """The remainder estimates ``omega_n`` for the chosen rule.
+def omega_sequence(sample: SequenceSample, kind: str, zeta: float = 1.0) -> list:
+    """The remainder estimates ``omega_n`` for the rule ``kind`` (u/t/v/d).
 
     The list starts at n=1 for the u/t/v rules on a plain value sample
     (no backward difference exists at n=0) and at n=0 otherwise.
@@ -130,7 +117,7 @@ def weighted_ratio_transform(
     zeta: float = 1.0,
     guard: Optional[GuardPolicy] = None,
 ) -> TransformTable:
-    """The weighted-difference ratio transform for explicit estimates.
+    """The weighted-difference ratio transform for user-supplied estimates.
 
     ``omegas`` must align with the (offset-adjusted) sample values.  The
     entry ``T_k^(n)`` is exact for ``s_n = s + omega_n z_n`` whenever the
@@ -162,8 +149,11 @@ def _ratio_table(
     extra: int,
 ) -> TransformTable:
     count = len(values)
-    inv = [1.0 / w for w in omegas]
-    ratio = [v * iw for v, iw in zip(values, inv)]
+    try:
+        inv = [1.0 / w for w in omegas]
+        ratio = [v * iw for v, iw in zip(values, inv)]
+    except OverflowError:  # an int value or estimate beyond the double range
+        raise DomainError("a value or remainder estimate overflows a double") from None
     bases = [zeta + n for n in range(n_start, n_start + count)]
     columns = [list(values)]
     valid = [[True] * count]
@@ -195,10 +185,10 @@ def _ratio_table(
         except OverflowError:  # float(comb(k, j)) overflows: the column has no entry
             usable = [False] * rows
 
-        # a column is usable in full or not at all, so rows are all of acc
+        # rows are all of acc, or one row when append_column retries an overflow
         append_column(
             columns, valid, usable,
-            lambda rows: guard.divide([num for num, _ in acc], [den for _, den in acc]),
+            lambda rows: guard.divide([acc[n][0] for n in rows], [acc[n][1] for n in rows]),
         )
     return TransformTable(
         name, columns, valid, n_start=n_start, order_step=1,
@@ -207,29 +197,19 @@ def _ratio_table(
 
 
 def _variant(
-    sample: SequenceSample,
-    kind: RemainderEstimateKind,
-    zeta: float,
-    guard: Optional[GuardPolicy],
-    family: str,
+    sample: SequenceSample, kind: str, zeta: float, guard: Optional[GuardPolicy], family: str
 ) -> TransformTable:
     guard = guard or GuardPolicy()
     start, omegas = _omega_with_start(sample, kind, zeta)
     values = sample.effective_values()[start:start + len(omegas)]
-    if isinstance(kind, str):
-        rule = kind if family == LEVIN_POWER else WENIGER_NAMES[kind]
-        stem = "levin_" if family == LEVIN_POWER else "weniger_"
-        name = stem + rule
-        extra = start + (1 if kind in ("v", "d") else 0)
-    else:
-        name = ("levin_" if family == LEVIN_POWER else "weniger_") + "explicit"
-        extra = 0
+    name = "levin_" + kind if family == LEVIN_POWER else "weniger_" + WENIGER_NAMES[kind]
+    extra = start + (1 if kind in ("v", "d") else 0)
     return _ratio_table(name, values, omegas, family, zeta, guard, n_start=start, extra=extra)
 
 
 def levin_variant(
     sample: SequenceSample,
-    kind: RemainderEstimateKind,
+    kind: str,
     zeta: float = 1.0,
     guard: Optional[GuardPolicy] = None,
 ) -> TransformTable:
@@ -244,7 +224,7 @@ def levin_variant(
 
 def weniger_variant(
     sample: SequenceSample,
-    kind: RemainderEstimateKind,
+    kind: str,
     zeta: float = 1.0,
     guard: Optional[GuardPolicy] = None,
 ) -> TransformTable:

@@ -14,7 +14,16 @@ from __future__ import annotations
 from typing import Optional
 
 from .classic import wynn_epsilon
-from .core import GuardPolicy, Record, Scalar, SequenceSample, TransformTable, replace
+from .core import (
+    GuardPolicy,
+    PathSpec,
+    Record,
+    Scalar,
+    SequenceSample,
+    TransformTable,
+    replace,
+    walk_path,
+)
 from .errors import DegeneratePadeError, InvalidParameterError, SingularMatrixError
 from .linalg import solve_dense
 
@@ -122,13 +131,18 @@ def order_condition_residuals(approximant: PadeApproximant, series: PowerSeries)
     return out
 
 
+def pade_epsilon(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
+    """Wynn's epsilon table of ``sample``, named ``pade_epsilon``."""
+    return replace(wynn_epsilon(sample, guard), name="pade_epsilon")
+
+
 def pade_via_epsilon(series: PowerSeries, guard: Optional[GuardPolicy] = None) -> TransformTable:
     """Run the epsilon algorithm on the partial sums of the series.
 
     The even entry (2k, n) of the returned table is the value of [n+k/k]
     at ``series.z``; use ``pade_label`` to translate indices.
     """
-    return replace(wynn_epsilon(series.sample(), guard), name="pade_epsilon")
+    return pade_epsilon(series.sample(), guard)
 
 
 def pade_label(k: int, n: int) -> tuple:
@@ -146,10 +160,4 @@ def staircase_sequence(series: PowerSeries, guard: Optional[GuardPolicy] = None)
     ``(l, m, None)`` markers.
     """
     table = pade_via_epsilon(series, guard)
-    out = []
-    for k in table.approximant_orders():
-        for n in (0, 1):
-            if table.has_entry(k, n):
-                l, m = pade_label(k, n)
-                out.append((l, m, table.entry(k, n) if table.is_valid(k, n) else None))
-    return out
+    return [(*pade_label(k, n), value) for k, n, value, _ in walk_path(table, PathSpec.staircase())]

@@ -172,11 +172,13 @@ class TestRunApi:
         assert delta.summary["abs_error"] < epsilon.summary["abs_error"]
         assert epsilon.summary["abs_error"] < 1e-3 < raw_err
 
-    def test_compare_requires_matching_problems(self):
-        a = RunConfig(sample=SequenceSample((1.0, 2.0, 3.0)), transforms=(("aitken", {}),))
-        b = RunConfig(sample=SequenceSample((1.0, 2.0, 4.0)), transforms=(("theta", {}),))
-        with pytest.raises(CompareError):
-            compare([a, b])
+    def test_compare_rejects_a_transform_listed_twice(self):
+        config = RunConfig(
+            sample=SequenceSample((1.0, 0.5, 0.75, 0.625)),
+            transforms=(("aitken", {}), ("epsilon", {}), ("aitken", {})),
+        )
+        with pytest.raises(CompareError, match="aitken listed twice"):
+            compare(config)
 
     def test_compare_budgets_are_element_counts(self):
         vals = tuple(1.0 + 2.0 ** -n for n in range(8))
@@ -184,7 +186,7 @@ class TestRunApi:
             sample=SequenceSample(vals, limit=1.0),
             transforms=(("epsilon", {}), ("levin_d", {})),
         )
-        table = compare([config])
+        table = compare(config)
         budgets = [b for b, _ in table.rows]
         assert budgets == sorted(budgets)
         first = dict(table.rows)[1]
@@ -365,6 +367,26 @@ class TestCliRobustness:
         cfg = write(tmp_path / "digits.cfg", "digits=abc\n")
         assert main(self.SMALL + ["--config", cfg]) == 2
         assert "line 1" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("setting", ("format=xml", "input_format=xml", "values=ture"))
+    def test_config_values_are_validated_like_flags(self, tmp_path, capsys, setting):
+        cfg = write(tmp_path / "bad.cfg", "# a comment\n" + setting + "\n")
+        assert main(self.SMALL + ["--config", cfg]) == 2
+        key, raw = setting.split("=")
+        err = one_line_error(capsys, stdout_empty=True)
+        assert f"config line 2: bad {key} value {raw!r}" in err
+
+    @pytest.mark.parametrize("raw, values", [
+        ("1", True), ("Yes", True), ("on", True), ("true", True),
+        ("0", False), ("no", False), ("OFF", False), ("false", False),
+    ])
+    def test_config_values_switch(self, tmp_path, capsys, raw, values):
+        argv = ["run", "--input", str(GOLDEN_DIR / "sums.csv"), "--transforms", "aitken"]
+        cfg = write(tmp_path / "values.cfg", f"values={raw}\ninput_format=csv\n")
+        assert main(argv + ["--config", cfg]) == 0
+        from_config = capsys.readouterr().out
+        assert main(argv + (["--values"] if values else [])) == 0
+        assert from_config == capsys.readouterr().out
 
     def test_overflowing_problem(self, capsys):
         assert main(["pade", "--problem", "power_series:name=exp:z=1:N=5000",

@@ -412,13 +412,10 @@ class TestColumnPrimitives:
         values = [float(v) for v in range(12)]
         seen = set()
 
-        def kernel(cur, k):
+        def kernel(cur, k, rows):
             # the entry at n = 2 of column 1 trips; everything else sums its stencil
-            def column(rows):
-                seen.update((k, n) for n in rows)
-                return [None if (k, n) == (1, 2) else sum(cur[n:n + width]) for n in rows]
-
-            return column
+            seen.update((k, n) for n in rows)
+            return [None if (k, n) == (1, 2) else sum(cur[n:n + width]) for n in rows]
 
         table = stencil_table("probe", values, width, kernel)
         assert table.max_order == (len(values) - 1) // (width - 1)
@@ -456,12 +453,9 @@ class TestColumnPrimitives:
 
         calls = []
 
-        def kernel(cur, k):
-            def column(rows):
-                calls.append(k)
-                return [None if k == 2 else cur[n] + cur[n + 1] for n in rows]
-
-            return column
+        def kernel(cur, k, rows):
+            calls.append(k)
+            return [None if k == 2 else cur[n] + cur[n + 1] for n in rows]
 
         table = stencil_table("probe", [1.0] * 9, 2, kernel)
         assert calls == [1, 2]
@@ -488,6 +482,26 @@ class TestColumnPrimitives:
             assert apply_transform(name, sample, GuardPolicy(), params).name == name
         assert rho_standard(sample).name == "rho"
         assert pade_via_epsilon(PowerSeries((1.0, 1.0, 0.5), 1.0)).name == "pade_epsilon"
+
+    def test_int_beyond_the_double_range_never_escapes(self):
+        # float(10**400) raises OverflowError; the rows it enters are invalid,
+        # or the transform raises a package error, and the other rows keep values
+        from seqaccel import SequenceTransformError
+        from seqaccel.cli import apply_transform, transform_names
+        from seqaccel.core import is_finite
+
+        sample = SequenceSample((10**400, 1, 2, 4, 7, 11, 16))
+        for name in transform_names():
+            params = {"alpha": 1.0} if name in ("rho_osada", "bdg") else {}
+            try:
+                table = apply_transform(name, sample, GuardPolicy(), params)
+            except SequenceTransformError:
+                assert name.startswith(("levin_", "weniger_")), name
+                continue
+            assert all(is_finite(v) for _, _, v, ok in table.entries() if ok), name
+            if table.n_start == 0:  # the v rule starts at n=1 and never reads 10**400
+                assert not table.valid[1][0] and all(table.valid[1][1:]), name
+        assert iterated_aitken(sample).columns[1] == [None, 0.0, -2.0, -5.0, -9.0]
 
 
 def test_no_unused_imports():

@@ -68,9 +68,14 @@ class TestOmegaSequence:
             omega_sequence(SequenceSample(LN2_SUMS), "q")
         with pytest.raises(InvalidParameterError):
             omega_sequence(SequenceSample(LN2_SUMS), "t", zeta=0.0)
+        # user-supplied estimates go through weighted_ratio_transform only
+        with pytest.raises(InvalidParameterError, match="unknown remainder estimate kind"):
+            levin_variant(SequenceSample(LN2_SUMS), [1.0, 2.0, 3.0])
 
     def test_explicit_must_align(self):
-        with pytest.raises(InvalidParameterError):
+        # a sequence is not a rule name; alignment of user-supplied estimates
+        # is checked by weighted_ratio_transform (test_misaligned_estimates_rejected)
+        with pytest.raises(InvalidParameterError, match="unknown remainder estimate kind"):
             omega_sequence(SequenceSample(LN2_SUMS), [1.0, 2.0])
 
 
@@ -197,18 +202,6 @@ class TestLevinVariants:
     def test_single_element_insufficient_for_t(self):
         with pytest.raises(InsufficientDataError):
             levin_variant(SequenceSample((1.0,)), "t")
-
-    def test_explicit_estimates_match_ratio_transform(self):
-        rng = random.Random(44)
-        vals = tuple(rng.uniform(0.5, 1.5) for _ in range(7))
-        omegas = [rng.choice([-1, 1]) * rng.uniform(0.5, 2.0) for _ in range(7)]
-        via_variant = levin_variant(SequenceSample(vals), omegas)
-        direct = weighted_ratio_transform(SequenceSample(vals), omegas)
-        assert via_variant.n_start == 0
-        for k in range(direct.max_order + 1):
-            for n, value, ok in direct.column(k):
-                if ok and via_variant.is_valid(k, n):
-                    assert rel_diff(value, via_variant.entry(k, n)) < 1e-14
 
 
 class TestWenigerVariants:
