@@ -10,7 +10,6 @@ iteration additionally handle a good deal of logarithmic convergence.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Optional
 
 from .core import (
     GuardPolicy,
@@ -21,18 +20,16 @@ from .core import (
     cross_rule_table,
     lozenge_column,
     stencil_table,
-    usable_rows,
 )
 from .errors import InsufficientDataError, SingularStepError
 
 
-def aitken_step(s0: Scalar, s1: Scalar, s2: Scalar, guard: Optional[GuardPolicy] = None) -> Scalar:
+def aitken_step(s0: Scalar, s1: Scalar, s2: Scalar, guard: GuardPolicy = GuardPolicy()) -> Scalar:
     """One Aitken step ``s0 - (s1 - s0)^2 / (s2 - 2 s1 + s0)``.
 
     Exact for ``s_n = s + c * lambda**n``; raises ``SingularStepError``
     when the second difference vanishes (arithmetic progressions).
     """
-    guard = guard or GuardPolicy()
     d = s1 - s0
     dd = s2 - 2 * s1 + s0
     num = d * d
@@ -41,14 +38,13 @@ def aitken_step(s0: Scalar, s1: Scalar, s2: Scalar, guard: Optional[GuardPolicy]
     return s0 - num / dd
 
 
-def iterated_aitken(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
+def iterated_aitken(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Aitken's delta-squared process applied to its own output, repeatedly.
 
     Column k+1 applies the plain step to column k, so column k consumes
     2k+1 elements.  Singular steps flag entries invalid; they are never
     fatal here.
     """
-    guard = guard or GuardPolicy()
     s = sample.effective_values()
     if len(s) < 3:
         raise InsufficientDataError("iterated Aitken needs at least 3 elements")
@@ -65,7 +61,7 @@ def iterated_aitken(sample: SequenceSample, guard: Optional[GuardPolicy] = None)
     return stencil_table("aitken", s, 3, kernel)
 
 
-def wynn_epsilon(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
+def wynn_epsilon(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Wynn's epsilon algorithm.
 
     The even columns hold the approximants; eps_{2k} is exact when the
@@ -73,19 +69,17 @@ def wynn_epsilon(sample: SequenceSample, guard: Optional[GuardPolicy] = None) ->
     a power series it produces the [n+k/k] Pade approximants.  Odd
     columns are auxiliary quantities only.
     """
-    guard = guard or GuardPolicy()
     s = sample.effective_values()
     return cross_rule_table("epsilon", s, lambda k, rows: repeat(1.0), guard)
 
 
-def brezinski_theta(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
+def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Brezinski's theta algorithm.
 
     A modification of the epsilon recursion that also accelerates many
     logarithmically convergent sequences.  Even columns are approximants;
     theta_{2k} consumes 3k+1 elements.
     """
-    guard = guard or GuardPolicy()
     s = sample.effective_values()
     columns = [list(s)]
     valid = [[True] * len(s)]
@@ -111,23 +105,21 @@ def brezinski_theta(sample: SequenceSample, guard: Optional[GuardPolicy] = None)
             )
 
         # the odd column first: once the table saturates it is the one that
-        # holds no valid entry, and usable_rows stops there
-        usable = usable_rows(length, (odd_ok, (0, 1, 2)), (even_ok, (1, 2)))
-        append_column(columns, valid, usable, column)
+        # holds no valid entry, and append_column stops there
+        append_column(columns, valid, length, [(odd_ok, (0, 1, 2)), (even_ok, (1, 2))], column)
     return TransformTable(
         "theta", columns, valid, order_step=2,
         consumed_first=[1 + 3 * (k // 2) + k % 2 for k in range(len(columns))],
     )
 
 
-def iterated_theta(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
+def iterated_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Iteration of the closed-form theta_2 expression.
 
     Column k+1 applies the four-element theta_2 step to column k, so
     column k consumes 3k+1 elements.  Shares the theta algorithm's reach:
     linear and logarithmic convergence, many divergent series.
     """
-    guard = guard or GuardPolicy()
     s = sample.effective_values()
     if len(s) < 4:
         raise InsufficientDataError("iterated theta needs at least 4 elements")

@@ -28,6 +28,7 @@ import argparse
 import cmath
 import sys
 from functools import partial
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 from . import __version__
@@ -39,7 +40,6 @@ from .core import (
     Scalar,
     SequenceSample,
     TransformTable,
-    make_partial_sums,
     walk_path,
 )
 from .errors import (
@@ -98,9 +98,17 @@ def parse_finite(raw) -> Scalar:
     if isinstance(raw, bool):  # a JSON true/false would pass for 1 or 0
         raise ValueError(f"not a number: {raw!r}")
     value = parse_scalar(raw) if isinstance(raw, str) else raw + 0.0
-    if not cmath.isfinite(value):
+    if not _finite_magnitude(value):
         raise ValueError(f"not a finite number: {raw!r}")
     return value
+
+
+def _finite_magnitude(value: Scalar) -> bool:
+    """True when ``abs(value)`` is finite; a complex of finite parts can overflow it."""
+    try:
+        return cmath.isfinite(abs(value))
+    except OverflowError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +371,7 @@ def ingest(
                 raise IngestError(str(exc), line=lineno) from exc
         if not scalars:
             raise IngestError("no data rows found")
-        sample = SequenceSample(tuple(scalars)) if values_mode else make_partial_sums(scalars)
+        values, terms = (tuple(scalars), None) if values_mode else (None, tuple(scalars))
     elif fmt == "json":
         import json
 
@@ -388,10 +396,14 @@ def ingest(
             (limit,) = number_list([payload["limit"]], "limit")
         values = None if raw_values is None else number_list(raw_values, "values")
         terms = None if raw_terms is None else number_list(raw_terms, "terms")
-        sample = make_partial_sums(terms) if values is None else SequenceSample(values, terms)
     else:
         raise ConfigError(f"unknown input format {fmt!r}")
-    return SequenceSample(sample.values, sample.terms, limit, start_offset)
+    if values is None:
+        values = tuple(accumulate(terms))
+        for n, value in enumerate(values):
+            if not _finite_magnitude(value):
+                raise IngestError(f"partial sum s_{n} overflows the double range")
+    return SequenceSample(values, terms, limit, start_offset)
 
 
 def _parse_param_value(key: str, raw: str):

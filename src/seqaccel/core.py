@@ -187,7 +187,7 @@ def _check_partial_sums(values: Sequence[Scalar], terms: Sequence[Scalar]) -> No
     deltas += [(values[n] - values[n - 1], terms[n]) for n in range(1, len(values))]
     for n, (got, want) in enumerate(deltas):
         scale = max(1.0, abs(values[n]), abs(want))
-        if abs(got - want) > _CONSISTENCY_RTOL * scale:
+        if abs((got - want) / scale) > _CONSISTENCY_RTOL:  # abs(got - want) may overflow
             raise ConsistencyError(
                 f"values are not the partial sums of terms at n={n}: "
                 f"difference {got!r} vs term {want!r}"
@@ -322,24 +322,37 @@ class TransformTable(Record):
 
 
 def append_column(
-    columns: list, valid: list, usable: list, column: Callable[[Sequence[int]], list]
+    columns: list, valid: list, length: int, antecedents: Iterable, column: Callable
 ) -> None:
-    """Append one table column, flagging guard trips and non-finite values.
+    """Append one table column of ``length`` rows; the one place an entry turns invalid.
 
-    ``usable[i]`` is true when every antecedent of row ``i`` is valid.
-    ``column(rows)`` returns the entries of the usable rows ``rows``, in
-    order, ``None`` for a guard trip.  Unusable rows are invalid without
-    being computed, and a column without a usable row never calls
-    ``column``.  A column that raises ``OverflowError`` is computed again
-    row by row, an overflowing row being invalid.  Finiteness is checked
-    once for the whole column.
+    Each antecedent is a ``(flags, shifts)`` pair, one per antecedent
+    column: row ``i`` depends on ``flags[i + shift]`` for every shift.
+    ``column(rows)`` returns the entries of the rows ``rows``, in order,
+    and runs only on rows whose antecedents are all valid; a column
+    without such a row never calls it.  An entry is invalid for one of
+    four causes:
+
+    - an invalid antecedent: the row is not computed;
+    - a guard trip: ``column`` gave ``None`` (``GuardPolicy.divide``);
+    - an ``OverflowError``: a column that raises one is computed again
+      row by row, and a row that raises again is invalid;
+    - a non-finite value, checked once for the whole column.
+
+    A fully valid antecedent column is skipped without slicing it.
     """
-    length = len(usable)
-    if not any(usable):
-        columns.append([None] * length)
-        valid.append([False] * length)
-        return
-    rows = range(length) if all(usable) else list(compress(range(length), usable))
+    usable = None
+    for flags, shifts in antecedents:
+        if all(flags):
+            continue
+        for shift in shifts:
+            part = flags[shift:shift + length]
+            usable = part if usable is None else list(map(operator.and_, usable, part))
+            if not any(usable):
+                columns.append([None] * length)
+                valid.append([False] * length)
+                return
+    rows = range(length) if usable is None else list(compress(range(length), usable))
     try:
         entries = column(rows)
     except OverflowError:
@@ -359,27 +372,6 @@ def append_column(
     valid.append([v is not None for v in col])
 
 
-def usable_rows(length: int, *antecedents: tuple) -> list:
-    """The ``usable`` flags of ``append_column`` for a column of ``length`` rows.
-
-    Each antecedent is a ``(flags, shifts)`` pair, one per antecedent
-    column: row ``i`` is usable when ``flags[i + shift]`` holds for every
-    pair and shift.  Lists without a false flag are skipped, the common
-    case of a fully valid antecedent column, and a slice without a true
-    flag is returned at once: no row is usable.
-    """
-    usable = None
-    for flags, shifts in antecedents:
-        if all(flags):
-            continue
-        for shift in shifts:
-            part = flags[shift:shift + length]
-            if not any(part):
-                return part
-            usable = part if usable is None else list(map(operator.and_, usable, part))
-    return [True] * length if usable is None else usable
-
-
 def stencil_table(
     name: str,
     values: Sequence[Scalar],
@@ -388,7 +380,7 @@ def stencil_table(
 ) -> TransformTable:
     """Tables whose column ``k`` applies a ``width``-element step to column ``k-1``.
 
-    ``kernel(cur, k, rows)`` returns column ``k`` at the usable ``rows``:
+    ``kernel(cur, k, rows)`` returns column ``k`` at the rows ``rows``:
     row ``n`` comes from ``cur[n] .. cur[n + width - 1]`` of column
     ``k-1``, so column ``k`` consumes ``(width-1)*k + 1`` elements.
     Columns are added while the last one still holds ``width`` entries;
@@ -397,9 +389,9 @@ def stencil_table(
     columns = [list(values)]
     valid = [[True] * len(values)]
     while len(columns[-1]) >= width:
-        cur, cur_ok = columns[-1], valid[-1]
-        usable = usable_rows(len(cur) - width + 1, (cur_ok, range(width)))
-        append_column(columns, valid, usable, partial(kernel, cur, len(columns)))
+        cur = columns[-1]
+        step = partial(kernel, cur, len(columns))
+        append_column(columns, valid, len(cur) - width + 1, [(valid[-1], range(width))], step)
     return TransformTable(
         name, columns, valid,
         consumed_first=[(width - 1) * k + 1 for k in range(len(columns))],
@@ -415,13 +407,13 @@ def lozenge_column(
     """Append column ``k`` of the lozenge rule
     ``T_k^(n) = T_{k-2}^(n+1) + num_k^(n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``.
 
-    ``numerator(k, rows)`` gives ``num_k^(n)`` for the usable rows: a
+    ``numerator(k, rows)`` gives ``num_k^(n)`` for the rows ``rows``: a
     repeated constant (epsilon, Osada) or one value per row (rho on
     explicit points).  Column -1 is an implicit column of zeros.
     """
     k = len(columns)
-    cur, cur_ok = columns[k - 1], valid[k - 1]
-    antecedents = [(cur_ok, (0, 1))]
+    cur = columns[k - 1]
+    antecedents = [(valid[k - 1], (0, 1))]
     if k >= 2:
         base = columns[k - 2]
         antecedents.append((valid[k - 2], (1,)))
@@ -430,7 +422,7 @@ def lozenge_column(
         bases = repeat(0.0) if k == 1 else [base[n + 1] for n in rows]
         return guard.divide(numerator(k, rows), [cur[n + 1] - cur[n] for n in rows], bases)
 
-    append_column(columns, valid, usable_rows(len(cur) - 1, *antecedents), column)
+    append_column(columns, valid, len(cur) - 1, antecedents, column)
 
 
 def cross_rule_table(

@@ -86,7 +86,7 @@ def _require_points(points: InterpolationPoints, direction: str, length: int) ->
 def neville_richardson(
     sample: SequenceSample,
     points: InterpolationPoints,
-    guard: Optional[GuardPolicy] = None,
+    guard: GuardPolicy = GuardPolicy(),
 ) -> TransformTable:
     """Neville's scheme for the value at x=0 of the interpolating polynomial.
 
@@ -95,7 +95,6 @@ def neville_richardson(
     evaluated at zero, hence it is exact once the sequence is polynomial
     of degree <= k in x.
     """
-    guard = guard or GuardPolicy()
     s = sample.effective_values()
     x = _require_points(points, TO_ZERO, len(s))
 
@@ -111,14 +110,13 @@ def neville_richardson(
 def richardson_standard(
     sample: SequenceSample,
     beta: float = 1.0,
-    guard: Optional[GuardPolicy] = None,
+    guard: GuardPolicy = GuardPolicy(),
 ) -> TransformTable:
     """Richardson extrapolation on the standard grid ``x_n = 1/(n + beta)``.
 
     Accelerates remainders ``(n+beta)**(-alpha)`` when alpha is a positive
     integer; fails for nonintegral alpha.
     """
-    guard = guard or GuardPolicy()
     check_positive("beta", beta)
     s = sample.effective_values()
 
@@ -151,7 +149,7 @@ def richardson_binomial(
 def wynn_rho(
     sample: SequenceSample,
     points: InterpolationPoints,
-    guard: Optional[GuardPolicy] = None,
+    guard: GuardPolicy = GuardPolicy(),
 ) -> TransformTable:
     """Wynn's rho algorithm on explicit interpolation points.
 
@@ -160,7 +158,6 @@ def wynn_rho(
     the points consumed.  Strong on logarithmic convergence, useless for
     linear convergence and divergent series.
     """
-    guard = guard or GuardPolicy()
     s = sample.effective_values()
     x = _require_points(points, TO_INFINITY, len(s))
     return cross_rule_table(
@@ -168,7 +165,7 @@ def wynn_rho(
     )
 
 
-def rho_standard(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
+def rho_standard(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Wynn's rho algorithm on the standard points ``x_n = n + 1``."""
     points = natural_points(len(sample.effective_values()))
     return replace(wynn_rho(sample, points, guard), name="rho")
@@ -177,7 +174,7 @@ def rho_standard(sample: SequenceSample, guard: Optional[GuardPolicy] = None) ->
 def osada_rho(
     sample: SequenceSample,
     alpha: float,
-    guard: Optional[GuardPolicy] = None,
+    guard: GuardPolicy = GuardPolicy(),
 ) -> TransformTable:
     """Osada's variant of the rho algorithm for a known decay exponent.
 
@@ -185,7 +182,6 @@ def osada_rho(
     for remainders ``(n+beta)**(-alpha)`` the even-column error falls like
     ``n**(-alpha-2k)`` for any alpha > 0 (Osada 1990).
     """
-    guard = guard or GuardPolicy()
     check_positive("alpha", alpha)
     s = sample.effective_values()
     return cross_rule_table("rho_osada", s, lambda k, rows: repeat(k - 1 + alpha), guard)
@@ -194,14 +190,13 @@ def osada_rho(
 def iterated_rho(
     sample: SequenceSample,
     points: InterpolationPoints,
-    guard: Optional[GuardPolicy] = None,
+    guard: GuardPolicy = GuardPolicy(),
 ) -> TransformTable:
     """Iteration of the closed-form rho_2 expression on explicit points.
 
     Column k consumes 2k+1 elements and inherits the rho algorithm's
     affinity for logarithmic convergence.
     """
-    guard = guard or GuardPolicy()
     s = sample.effective_values()
     x = _require_points(points, TO_INFINITY, len(s))
     if len(s) < 3:
@@ -220,10 +215,9 @@ def iterated_rho(
 
 
 def iterated_rho_standard(
-    sample: SequenceSample, guard: Optional[GuardPolicy] = None
+    sample: SequenceSample, guard: GuardPolicy = GuardPolicy()
 ) -> TransformTable:
     """Iterated rho_2 on the standard points ``x_n = n + 1``."""
-    guard = guard or GuardPolicy()
     s = sample.effective_values()
     if len(s) < 3:
         raise InsufficientDataError("iterated rho needs at least 3 elements")
@@ -243,14 +237,13 @@ def iterated_rho_standard(
 def bdg_transform(
     sample: SequenceSample,
     alpha: float,
-    guard: Optional[GuardPolicy] = None,
+    guard: GuardPolicy = GuardPolicy(),
 ) -> TransformTable:
     """The Bjorstad-Dahlquist-Grosse iteration for a known decay exponent.
 
     Iterates the closed-form Osada rho_2 step with alpha increased by two
     per level; the column-k error falls like ``n**(-alpha-2k)``.
     """
-    guard = guard or GuardPolicy()
     check_positive("alpha", alpha)
     s = sample.effective_values()
     if len(s) < 3:
@@ -270,7 +263,7 @@ def bdg_transform(
 
 
 def estimate_decay(
-    sample: SequenceSample, guard: Optional[GuardPolicy] = None
+    sample: SequenceSample, guard: GuardPolicy = GuardPolicy()
 ) -> list:
     """Estimate the decay exponent alpha from a weighted third difference.
 
@@ -280,7 +273,6 @@ def estimate_decay(
     returned (``None`` marks guard trips) and any aggregation is left to
     the caller; the CLI summarizes with the median of the last quartile.
     """
-    guard = guard or GuardPolicy()
     s = sample.effective_values()
     if len(s) < 4:
         raise InsufficientDataError("decay estimation needs at least 4 elements")

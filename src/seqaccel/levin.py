@@ -32,7 +32,7 @@ O(N^3) (Levin) or O(N^4) (Weniger) operations, at a smaller constant.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     GuardPolicy,
@@ -115,7 +115,7 @@ def weighted_ratio_transform(
     omegas: Sequence[Scalar],
     family: str = LEVIN_POWER,
     zeta: float = 1.0,
-    guard: Optional[GuardPolicy] = None,
+    guard: GuardPolicy = GuardPolicy(),
 ) -> TransformTable:
     """The weighted-difference ratio transform for user-supplied estimates.
 
@@ -126,7 +126,6 @@ def weighted_ratio_transform(
     if family not in (LEVIN_POWER, WENIGER_POCHHAMMER):
         raise InvalidParameterError(f"unknown weight family {family!r}")
     check_positive("zeta", zeta)
-    guard = guard or GuardPolicy()
     values = sample.effective_values()
     omegas = list(omegas)
     if len(omegas) != len(values):
@@ -158,23 +157,25 @@ def _ratio_table(
     columns = [list(values)]
     valid = [[True] * count]
     for k in range(1, count):
-        # One comprehension per j adds term j to every row's (num, den), with
-        # the per-entry sums' operations in their order, so no bit changes.
-        # w_k(n+j)/w_k(n+k) (1.0 at k=1) keeps the terms of moderate size.
-        rows = count - k
-        heads = [b + k for b in bases[:rows]]
         p, rising = k - 1, range(k - 1)
 
         def pochhammer_ratio(t, h):
             return math.prod([(t + i) / (h + i) for i in rising], start=1.0)
 
-        acc = [(0.0, 0.0)] * rows
-        usable = [True] * rows
-        sign = 1.0
-        try:
+        def column(rows):
+            # One comprehension per j adds term j to every row's (num, den), with
+            # the per-entry sums' operations in their order, so no bit changes.
+            # w_k(n+j)/w_k(n+k) (1.0 at k=1) keeps the terms of moderate size.
+            # rows are the whole column, or one row when append_column retries an
+            # OverflowError; float(comb(k, j)) raises one in every row at k >= 1030.
+            lo, hi = rows[0], rows[-1] + 1
+            row_bases = bases[lo:hi]
+            heads = [b + k for b in row_bases]
+            acc = [(0.0, 0.0)] * (hi - lo)
+            sign = 1.0
             for j in range(k + 1):
                 c = sign * math.comb(k, j)
-                terms = zip(acc, bases, heads, ratio[j:], inv[j:])
+                terms = zip(acc, row_bases, heads, ratio[lo + j:hi + j], inv[lo + j:hi + j])
                 if family == LEVIN_POWER and k > 1:
                     acc = [(x + y * r, z + y * u) for (x, z), b, h, r, u in terms
                            for y in (c * ((b + j) / h) ** p,)]
@@ -182,14 +183,9 @@ def _ratio_table(
                     acc = [(x + y * r, z + y * u) for (x, z), b, h, r, u in terms
                            for y in (c * pochhammer_ratio(b + j, h),)]
                 sign = -sign
-        except OverflowError:  # float(comb(k, j)) overflows: the column has no entry
-            usable = [False] * rows
+            return guard.divide([x for x, _ in acc], [z for _, z in acc])
 
-        # rows are all of acc, or one row when append_column retries an overflow
-        append_column(
-            columns, valid, usable,
-            lambda rows: guard.divide([acc[n][0] for n in rows], [acc[n][1] for n in rows]),
-        )
+        append_column(columns, valid, count - k, (), column)
     return TransformTable(
         name, columns, valid, n_start=n_start, order_step=1,
         consumed_first=[k + 1 + extra for k in range(len(columns))],
@@ -197,9 +193,8 @@ def _ratio_table(
 
 
 def _variant(
-    sample: SequenceSample, kind: str, zeta: float, guard: Optional[GuardPolicy], family: str
+    sample: SequenceSample, kind: str, zeta: float, guard: GuardPolicy, family: str
 ) -> TransformTable:
-    guard = guard or GuardPolicy()
     start, omegas = _omega_with_start(sample, kind, zeta)
     values = sample.effective_values()[start:start + len(omegas)]
     name = "levin_" + kind if family == LEVIN_POWER else "weniger_" + WENIGER_NAMES[kind]
@@ -211,7 +206,7 @@ def levin_variant(
     sample: SequenceSample,
     kind: str,
     zeta: float = 1.0,
-    guard: Optional[GuardPolicy] = None,
+    guard: GuardPolicy = GuardPolicy(),
 ) -> TransformTable:
     """Levin's u/t/v/d transformations (power weights).
 
@@ -226,7 +221,7 @@ def weniger_variant(
     sample: SequenceSample,
     kind: str,
     zeta: float = 1.0,
-    guard: Optional[GuardPolicy] = None,
+    guard: GuardPolicy = GuardPolicy(),
 ) -> TransformTable:
     """The factorial-series analogues y/tau/phi/delta (Pochhammer weights).
 

@@ -11,8 +11,6 @@ highest approximant order available.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .classic import wynn_epsilon
 from .core import (
     GuardPolicy,
@@ -131,12 +129,12 @@ def order_condition_residuals(approximant: PadeApproximant, series: PowerSeries)
     return out
 
 
-def pade_epsilon(sample: SequenceSample, guard: Optional[GuardPolicy] = None) -> TransformTable:
+def pade_epsilon(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Wynn's epsilon table of ``sample``, named ``pade_epsilon``."""
     return replace(wynn_epsilon(sample, guard), name="pade_epsilon")
 
 
-def pade_via_epsilon(series: PowerSeries, guard: Optional[GuardPolicy] = None) -> TransformTable:
+def pade_via_epsilon(series: PowerSeries, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Run the epsilon algorithm on the partial sums of the series.
 
     The even entry (2k, n) of the returned table is the value of [n+k/k]
@@ -152,7 +150,7 @@ def pade_label(k: int, n: int) -> tuple:
     return n + k // 2, k // 2
 
 
-def staircase_sequence(series: PowerSeries, guard: Optional[GuardPolicy] = None) -> list:
+def staircase_sequence(series: PowerSeries, guard: GuardPolicy = GuardPolicy()) -> list:
     """The staircase [0/0], [1/0], [1/1], [2/1], [2/2], ... at z.
 
     Each successive entry consumes exactly one more partial sum.  Entries

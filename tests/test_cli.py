@@ -363,6 +363,15 @@ class TestCliRobustness:
         assert main(self.SMALL + ["--limit", "abc"]) == 2
         assert "--limit" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", (["run", "--transforms", "epsilon"],
+                                         ["compare", "--transforms", "epsilon"],
+                                         ["estimate-alpha"]))
+    def test_out_of_range_limit(self, capsys, command):
+        # the parts are finite, the magnitude is not
+        argv = [*command, "--problem", "zeta_dirichlet:z=2:N=10", "--limit", "1.7e308+1.7e308j"]
+        assert main(argv) == 2
+        assert "--limit: not a finite number" in one_line_error(capsys, stdout_empty=True)
+
     def test_non_numeric_config_setting(self, tmp_path, capsys):
         cfg = write(tmp_path / "digits.cfg", "digits=abc\n")
         assert main(self.SMALL + ["--config", cfg]) == 2
@@ -414,6 +423,33 @@ class TestCliRobustness:
         assert "not a finite number" in one_line_error(capsys, stdout_empty=True)
         with pytest.raises(IngestError):
             ingest(path, fmt=fmt)
+
+    @pytest.mark.parametrize("name, text, fmt, reason", [
+        ("cplx.csv", "1.7e308+1.7e308j\n1\n2\n", "csv", "not a finite number"),
+        ("cplx.json", '{"values": ["1.7e308+1.7e308j", 1, 2, 3]}', "json", "not a finite number"),
+        ("sum.csv", "1e308\n1e308\n1\n2\n", "csv", "partial sum s_1 overflows"),
+        ("sum.json", '{"terms": [1e308, 1e308, 1]}', "json", "partial sum s_1 overflows"),
+        ("cplxsum.csv", "1.2e308+1.2e308j\n1e307+1e307j\n1\n", "csv",
+         "partial sum s_1 overflows"),
+    ])
+    @pytest.mark.parametrize("command", (
+        ["run", "--transforms", "aitken", "--path", "order_constant:0"], ["estimate-alpha"],
+    ))
+    def test_out_of_range_input_is_rejected(self, tmp_path, capsys, name, text, fmt, reason,
+                                            command):
+        path = write(tmp_path / name, text)
+        assert main([*command, "--input", path, "--input-format", fmt]) == 2
+        assert reason in one_line_error(capsys, stdout_empty=True)
+        with pytest.raises(IngestError):
+            ingest(path, fmt=fmt)
+
+    def test_overflowing_difference_of_values_is_inconsistent(self, tmp_path, capsys):
+        # each value is in range, but |s_1 - s_0| is not
+        path = write(tmp_path / "diff.json", '{"values": ["-6.5e307-6.5e307j", '
+                     '"6.5e307+6.5e307j"], "terms": ["-6.5e307-6.5e307j", 0]}')
+        assert main(["run", "--input", path, "--input-format", "json",
+                     "--transforms", "epsilon", "--path", "order_constant:0"]) == 2
+        assert "not the partial sums" in one_line_error(capsys, stdout_empty=True)
 
     @pytest.mark.parametrize("text", (
         '{"values": [true, false, true, 0.5], "limit": true}',
@@ -568,7 +604,7 @@ def _argv(draw):
         else:
             argv += ["--l", str(draw(st.integers(-1, 3))), "--m", str(draw(st.integers(0, 3)))]
     if command in ("run", "compare", "estimate-alpha") and draw(st.booleans()):
-        argv += ["--limit", draw(st.sampled_from(["1", "abc", "inf"]))]
+        argv += ["--limit", draw(st.sampled_from(["1", "abc", "inf", "1.7e308+1.7e308j"]))]
     if draw(st.booleans()):
         argv += ["--format", "json"]
     return argv

@@ -387,7 +387,7 @@ class TestColumnPrimitives:
             return [{0: 1.0, 2: None, 3: float("inf")}[i] for i in rows]
 
         columns, valid = [], []
-        append_column(columns, valid, [True, False, True, True], column)
+        append_column(columns, valid, 4, [([True, False, True, True], (0,))], column)
         assert calls == [[0, 2, 3]]
         assert columns == [[1.0, None, None, None]]
         assert valid == [[True, False, False, False]]
@@ -398,12 +398,25 @@ class TestColumnPrimitives:
         def column(rows):
             raise AssertionError("column called without a usable row")
 
-        usable = [False, False, False]
+        flags = [False, False, False]
         columns, valid = [[1.0]], [[True]]
-        append_column(columns, valid, usable, column)
+        append_column(columns, valid, 3, [(flags, (0,))], column)
         assert columns[1] == [None] * 3
         assert valid[1] == [False] * 3
-        assert valid[1] is not usable
+        assert valid[1] is not flags
+
+    def test_disjoint_antecedents_skip_column(self):
+        # theta's even rule: each antecedent slice holds a valid row, their AND none
+        from seqaccel.core import append_column
+
+        def column(rows):
+            raise AssertionError("column called without a usable row")
+
+        odd, even = [True, False, True, False], [False, False, True]
+        columns, valid = [], []
+        append_column(columns, valid, 2, [(odd, (0, 2)), (even, (1,))], column)
+        assert columns == [[None, None]]
+        assert valid == [[False, False]]
 
     @pytest.mark.parametrize("width", [2, 3, 4])
     def test_stencil_table_propagates_invalidity(self, width):
