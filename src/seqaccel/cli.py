@@ -25,7 +25,6 @@ command-line flags override.
 from __future__ import annotations
 
 import argparse
-import cmath
 import sys
 from functools import partial
 from itertools import accumulate
@@ -40,6 +39,7 @@ from .core import (
     Scalar,
     SequenceSample,
     TransformTable,
+    finite_magnitude,
     walk_path,
 )
 from .errors import (
@@ -98,17 +98,9 @@ def parse_finite(raw) -> Scalar:
     if isinstance(raw, bool):  # a JSON true/false would pass for 1 or 0
         raise ValueError(f"not a number: {raw!r}")
     value = parse_scalar(raw) if isinstance(raw, str) else raw + 0.0
-    if not _finite_magnitude(value):
+    if not finite_magnitude(value):
         raise ValueError(f"not a finite number: {raw!r}")
     return value
-
-
-def _finite_magnitude(value: Scalar) -> bool:
-    """True when ``abs(value)`` is finite; a complex of finite parts can overflow it."""
-    try:
-        return cmath.isfinite(abs(value))
-    except OverflowError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +393,7 @@ def ingest(
     if values is None:
         values = tuple(accumulate(terms))
         for n, value in enumerate(values):
-            if not _finite_magnitude(value):
+            if not finite_magnitude(value):
                 raise IngestError(f"partial sum s_{n} overflows the double range")
     return SequenceSample(values, terms, limit, start_offset)
 

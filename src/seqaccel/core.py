@@ -41,24 +41,38 @@ def is_finite(value: Scalar) -> bool:
     return value * 0 == 0
 
 
+def finite_magnitude(value: Scalar) -> bool:
+    """True when ``abs(value)`` is finite; a complex of finite parts can overflow it."""
+    try:
+        return is_finite(abs(value))
+    except OverflowError:
+        return False
+
+
 def finite_entries(values: list) -> list:
-    """``values`` with every NaN or infinity replaced by ``None``.
+    """``values`` with every entry whose modulus is not finite replaced by ``None``.
 
     One pass over the nonzero entries (``None`` is skipped) clears the
-    common case.  For ``float`` and ``complex`` it is a sum, finite only
-    when every entry is; for other types, such as ``mpmath.mpf``, whose
-    additions cost more than a product with zero, it looks for an
-    ``x * 0`` that is not zero.  A column that fails the pass (a sum of
-    finite entries can overflow) has each entry checked.
+    common case.  For ``float`` it is a sum, finite only when every entry
+    is; a column that holds a ``complex`` sums the moduli instead, as a
+    complex of finite parts can overflow its modulus; for other types,
+    such as ``mpmath.mpf``, whose additions cost more than a product with
+    zero, it looks for an ``x * 0`` that is not zero.  A column that
+    fails the pass (a sum of finite entries can overflow) has each entry
+    checked with ``finite_magnitude``.
     """
     present = filter(None, values)
-    if not values or type(values[-1]) in (float, complex):
-        clear = is_finite(sum(present))
-    else:
-        clear = not any(map(operator.mul, present, repeat(0)))
+    try:
+        if type(next(filter(None, reversed(values)), 0.0)) in (float, complex):
+            total = sum(present)
+            clear = is_finite(total if type(total) is float else sum(map(abs, filter(None, values))))
+        else:
+            clear = not any(map(operator.mul, present, repeat(0)))
+    except OverflowError:  # the modulus of a complex entry
+        clear = False
     if clear:
         return values
-    return [v if v is None or is_finite(v) else None for v in values]
+    return [v if v is None or finite_magnitude(v) else None for v in values]
 
 
 def check_positive(name: str, value) -> None:

@@ -123,22 +123,61 @@ def euler_maclaurin_zeta(z: Scalar, n: int = 40, k: int = 12) -> Scalar:
     return partial + tail
 
 
+_EULER_GAMMA = "0.57721566490153286060651209008240243104215933593992"
+
+
 def euler_series_value(x: float, tol: float = 1e-13) -> float:
     """The Stieltjes-integral sum assigned to ``sum_k k! (-x)^k``.
 
     ``integral_0^inf exp(-t) / (1 + x t) dt`` has the closed form
-    ``y e^y E1(y)`` with ``y = 1/x``; it is evaluated with 30 digits and
-    rounded to the nearest float, so the result is correctly rounded and
-    meets every ``tol`` (kept for compatibility).  The series itself
-    diverges for every x > 0.
+    ``y e^y E1(y)`` with ``y = 1/x``.  It is evaluated in 40-digit
+    ``decimal`` arithmetic to within 1e-36 relative and rounded once to a
+    float, so the result is correctly rounded (barring a value within
+    1e-36 of a halfway point) and meets every ``tol`` (kept for
+    compatibility).  The series itself diverges for every x > 0; at
+    ``x = inf`` the closed form is ``0 * inf`` and the result is nan.
+
+    - y <= 2: ``E1(y) = -gamma - ln y - sum_k>=1 (-y)^k / (k k!)``
+      (Abramowitz & Stegun 5.1.11), with ``e^-y = sum_k (-y)^k / k!`` from
+      the same terms.  Both sums alternate with falling terms, so each
+      remainder is below the first term ``y^k / k!`` under 1e-42, against
+      E1(y) > 0.048 and e^-y > 0.13.
+    - y > 2: the Stieltjes fraction ``1 / (1 + x / (1 + x / (1 + 2x /
+      (1 + 2x / (1 + 3x / ...)))))`` for ``y e^y E1(y)`` (A&S 5.1.22;
+      Cuyt et al., Handbook of Continued Fractions for Special Functions,
+      14.1).  Its coefficients are positive, so successive convergents
+      bracket the value; it stops when they differ by under 1e-40, their
+      difference taken from ``A_m B_(m-1) - A_(m-1) B_m = +-a_1 ... a_m``.
     """
     if not x > 0:
         raise DomainError("the Stieltjes integral needs x > 0")
-    import mpmath  # here, not at module level: only Euler problems pay for it
+    if x == math.inf:
+        return math.nan
+    from decimal import Context, Decimal, localcontext  # only Euler problems pay for it
 
-    with mpmath.workdps(30):
-        y = 1 / mpmath.mpf(x)
-        return float(y * mpmath.exp(y) * mpmath.e1(y))
+    with localcontext(Context(prec=40)) as ctx:
+        xd = ctx.create_decimal_from_float(float(x))
+        if x >= 0.5:
+            z = -1 / xd
+            k, p, s, e = 1, z, z, 1 + z  # p = z^k / k!, s = sum p / k, e = sum p
+            tiny = Decimal("1e-42")
+            while abs(p) >= tiny:
+                k += 1
+                p = p * z / k
+                s += p / k
+                e += p
+            return float(z * (Decimal(_EULER_GAMMA) + (-z).ln() + s) / e)
+        # a_1 = 1, a_2j = a_2j+1 = j x; (p, q) = A_(2j-2), A_(2j-1), (r, s) the B's
+        a, p, q, r, s = 0, 0, 1, 1, 1
+        root = Decimal("1e20")  # (a_1 ... a_2j+1 / 1e-40)^(1/2); r <= s
+        while root >= r:
+            a += xd
+            p = q + a * p
+            q = p + a * q
+            r = s + a * r
+            s = r + a * s
+            root *= a
+        return float(q / s)
 
 
 def e_oracle(samples: Sequence[Scalar], phis: Sequence[Sequence[Scalar]]) -> Scalar:

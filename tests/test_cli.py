@@ -443,6 +443,25 @@ class TestCliRobustness:
         with pytest.raises(IngestError):
             ingest(path, fmt=fmt)
 
+    def test_entry_with_overflowing_modulus_is_invalid(self, tmp_path, capsys):
+        # each value is in range; richardson's first column has finite parts
+        # whose modulus overflows
+        path = write(tmp_path / "modulus.csv", "\n".join([
+            "-6.801614468865279e+307-1.8692021860147845e+307j",
+            "-1.130302109820317e+308-6.679400009447158e+307j",
+            "-1.4906977523862697e+307-1.0050620683558442e+306j",
+            "-6.405973193818256e+307-6.459203003016377e+307j",
+            "-6.749255103895473e+307-9.69516822294394e+306j",
+            "-5.045241249828346e+307-1.1484247073618186e+308j",
+        ]) + "\n")
+        argv = ["run", "--input", path, "--values", "--transforms", "richardson"]
+        assert main(argv + ["--limit", "0"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert [row[5] for row in rows[1:7]] == ["1", "0", "0", "0", "0", "0"]
+        assert rows[7][:3] == ["# summary", "richardson", "best_k=0"]
+        assert main(argv) == 0
+        assert "best_k=0" in capsys.readouterr().out
+
     def test_overflowing_difference_of_values_is_inconsistent(self, tmp_path, capsys):
         # each value is in range, but |s_1 - s_0| is not
         path = write(tmp_path / "diff.json", '{"values": ["-6.5e307-6.5e307j", '
@@ -535,6 +554,8 @@ class TestCliRobustness:
          "wrong kind"),
         (["run", "--problem", "euler_factorial:x=1j:N=4", "--transforms", "aitken"],
          "wrong kind"),
+        (["run", "--problem", "euler_factorial:x=inf:N=10", "--transforms", "levin_u"],
+         "not a finite number"),
     ])
     def test_package_errors_exit_2(self, capsys, argv, reason):
         assert main(argv) == 2
@@ -590,7 +611,9 @@ def _argv(draw):
     argv = [command]
     if draw(st.integers(0, 9)):
         # a well-formed problem often enough that the transforms do run
-        argv += ["--problem", draw(st.one_of(st.just("zeta_dirichlet:z=2:N=8"), _problem_arg()))]
+        argv += ["--problem", draw(st.one_of(
+            st.sampled_from(["zeta_dirichlet:z=2:N=8", "euler_factorial:x=inf:N=10"]),
+            _problem_arg()))]
     else:
         argv += ["--input", "no-such-input.csv"]
     if command in ("run", "compare"):
@@ -637,6 +660,20 @@ def test_cli_import_loads_neither_scipy_nor_mpmath():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_euler_golden_runs_without_mpmath():
+    """A run on an Euler problem needs no third-party package: with mpmath
+    made unimportable, the ``run_euler`` golden comes out byte for byte."""
+    src = os.path.dirname(os.path.dirname(seqaccel.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; sys.modules['mpmath'] = None; from seqaccel.cli import main; "
+            "sys.exit(main(['run', '--problem', 'euler_factorial:x=1:N=25', "
+            "'--transforms', 'weniger_delta,rho', '--format', 'tsv']))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN_DIR / "run_euler.tsv").read_bytes()
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules():

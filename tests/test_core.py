@@ -364,6 +364,10 @@ class TestNonFiniteScalars:
             assert finite_entries([1.0, bad, None, 2.0]) == [1.0, None, None, 2.0]
             two = mpmath.mpf(2)
             assert finite_entries([bad, None, two]) == [None, None, two]
+        # finite parts, but the modulus overflows: alone, after floats, before a None
+        wide = 1.7e308 + 1.7e308j
+        for column in ([wide, 1j], [1.0, wide, 2.0], [1j, wide, None]):
+            assert finite_entries(column) == [None if v is wide else v for v in column]
 
     def test_non_finite_mpf_entries_are_invalid(self):
         values = tuple(mpmath.mpf(x) for x in (1, 2, mpmath.mpf("inf"), 3, 4, 5))

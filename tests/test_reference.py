@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -133,16 +135,26 @@ class TestEulerSeriesValue:
         assert euler_series_value(0.5) == pytest.approx(EULER_HALF, abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            euler_series_value(0.0)
-        with pytest.raises(DomainError):
-            euler_series_value(-1.0)
+        for x in (0.0, -1.0, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                euler_series_value(x)
+
+
+_LOG_UNIFORM = random.Random(20261018)
+# the extremes of the double range, both sides of the series/fraction switch
+# at x = 0.5 (y = 2), and log-uniform draws across twelve decades
+EULER_GRID = [
+    1e-8, 1e-4, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3,
+    5e-324, 1e-300, 1e300, 1.7e308, sys.float_info.max,
+    math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+    *(10 ** _LOG_UNIFORM.uniform(-6, 6) for _ in range(300)),
+]
 
 
 class TestEulerSeriesClosedForm:
     """``euler_series_value`` is ``y e^y E1(y)``, y = 1/x, correctly rounded."""
 
-    @pytest.mark.parametrize("x", [1e-8, 1e-4, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3])
+    @pytest.mark.parametrize("x", EULER_GRID)
     def test_within_half_ulp_of_60_digits(self, x):
         value = euler_series_value(x)
         with mpmath.workdps(60):
@@ -157,6 +169,9 @@ class TestEulerSeriesClosedForm:
                 lambda t: mpmath.exp(-t) / (1 + x * t), [0, 1, mpmath.inf]
             )
         assert euler_series_value(x) == pytest.approx(float(integral), rel=1e-15)
+
+    def test_infinite_x_gives_nan(self):
+        assert math.isnan(euler_series_value(math.inf))
 
 
 class TestModelOracle:
