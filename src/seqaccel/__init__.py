@@ -7,14 +7,12 @@ convergence and alternating divergence, interpolation-based schemes
 (Richardson, rho, Osada, BDG) for logarithmic convergence, Levin-type
 transformations with explicit remainder estimates, and Pade approximants.
 Reference oracles (Euler-Maclaurin zeta, the closed-form Stieltjes sum of
-the Euler series, a brute-force model solver) provide independently
-computed targets.
+the Euler series) provide independently computed targets.
 """
 
 __version__ = "0.1.0"
 
 from .classic import (
-    aitken_step,
     brezinski_theta,
     iterated_aitken,
     iterated_theta,
@@ -34,7 +32,6 @@ from .errors import (
     CompareError,
     ConfigError,
     ConsistencyError,
-    DegenerateModelError,
     DegeneratePadeError,
     DomainError,
     EmptyInputError,
@@ -43,7 +40,6 @@ from .errors import (
     InvalidParameterError,
     PathRangeError,
     SequenceTransformError,
-    SingularStepError,
     ZeroRemainderError,
 )
 from .interpolatory import (
@@ -57,7 +53,6 @@ from .interpolatory import (
     neville_richardson,
     osada_rho,
     reciprocal_points,
-    richardson_binomial,
     richardson_standard,
     rho_standard,
     wynn_rho,
@@ -73,17 +68,13 @@ from .levin import (
 from .pade import (
     PadeApproximant,
     PowerSeries,
-    order_condition_residuals,
     pade_direct,
     pade_label,
     pade_via_epsilon,
     staircase_sequence,
 )
 from .reference import (
-    BernoulliTables,
     ProblemSpec,
-    bernoulli_tables,
-    e_oracle,
     euler_maclaurin_zeta,
     euler_series_value,
     generate_problem,

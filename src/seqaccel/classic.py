@@ -13,7 +13,6 @@ from itertools import repeat
 
 from .core import (
     GuardPolicy,
-    Scalar,
     SequenceSample,
     TransformTable,
     append_column,
@@ -21,28 +20,16 @@ from .core import (
     lozenge_column,
     stencil_table,
 )
-from .errors import InsufficientDataError, SingularStepError
-
-
-def aitken_step(s0: Scalar, s1: Scalar, s2: Scalar, guard: GuardPolicy = GuardPolicy()) -> Scalar:
-    """One Aitken step ``s0 - (s1 - s0)^2 / (s2 - 2 s1 + s0)``.
-
-    Exact for ``s_n = s + c * lambda**n``; raises ``SingularStepError``
-    when the second difference vanishes (arithmetic progressions).
-    """
-    d = s1 - s0
-    dd = s2 - 2 * s1 + s0
-    num = d * d
-    if guard.trips(dd, num):
-        raise SingularStepError("second difference vanished in Aitken step")
-    return s0 - num / dd
+from .errors import InsufficientDataError
 
 
 def iterated_aitken(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Aitken's delta-squared process applied to its own output, repeatedly.
 
-    Column k+1 applies the plain step to column k, so column k consumes
-    2k+1 elements.  Singular steps flag entries invalid; they are never
+    Column 1 is the plain step ``s_n - (s_{n+1} - s_n)^2 / (s_{n+2} -
+    2 s_{n+1} + s_n)``, exact for ``s_n = s + c * lambda**n``; column k+1
+    applies it to column k, so column k consumes 2k+1 elements.  Singular
+    steps (arithmetic progressions) flag entries invalid; they are never
     fatal here.
     """
     s = sample.effective_values()

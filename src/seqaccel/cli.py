@@ -39,6 +39,7 @@ from .core import (
     Scalar,
     SequenceSample,
     TransformTable,
+    finite_entries,
     finite_magnitude,
     walk_path,
 )
@@ -101,6 +102,15 @@ def parse_finite(raw) -> Scalar:
     if not finite_magnitude(value):
         raise ValueError(f"not a finite number: {raw!r}")
     return value
+
+
+def _abs_error(value: Scalar, limit: Scalar) -> float:
+    """``|value - limit|``, or ``inf`` where the modulus of the difference
+    (a complex of finite parts) exceeds the double range."""
+    try:
+        return abs(value - limit)
+    except OverflowError:
+        return float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +266,7 @@ def run(config: RunConfig) -> ConvergenceReport:
             continue
         entries = [
             (k, n, value if ok else None,
-             abs(value - limit) if ok and limit is not None else None, ok)
+             _abs_error(value, limit) if ok and limit is not None else None, ok)
             for k, n, value, ok in positions
         ]
         valid = [entry for entry in entries if entry[4]]
@@ -316,7 +326,7 @@ def compare(config: RunConfig) -> CompareTable:
             if not ok:
                 continue
             budget = table.consumed(k, n)
-            err = abs(value - limit) if limit is not None else None
+            err = _abs_error(value, limit) if limit is not None else None
             cells = rows.setdefault(budget, {})
             # keep the more accurate entry if a budget repeats
             if name not in cells or (err is not None and err < cells[name][1]):
@@ -711,12 +721,19 @@ def cmd_pade(args: argparse.Namespace) -> int:
             approximant = pade_direct(series, args.l, args.m)
         except DegeneratePadeError as exc:
             return _outcome(False, str(exc))
-        approximants = [(args.l, args.m, approximant(series.z))]
+        try:
+            value = approximant(series.z)
+        except ZeroDivisionError:  # z is a pole of [l/m]
+            value = None
+        approximants = [(args.l, args.m, value)]
+    # a staircase's [n/0] entries are partial sums, which the epsilon table
+    # carries unchecked in its column 0
+    values = finite_entries([value for _, _, value in approximants])
     header = ["l", "m", "value", "abs_error", "valid"]
     rows = [
-        [l, m, value, None if value is None or limit is None else abs(value - limit),
+        [l, m, value, None if value is None or limit is None else _abs_error(value, limit),
          value is not None]
-        for l, m, value in approximants
+        for (l, m, _), value in zip(approximants, values)
     ]
     meta = {"problem": label, "z": series.z, "limit": limit,
             "approximants": [dict(zip(header, row)) for row in rows]}

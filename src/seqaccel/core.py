@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import partial
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -191,10 +191,6 @@ class GuardPolicy(Record):
             for n, d, b in zip(nums, dens, repeat(None) if bases is None else bases)
         ]
 
-    def trips(self, denominator: Scalar, numerator_scale: Scalar = 1.0) -> bool:
-        """True when ``divide`` gives ``None`` for this denominator and numerator."""
-        return self.divide((numerator_scale,), (denominator,))[0] is None
-
 
 def _check_partial_sums(values: Sequence[Scalar], terms: Sequence[Scalar]) -> None:
     deltas = [(values[0], terms[0])]
@@ -265,13 +261,7 @@ def make_partial_sums(terms: Sequence[Scalar]) -> SequenceSample:
     terms = tuple(terms)
     if not terms:
         raise EmptyInputError("cannot form partial sums of an empty series")
-    values = []
-    acc = terms[0]
-    values.append(acc)
-    for a in terms[1:]:
-        acc = acc + a
-        values.append(acc)
-    return SequenceSample(tuple(values), terms=terms)
+    return SequenceSample(tuple(accumulate(terms)), terms=terms)
 
 
 class TransformTable(Record):

@@ -25,10 +25,6 @@ class InsufficientDataError(SequenceTransformError):
     """Too few sequence elements for the requested operation."""
 
 
-class SingularStepError(SequenceTransformError):
-    """A single transformation step hit a vanishing denominator."""
-
-
 class ZeroRemainderError(SequenceTransformError):
     """A remainder estimate vanished, leaving the transform undefined."""
 
@@ -39,10 +35,6 @@ class ZeroRemainderError(SequenceTransformError):
 
 class DegeneratePadeError(SequenceTransformError):
     """The Pade linear system is singular (a block in the Pade table)."""
-
-
-class DegenerateModelError(SequenceTransformError):
-    """The model-sequence linear system is singular."""
 
 
 class DomainError(SequenceTransformError):

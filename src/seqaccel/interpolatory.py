@@ -10,7 +10,6 @@ restore the ``O(n**(-alpha-2k))`` error order.
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -124,26 +123,6 @@ def richardson_standard(
         return [cur[n + 1] + (beta + n) / k * (cur[n + 1] - cur[n]) for n in rows]
 
     return stencil_table("richardson", s, 2, kernel)
-
-
-def richardson_binomial(
-    values: Sequence[Scalar], beta: float, k: int, n: int
-) -> Scalar:
-    """Closed binomial form of standard Richardson extrapolation.
-
-    Equivalent to the recursive scheme; kept as an explicit cross-check
-    and for single-entry evaluation.
-    """
-    check_positive("beta", beta)
-    if k < 0 or n < 0 or n + k >= len(values):
-        raise InvalidParameterError("entry (k, n) not computable from the given values")
-    acc = 0.0
-    for j in range(k + 1):
-        weight = (-1.0) ** j * (beta + n + j) ** k / (
-            math.factorial(j) * math.factorial(k - j)
-        )
-        acc = acc + weight * values[n + j]
-    return (-1.0) ** k * acc
 
 
 def wynn_rho(

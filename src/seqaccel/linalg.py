@@ -1,4 +1,4 @@
-"""A small dense linear solver used by the Pade and model-sequence oracles.
+"""A small dense linear solver for the direct Pade construction.
 
 Gaussian elimination with partial pivoting, written against generic
 scalars so that complex (or exact) coefficient types survive the solve.

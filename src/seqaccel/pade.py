@@ -115,20 +115,6 @@ def pade_direct(series: PowerSeries, l: int, m: int) -> PadeApproximant:
     return PadeApproximant(l, m, p, q)
 
 
-def order_condition_residuals(approximant: PadeApproximant, series: PowerSeries) -> list:
-    """Coefficients of ``Q_m * f - P_l`` through order l+m (ideally zero)."""
-    g = series.coefficients
-    l, m = approximant.l, approximant.m
-    q, p = approximant.denominator, approximant.numerator
-    out = []
-    for i in range(l + m + 1):
-        acc = sum(q[t] * g[i - t] for t in range(min(i, m) + 1))
-        if i <= l:
-            acc = acc - p[i]
-        out.append(acc)
-    return out
-
-
 def pade_epsilon(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Wynn's epsilon table of ``sample``, named ``pade_epsilon``."""
     return replace(wynn_epsilon(sample, guard), name="pade_epsilon")

@@ -2,85 +2,42 @@
 
 Nothing here goes through a sequence transformation, so these values can
 sit on the other side of an equality test: the Euler-Maclaurin tail gives
-zeta(z) to near machine accuracy for Re z > 1, the closed form of the
+zeta(z) to near machine accuracy for Re z > 1, and the closed form of the
 Stieltjes integral gives the sum the divergent factorial series should be
-assigned, and the brute-force model solver recovers the limit of any
-explicit model sequence by plain linear algebra.
+assigned.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import cache
+from typing import Mapping
 
 from .core import Record, Scalar, SequenceSample, make_partial_sums
-from .errors import (
-    DegenerateModelError,
-    DomainError,
-    InvalidParameterError,
-    SingularMatrixError,
-)
-from .linalg import solve_dense
-
-DEFAULT_BERNOULLI_ORDER = 20  # highest 2j index: B_2 .. B_40
+from .errors import DomainError, InvalidParameterError
 
 
-class BernoulliTables:
-    """Bernoulli numbers (exact rationals) and polynomial evaluation.
+@cache
+def _bernoulli_even() -> tuple:
+    """B_2, B_4, .., B_40 as floats.
 
-    Built once from the defining recurrence
-    ``B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j`` with the B_1 = -1/2
-    convention, then shared read-only.  Each B_m is kept as a reduced
-    integer pair (numerator, positive denominator); the float of a pair is
-    ``num / den``, which Python rounds correctly, as ``float(Fraction)`` does.
+    From the defining recurrence ``B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j``
+    (B_1 = -1/2) on reduced integer pairs (numerator, positive
+    denominator); the float of a pair is ``num / den``, which Python
+    rounds correctly, as ``float(Fraction)`` does.
     """
-
-    def __init__(self, j_max: int = DEFAULT_BERNOULLI_ORDER):
-        if j_max < 1:
-            raise InvalidParameterError("j_max must be at least 1")
-        self.j_max = j_max
-        nums, dens = [1], [1]
-        for m in range(1, 2 * j_max + 1):
-            den = math.lcm(*dens)
-            num = -sum(
-                math.comb(m + 1, j) * n * (den // d) for j, (n, d) in enumerate(zip(nums, dens))
-            )
-            den *= m + 1
-            g = math.gcd(num, den)
-            nums.append(num // g)
-            dens.append(den // g)
-        self._nums, self._dens = tuple(nums), tuple(dens)
-
-    def _pair(self, m: int) -> tuple:
-        if not 0 <= m <= 2 * self.j_max:
-            raise InvalidParameterError(f"B_{m} outside the built range")
-        return self._nums[m], self._dens[m]
-
-    def number(self, m: int) -> "Fraction":
-        """The Bernoulli number B_m."""
-        from fractions import Fraction  # only callers of the exact value pay for it
-
-        return Fraction(*self._pair(m))
-
-    def even_float(self, j: int) -> float:
-        """B_{2j} as a float."""
-        num, den = self._pair(2 * j)
-        return num / den
-
-    def polynomial(self, m: int, x: Scalar) -> Scalar:
-        """The Bernoulli polynomial B_m(x); B_m(0) equals B_m."""
-        acc = 0.0
-        for k in range(m + 1):
-            num, den = self._pair(k)
-            acc = acc + math.comb(m, k) * (num / den) * x ** (m - k)
-        return acc
-
-
-@lru_cache(maxsize=4)
-def bernoulli_tables(j_max: int = DEFAULT_BERNOULLI_ORDER) -> BernoulliTables:
-    return BernoulliTables(j_max)
+    nums, dens = [1], [1]
+    for m in range(1, 41):
+        den = math.lcm(*dens)
+        num = -sum(
+            math.comb(m + 1, j) * n * (den // d) for j, (n, d) in enumerate(zip(nums, dens))
+        )
+        den *= m + 1
+        g = math.gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+    return tuple(n / d for n, d in zip(nums[2::2], dens[2::2]))
 
 
 def pochhammer(z: Scalar, m: int) -> Scalar:
@@ -109,16 +66,16 @@ def euler_maclaurin_zeta(z: Scalar, n: int = 40, k: int = 12) -> Scalar:
         raise DomainError("the Dirichlet series for zeta converges only for Re z > 1")
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
-    tables = bernoulli_tables()
-    if not 1 <= k <= tables.j_max:
-        raise InvalidParameterError(f"k must lie in [1, {tables.j_max}]")
+    bernoulli = _bernoulli_even()
+    if not 1 <= k <= len(bernoulli):
+        raise InvalidParameterError(f"k must lie in [1, {len(bernoulli)}]")
     partial = 0.0
     for nu in range(n + 1):
         partial = partial + (nu + 1) ** (-z)
     base = n + 2
     tail = base ** (1 - z) / (z - 1) + 0.5 * base ** (-z)
     for j in range(1, k + 1):
-        coeff = tables.even_float(j) / math.factorial(2 * j)
+        coeff = bernoulli[j - 1] / math.factorial(2 * j)
         tail = tail + pochhammer(z, 2 * j - 1) * coeff * base ** (-z - 2 * j + 1)
     return partial + tail
 
@@ -126,16 +83,16 @@ def euler_maclaurin_zeta(z: Scalar, n: int = 40, k: int = 12) -> Scalar:
 _EULER_GAMMA = "0.57721566490153286060651209008240243104215933593992"
 
 
-def euler_series_value(x: float, tol: float = 1e-13) -> float:
+def euler_series_value(x: float) -> float:
     """The Stieltjes-integral sum assigned to ``sum_k k! (-x)^k``.
 
     ``integral_0^inf exp(-t) / (1 + x t) dt`` has the closed form
     ``y e^y E1(y)`` with ``y = 1/x``.  It is evaluated in 40-digit
     ``decimal`` arithmetic to within 1e-36 relative and rounded once to a
     float, so the result is correctly rounded (barring a value within
-    1e-36 of a halfway point) and meets every ``tol`` (kept for
-    compatibility).  The series itself diverges for every x > 0; at
-    ``x = inf`` the closed form is ``0 * inf`` and the result is nan.
+    1e-36 of a halfway point).  The series itself diverges for every
+    x > 0; at ``x = inf`` the closed form is ``0 * inf`` and the result
+    is nan.
 
     - y <= 2: ``E1(y) = -gamma - ln y - sum_k>=1 (-y)^k / (k k!)``
       (Abramowitz & Stegun 5.1.11), with ``e^-y = sum_k (-y)^k / k!`` from
@@ -178,27 +135,6 @@ def euler_series_value(x: float, tol: float = 1e-13) -> float:
             s = r + a * s
             root *= a
         return float(q / s)
-
-
-def e_oracle(samples: Sequence[Scalar], phis: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Brute-force model-sequence solver.
-
-    Given k+1 consecutive elements of ``s_n = s + sum_j c_j phi_j(n)`` and
-    the matrix ``phis[i][j] = phi_j(n+i)``, solve the linear system for
-    the k+1 unknowns and return the limit s.  This is the generic
-    transformation every specialized scheme reproduces on its own model.
-    """
-    k = len(samples) - 1
-    if len(phis) != k + 1 or any(len(row) != k for row in phis):
-        raise InvalidParameterError(
-            f"phis must be a {k + 1} x {k} matrix to match {k + 1} samples"
-        )
-    matrix = [[1.0, *phis[i]] for i in range(k + 1)]
-    try:
-        solution = solve_dense(matrix, list(samples))
-    except SingularMatrixError as exc:
-        raise DegenerateModelError(f"model system is singular: {exc}") from exc
-    return solution[0]
 
 
 _POWER_SERIES = {

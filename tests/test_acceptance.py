@@ -29,13 +29,11 @@ from seqaccel import (
     levin_variant,
     median_last_quartile,
     natural_points,
-    order_condition_residuals,
     osada_rho,
     pade_direct,
     pade_label,
     pade_via_epsilon,
     pochhammer,
-    richardson_binomial,
     richardson_standard,
     rho_standard,
     weighted_ratio_transform,
@@ -46,6 +44,7 @@ from seqaccel import (
 from seqaccel.cli import main as cli_main
 from seqaccel.levin import LEVIN_POWER, WENIGER_POCHHAMMER
 from _helpers import error_slope, rel_diff
+from oracles import order_condition_residuals, richardson_binomial
 
 PI2_6 = math.pi ** 2 / 6
 

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqaccel import (
     SequenceSample,
-    SingularStepError,
     InsufficientDataError,
-    aitken_step,
     brezinski_theta,
     iterated_aitken,
     iterated_theta,
@@ -33,16 +31,21 @@ def random_values(seed, count, lo=0.25, hi=1.75):
 
 
 class TestAitkenStep:
+    """Entry (1, 0) of the iterated table is one Aitken step on s_0, s_1, s_2."""
+
     def test_exact_on_geometric(self):
         # s_n = 1 + 2^-n
-        assert aitken_step(2.0, 1.5, 1.25) == pytest.approx(1.0)
+        table = iterated_aitken(SequenceSample((2.0, 1.5, 1.25)))
+        assert table.entry(1, 0) == pytest.approx(1.0)
 
     def test_arithmetic_progression_is_singular(self):
-        with pytest.raises(SingularStepError):
-            aitken_step(0.0, 1.0, 2.0)
+        table = iterated_aitken(SequenceSample((0.0, 1.0, 2.0)))
+        assert not table.is_valid(1, 0)
+        assert table.entry(1, 0) is None
 
     def test_ln2_partial_sums(self):
-        assert aitken_step(1.0, 0.5, 0.8333333333333333) == pytest.approx(0.7)
+        table = iterated_aitken(SequenceSample((1.0, 0.5, 0.8333333333333333)))
+        assert table.entry(1, 0) == pytest.approx(0.7)
 
 
 class TestIteratedAitken:

@@ -462,6 +462,50 @@ class TestCliRobustness:
         assert main(argv) == 0
         assert "best_k=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt", ("tsv", "json"))
+    @pytest.mark.parametrize("command", ("run", "compare"))
+    def test_error_with_overflowing_modulus_is_inf(self, tmp_path, capsys, command, fmt):
+        # the entry and the limit are in range, the modulus of their difference is not
+        path = write(tmp_path / "far.csv", "1.2e308+1.2e308j\n1\n2\n3\n")
+        assert main([command, "--input", path, "--values", "--limit=-5e307-5e307j",
+                     "--transforms", "aitken", "--path", "order_constant:0",
+                     "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "tsv":
+            first = out.splitlines()[1].split("\t")[4 if command == "run" else 1]
+        elif command == "run":
+            first = json.loads(out)["transforms"][0]["entries"][0]["abs_error"]
+        else:
+            first = json.loads(out)["rows"][0]["cells"]["aitken"]
+        assert first == "inf"
+
+    @pytest.mark.parametrize("fmt", ("tsv", "json"))
+    @pytest.mark.parametrize("coeffs, z, l, m", [
+        ("1\n2\n3\n", "1e300", 2, 0),  # the value overflows to inf
+        ("1.2e308+1.2e308j\n1\n2\n3\n", "1", 1, 1),  # the value is nan+nanj
+        ("1\n1\n", "1", 0, 1),  # z is the pole of [0/1] = 1 / (1 - z)
+    ])
+    def test_pade_direct_non_finite_value_is_invalid(self, tmp_path, capsys, coeffs, z, l, m,
+                                                     fmt):
+        path = write(tmp_path / "c.csv", coeffs)
+        argv = ["pade", "--coeffs", path, "--z", z, "--l", str(l), "--m", str(m)]
+        assert main(argv + ["--format", fmt]) == 3
+        out, err = capsys.readouterr()
+        assert err == "seqaccel: no valid approximant\n"
+        if fmt == "tsv":
+            assert out.splitlines()[1] == f"{l}\t{m}\tNA\tNA\t0"
+        else:
+            assert json.loads(out)["approximants"] == [
+                {"l": l, "m": m, "value": None, "abs_error": None, "valid": False}]
+
+    def test_pade_staircase_overflowing_partial_sum_is_invalid(self, tmp_path, capsys):
+        # s_1 = 1e308 + 1e308 overflows: [1/0] is that partial sum
+        path = write(tmp_path / "c.csv", "1e308\n1e308\n1\n1\n")
+        assert main(["pade", "--coeffs", path, "--z", "1", "--staircase"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows[:2] == [["0", "0", "1e+308", "NA", "1"], ["1", "0", "NA", "NA", "0"]]
+        assert all(row[4] == "0" for row in rows[1:])
+
     def test_overflowing_difference_of_values_is_inconsistent(self, tmp_path, capsys):
         # each value is in range, but |s_1 - s_0| is not
         path = write(tmp_path / "diff.json", '{"values": ["-6.5e307-6.5e307j", '

@@ -19,12 +19,12 @@ from seqaccel import (
     neville_richardson,
     osada_rho,
     reciprocal_points,
-    richardson_binomial,
     richardson_standard,
     rho_standard,
     wynn_rho,
 )
 from _helpers import error_slope, rel_diff, table_rel_spread
+from oracles import richardson_binomial
 
 PI2_6 = math.pi ** 2 / 6
 

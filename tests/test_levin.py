@@ -14,7 +14,6 @@ from seqaccel import (
     PathSpec,
     SequenceSample,
     ZeroRemainderError,
-    e_oracle,
     extract_path,
     generate_problem,
     levin_variant,
@@ -27,6 +26,7 @@ from seqaccel import (
 )
 from seqaccel.core import is_finite
 from _helpers import rel_diff
+from oracles import e_oracle
 
 LN2_SUMS = (1.0, 0.5, 0.5 + 1.0 / 3.0)
 
@@ -304,7 +304,7 @@ def _per_entry_ratio_table(values, omegas, family, zeta, guard, n_start):
                     num += w * ratio[i + j]
                     den += w * inv[i + j]
                     sign = -sign
-                value = None if guard.trips(den, num) else num / den
+                value = guard.divide([num], [den])[0]
             except (ZeroDivisionError, OverflowError):
                 value = None
             column.append(value if value is not None and is_finite(value) else None)

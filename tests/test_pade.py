@@ -7,13 +7,13 @@ from seqaccel import (
     DegeneratePadeError,
     InvalidParameterError,
     PowerSeries,
-    order_condition_residuals,
     pade_direct,
     pade_label,
     pade_via_epsilon,
     staircase_sequence,
 )
 from _helpers import rel_diff
+from oracles import order_condition_residuals
 
 
 def exp_series(count, z=1.0):
