@@ -40,7 +40,8 @@ from .core import (
     SequenceSample,
     TransformTable,
     finite_entries,
-    finite_magnitude,
+    is_finite,
+    magnitude,
     walk_path,
 )
 from .errors import (
@@ -99,18 +100,9 @@ def parse_finite(raw) -> Scalar:
     if isinstance(raw, bool):  # a JSON true/false would pass for 1 or 0
         raise ValueError(f"not a number: {raw!r}")
     value = parse_scalar(raw) if isinstance(raw, str) else raw + 0.0
-    if not finite_magnitude(value):
+    if not is_finite(magnitude(value)):
         raise ValueError(f"not a finite number: {raw!r}")
     return value
-
-
-def _abs_error(value: Scalar, limit: Scalar) -> float:
-    """``|value - limit|``, or ``inf`` where the modulus of the difference
-    (a complex of finite parts) exceeds the double range."""
-    try:
-        return abs(value - limit)
-    except OverflowError:
-        return float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +258,7 @@ def run(config: RunConfig) -> ConvergenceReport:
             continue
         entries = [
             (k, n, value if ok else None,
-             _abs_error(value, limit) if ok and limit is not None else None, ok)
+             magnitude(value - limit) if ok and limit is not None else None, ok)
             for k, n, value, ok in positions
         ]
         valid = [entry for entry in entries if entry[4]]
@@ -326,7 +318,7 @@ def compare(config: RunConfig) -> CompareTable:
             if not ok:
                 continue
             budget = table.consumed(k, n)
-            err = _abs_error(value, limit) if limit is not None else None
+            err = magnitude(value - limit) if limit is not None else None
             cells = rows.setdefault(budget, {})
             # keep the more accurate entry if a budget repeats
             if name not in cells or (err is not None and err < cells[name][1]):
@@ -403,7 +395,7 @@ def ingest(
     if values is None:
         values = tuple(accumulate(terms))
         for n, value in enumerate(values):
-            if not finite_magnitude(value):
+            if not is_finite(magnitude(value)):
                 raise IngestError(f"partial sum s_{n} overflows the double range")
     return SequenceSample(values, terms, limit, start_offset)
 
@@ -726,12 +718,10 @@ def cmd_pade(args: argparse.Namespace) -> int:
         except ZeroDivisionError:  # z is a pole of [l/m]
             value = None
         approximants = [(args.l, args.m, value)]
-    # a staircase's [n/0] entries are partial sums, which the epsilon table
-    # carries unchecked in its column 0
     values = finite_entries([value for _, _, value in approximants])
     header = ["l", "m", "value", "abs_error", "valid"]
     rows = [
-        [l, m, value, None if value is None or limit is None else _abs_error(value, limit),
+        [l, m, value, None if value is None or limit is None else magnitude(value - limit),
          value is not None]
         for (l, m, _), value in zip(approximants, values)
     ]

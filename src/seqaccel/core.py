@@ -4,15 +4,17 @@ Every transformation in this package maps a finite sequence prefix
 ``s_0 .. s_N`` to a doubly indexed triangular array ``T_k^(n)``.  The
 subscript ``k`` is the transformation order, the superscript ``n`` is the
 smallest sequence index entering the entry, and column 0 always repeats
-the input (``T_0^(n) = s_n``).  Entries whose defining recursion ran into
-a near-zero denominator are flagged invalid instead of carrying an
-unreliable number, and invalidity propagates to every dependent entry.
+the input (``T_0^(n) = s_n``).  Scalars from outside pass one edge check,
+``finite_scalars``.  Entries whose defining recursion ran into a near-zero
+denominator, or a non-finite value, are flagged invalid instead of carrying
+an unreliable number, and invalidity propagates to every dependent entry.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from functools import partial
 from itertools import accumulate, compress, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -25,11 +27,13 @@ from .errors import (
 )
 
 #: Any numeric type closed under +, -, *, / with a magnitude via abs().
-#: The package is written against plain double precision but performs no
-#: coercion, so exact or extended-precision scalars pass through untouched.
+#: The package is written against plain double precision; apart from an
+#: ``int``, which the edge check makes a ``float``, no scalar is coerced, so
+#: extended-precision scalars such as ``mpmath.mpf`` pass through untouched.
 Scalar = Union[float, complex]
 
 _CONSISTENCY_RTOL = 1e-9
+_DOUBLE_MAX = sys.float_info.max
 
 
 def is_finite(value: Scalar) -> bool:
@@ -41,12 +45,12 @@ def is_finite(value: Scalar) -> bool:
     return value * 0 == 0
 
 
-def finite_magnitude(value: Scalar) -> bool:
-    """True when ``abs(value)`` is finite; a complex of finite parts can overflow it."""
+def magnitude(value: Scalar):
+    """``abs(value)``, or ``inf`` where a complex of finite parts overflows its modulus."""
     try:
-        return is_finite(abs(value))
+        return abs(value)
     except OverflowError:
-        return False
+        return math.inf
 
 
 def finite_entries(values: list) -> list:
@@ -54,30 +58,41 @@ def finite_entries(values: list) -> list:
 
     One pass over the nonzero entries (``None`` is skipped) clears the
     common case.  For ``float`` it is a sum, finite only when every entry
-    is; a column that holds a ``complex`` sums the moduli instead, as a
-    complex of finite parts can overflow its modulus; for other types,
-    such as ``mpmath.mpf``, whose additions cost more than a product with
-    zero, it looks for an ``x * 0`` that is not zero.  A column that
-    fails the pass (a sum of finite entries can overflow) has each entry
-    checked with ``finite_magnitude``.
+    is; a column that holds a ``complex`` sums the ``magnitude`` of each
+    entry instead, as a complex of finite parts can overflow its modulus;
+    for other types, such as ``mpmath.mpf``, whose additions cost more
+    than a product with zero, it looks for an ``x * 0`` that is not zero.
+    A column that fails the pass (a sum of finite entries can overflow)
+    has each entry checked on its own.
     """
     present = filter(None, values)
-    try:
-        if type(next(filter(None, reversed(values)), 0.0)) in (float, complex):
-            total = sum(present)
-            clear = is_finite(total if type(total) is float else sum(map(abs, filter(None, values))))
-        else:
-            clear = not any(map(operator.mul, present, repeat(0)))
-    except OverflowError:  # the modulus of a complex entry
-        clear = False
+    if type(next(filter(None, reversed(values)), 0.0)) in (float, complex):
+        total = sum(present)
+        clear = is_finite(total if type(total) is float else sum(map(magnitude, filter(None, values))))
+    else:
+        clear = not any(map(operator.mul, present, repeat(0)))
     if clear:
         return values
-    return [v if v is None or finite_magnitude(v) else None for v in values]
+    return [v if v is None or is_finite(magnitude(v)) else None for v in values]
+
+
+def finite_scalars(values: Iterable, what: str) -> tuple:
+    """``values`` as a tuple, each ``int`` made a ``float``, when each is finite:
+    a ``float``, ``int`` or ``complex`` needs its modulus in the double range."""
+    values = tuple(values)
+    kinds = set(map(type, values))
+    if int in kinds:  # nan stands in for an int beyond the double range
+        values = tuple([v if type(v) is not int else float(v) if abs(v) <= _DOUBLE_MAX
+                        else math.nan for v in values])
+    checked = finite_entries(values)  # one sum unless an entry fails
+    if type(None) in kinds or checked is not values and None in checked:
+        raise InvalidParameterError(f"{what} is not a finite number in the double range")
+    return values
 
 
 def check_positive(name: str, value) -> None:
-    """Reject a parameter that is not a real number in (0, inf)."""
-    if isinstance(value, complex) or not 0 < value < math.inf:
+    """Reject a parameter that is not a real number in (0, inf) within the double range."""
+    if isinstance(value, complex) or not 0 < value <= _DOUBLE_MAX:
         raise InvalidParameterError(f"{name} must be positive and finite")
 
 
@@ -171,7 +186,8 @@ class GuardPolicy(Record):
     relative_threshold: float = 1e-14
 
     def __post_init__(self) -> None:
-        if not 0 <= self.relative_threshold < math.inf:
+        threshold = self.relative_threshold
+        if isinstance(threshold, complex) or not 0 <= threshold <= _DOUBLE_MAX:
             raise InvalidParameterError("guard threshold must be a finite nonnegative number")
 
     def divide(self, nums: Iterable, dens: Iterable, bases: Optional[Iterable] = None) -> list:
@@ -182,14 +198,22 @@ class GuardPolicy(Record):
         A kernel of the form ``a - num / den`` passes ``-num``, since
         ``a + (-num) / den`` is the same number to the last bit.
         ``max(1, |num|)`` is spelt out because a call to ``max`` per row
-        costs more than the rest of the row.
+        costs more than the rest of the row.  A row whose ``abs`` overflows
+        trips the guard too; the arguments, then read again, are lists or
+        ``itertools.repeat`` objects.
         """
         threshold = self.relative_threshold
-        return [
-            None if not d or abs(d) < threshold * (m if (m := abs(n)) > 1.0 else 1.0)
-            else n / d if b is None else b + n / d
-            for n, d, b in zip(nums, dens, repeat(None) if bases is None else bases)
-        ]
+        try:
+            return [
+                None if not d or abs(d) < threshold * (m if (m := abs(n)) > 1.0 else 1.0)
+                else n / d if b is None else b + n / d
+                for n, d, b in zip(nums, dens, repeat(None) if bases is None else bases)
+            ]
+        except OverflowError:  # the modulus of a complex of finite parts
+            rows = list(zip(nums, dens, repeat(None) if bases is None else bases))
+            if len(rows) == 1:
+                return [None]
+            return [q for n, d, b in rows for q in self.divide((n,), (d,), (b,))]
 
 
 def _check_partial_sums(values: Sequence[Scalar], terms: Sequence[Scalar]) -> None:
@@ -212,7 +236,8 @@ class SequenceSample(Record):
     known limit or antilimit used for error reporting only.
     ``start_offset`` excludes that many leading elements from every
     transformation, the usual remedy when the first few elements of a
-    sequence behave irregularly.
+    sequence behave irregularly.  Values, terms and limit pass the edge
+    check ``finite_scalars``.
     """
 
     values: tuple
@@ -221,7 +246,9 @@ class SequenceSample(Record):
     start_offset: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", finite_scalars(self.values, "a sequence value"))
+        if self.limit is not None:
+            object.__setattr__(self, "limit", finite_scalars((self.limit,), "the limit")[0])
         if not self.values:
             raise EmptyInputError("a sequence sample needs at least one element")
         if not isinstance(self.start_offset, int) or not 0 <= self.start_offset < len(self.values):
@@ -229,7 +256,7 @@ class SequenceSample(Record):
                 f"start_offset {self.start_offset!r} must be an integer in [0, {len(self.values)})"
             )
         if self.terms is not None:
-            object.__setattr__(self, "terms", tuple(self.terms))
+            object.__setattr__(self, "terms", finite_scalars(self.terms, "a series term"))
             if len(self.terms) != len(self.values):
                 raise ConsistencyError(
                     f"{len(self.terms)} terms cannot produce {len(self.values)} partial sums"
@@ -335,12 +362,10 @@ def append_column(
     ``column(rows)`` returns the entries of the rows ``rows``, in order,
     and runs only on rows whose antecedents are all valid; a column
     without such a row never calls it.  An entry is invalid for one of
-    four causes:
+    three causes:
 
     - an invalid antecedent: the row is not computed;
     - a guard trip: ``column`` gave ``None`` (``GuardPolicy.divide``);
-    - an ``OverflowError``: a column that raises one is computed again
-      row by row, and a row that raises again is invalid;
     - a non-finite value, checked once for the whole column.
 
     A fully valid antecedent column is skipped without slicing it.
@@ -357,15 +382,7 @@ def append_column(
                 valid.append([False] * length)
                 return
     rows = range(length) if usable is None else list(compress(range(length), usable))
-    try:
-        entries = column(rows)
-    except OverflowError:
-        entries = []
-        for n in rows:
-            try:
-                entries += column((n,))
-            except OverflowError:
-                entries.append(None)
+    entries = column(rows)
     if len(rows) == length:
         col = finite_entries(entries)
     else:

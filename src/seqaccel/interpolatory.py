@@ -22,6 +22,7 @@ from .core import (
     check_positive,
     cross_rule_table,
     finite_entries,
+    finite_scalars,
     replace,
     stencil_table,
 )
@@ -43,7 +44,7 @@ class InterpolationPoints(Record):
     direction: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(self.x))
+        object.__setattr__(self, "x", finite_scalars(self.x, "an interpolation point"))
         if self.direction not in (TO_ZERO, TO_INFINITY):
             raise InvalidParameterError(f"unknown direction {self.direction!r}")
         if not self.x:

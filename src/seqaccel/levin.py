@@ -41,8 +41,9 @@ from .core import (
     TransformTable,
     append_column,
     check_positive,
+    finite_scalars,
 )
-from .errors import DomainError, InsufficientDataError, InvalidParameterError, ZeroRemainderError
+from .errors import InsufficientDataError, InvalidParameterError, ZeroRemainderError
 
 LEVIN_POWER = "levin_power"
 WENIGER_POCHHAMMER = "weniger_pochhammer"
@@ -74,23 +75,20 @@ def _omega_with_start(sample: SequenceSample, kind: str, zeta: float) -> tuple:
         raise InsufficientDataError(
             f"too few elements for the {kind} remainder estimate"
         )
-    try:
-        for n in range(start, last + 1):
-            if kind == "u":
-                w = (zeta + n) * backward(n)
-            elif kind == "t":
-                w = backward(n)
-            elif kind == "d":
-                w = diffs[n]
-            else:  # v
-                b, f = backward(n), diffs[n]
-                den = b - f
-                if den == 0:
-                    raise ZeroRemainderError(n, f"v estimate undefined at n={n}: equal differences")
-                w = b * f / den
-            omegas.append(w)
-    except OverflowError:  # an int element beyond the double range
-        raise DomainError(f"the {kind} remainder estimate overflows a double") from None
+    for n in range(start, last + 1):
+        if kind == "u":
+            w = (zeta + n) * backward(n)
+        elif kind == "t":
+            w = backward(n)
+        elif kind == "d":
+            w = diffs[n]
+        else:  # v
+            b, f = backward(n), diffs[n]
+            den = b - f
+            if den == 0:
+                raise ZeroRemainderError(n, f"v estimate undefined at n={n}: equal differences")
+            w = b * f / den
+        omegas.append(w)
     _reject_zero(omegas, start)
     return start, omegas
 
@@ -127,7 +125,7 @@ def weighted_ratio_transform(
         raise InvalidParameterError(f"unknown weight family {family!r}")
     check_positive("zeta", zeta)
     values = sample.effective_values()
-    omegas = list(omegas)
+    omegas = finite_scalars(omegas, "a remainder estimate")
     if len(omegas) != len(values):
         raise InvalidParameterError(
             f"{len(omegas)} remainder estimates for {len(values)} elements"
@@ -148,11 +146,8 @@ def _ratio_table(
     extra: int,
 ) -> TransformTable:
     count = len(values)
-    try:
-        inv = [1.0 / w for w in omegas]
-        ratio = [v * iw for v, iw in zip(values, inv)]
-    except OverflowError:  # an int value or estimate beyond the double range
-        raise DomainError("a value or remainder estimate overflows a double") from None
+    inv = [1.0 / w for w in omegas]
+    ratio = [v * iw for v, iw in zip(values, inv)]
     bases = [zeta + n for n in range(n_start, n_start + count)]
     columns = [list(values)]
     valid = [[True] * count]
@@ -166,16 +161,18 @@ def _ratio_table(
             # One comprehension per j adds term j to every row's (num, den), with
             # the per-entry sums' operations in their order, so no bit changes.
             # w_k(n+j)/w_k(n+k) (1.0 at k=1) keeps the terms of moderate size.
-            # rows are the whole column, or one row when append_column retries an
-            # OverflowError; float(comb(k, j)) raises one in every row at k >= 1030.
-            lo, hi = rows[0], rows[-1] + 1
-            row_bases = bases[lo:hi]
+            # rows are the whole column; from k = 1030 on, the weight comb(k, k // 2)
+            # is 2**1024 or more, beyond the double range, and no row has an entry.
+            hi = len(rows)
+            if math.comb(k, k // 2).bit_length() > 1024:
+                return [None] * hi
+            row_bases = bases[:hi]
             heads = [b + k for b in row_bases]
-            acc = [(0.0, 0.0)] * (hi - lo)
+            acc = [(0.0, 0.0)] * hi
             sign = 1.0
             for j in range(k + 1):
                 c = sign * math.comb(k, j)
-                terms = zip(acc, row_bases, heads, ratio[lo + j:hi + j], inv[lo + j:hi + j])
+                terms = zip(acc, row_bases, heads, ratio[j:hi + j], inv[j:hi + j])
                 if family == LEVIN_POWER and k > 1:
                     acc = [(x + y * r, z + y * u) for (x, z), b, h, r, u in terms
                            for y in (c * ((b + j) / h) ** p,)]

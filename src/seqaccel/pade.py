@@ -19,6 +19,7 @@ from .core import (
     Scalar,
     SequenceSample,
     TransformTable,
+    finite_scalars,
     replace,
     walk_path,
 )
@@ -35,9 +36,10 @@ class PowerSeries(Record):
     z: Scalar
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        object.__setattr__(self, "coefficients", finite_scalars(self.coefficients, "a coefficient"))
         if not self.coefficients:
             raise InvalidParameterError("a power series needs at least one coefficient")
+        object.__setattr__(self, "z", finite_scalars((self.z,), "z")[0])
 
     @property
     def order(self) -> int:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cache
+from itertools import accumulate
 from typing import Mapping
 
-from .core import Record, Scalar, SequenceSample, make_partial_sums
+from .core import Record, Scalar, SequenceSample
 from .errors import DomainError, InvalidParameterError
 
 
@@ -215,7 +216,7 @@ def _param(spec: ProblemSpec, name: str, default=None):
 def generate_problem(spec: ProblemSpec) -> SequenceSample:
     """Terms, partial sums, and the known (anti)limit for a corpus problem."""
     try:
-        sample = _generate(spec)
+        return _generate(spec)
     except OverflowError as exc:
         raise InvalidParameterError(
             f"{spec.describe()}: an element overflows double precision ({exc})"
@@ -224,12 +225,6 @@ def generate_problem(spec: ProblemSpec) -> SequenceSample:
         raise InvalidParameterError(
             f"{spec.describe()}: a parameter has the wrong kind ({exc})"
         ) from exc
-    limit = () if sample.limit is None else (sample.limit,)
-    if not all(map(cmath.isfinite, sample.values + (sample.terms or ()) + limit)):
-        raise InvalidParameterError(
-            f"{spec.describe()}: an element or the limit is not a finite number"
-        )
-    return sample
 
 
 def _generate(spec: ProblemSpec) -> SequenceSample:
@@ -243,29 +238,26 @@ def _generate(spec: ProblemSpec) -> SequenceSample:
         if _real_part(z) <= 1:
             raise InvalidParameterError("zeta_dirichlet needs Re z > 1")
         terms = [(nu + 1) ** (-z) for nu in range(count)]
-        sample = make_partial_sums(terms)
-        return SequenceSample(sample.values, sample.terms, limit=euler_maclaurin_zeta(z))
+        return SequenceSample(tuple(accumulate(terms)), tuple(terms), euler_maclaurin_zeta(z))
 
     if family == "power_series":
         name = _param(spec, "name")
         z = _param(spec, "z")
         coefficients = power_series_coefficients(name, count)
         terms = [g * z ** k for k, g in enumerate(coefficients)]
-        sample = make_partial_sums(terms)
         limit = None
         try:
             limit = _POWER_SERIES[name]["limit"](z)
         except (ValueError, ZeroDivisionError):
             pass  # pole or branch point: no limit attached
-        return SequenceSample(sample.values, sample.terms, limit=limit)
+        return SequenceSample(tuple(accumulate(terms)), tuple(terms), limit)
 
     if family == "euler_factorial":
         x = _param(spec, "x")
         if not x > 0:
             raise InvalidParameterError("euler_factorial needs x > 0")
         terms = [g * x ** k for k, g in enumerate(euler_factorial_coefficients(count))]
-        sample = make_partial_sums(terms)
-        return SequenceSample(sample.values, sample.terms, limit=euler_series_value(x))
+        return SequenceSample(tuple(accumulate(terms)), tuple(terms), euler_series_value(x))
 
     if family == "decay_model":
         s = _param(spec, "s", 0.0)

@@ -9,15 +9,24 @@ from seqaccel import (
     EmptyInputError,
     ConsistencyError,
     GuardPolicy,
+    InterpolationPoints,
     InvalidParameterError,
     PathRangeError,
     PathSpec,
+    PowerSeries,
     SequenceSample,
+    bdg_transform,
     extract_path,
     iterated_aitken,
+    levin_variant,
     make_partial_sums,
+    osada_rho,
+    pade_direct,
+    reciprocal_points,
     richardson_standard,
+    staircase_sequence,
     walk_path,
+    weighted_ratio_transform,
     wynn_epsilon,
 )
 from seqaccel.core import Record, replace
@@ -153,6 +162,19 @@ class TestGuardPolicy:
         assert guard.divide([1.0, -2.0, 3.0], [4.0, 0.0, -8.0]) == [0.25, None, -0.375]
         got = guard.divide([1.0, -2.0], [4.0, 2.0], [-0.0, 1.0])
         assert got == [0.25, 0.0] and repr(got) == "[0.25, 0.0]"
+
+    def test_divide_trips_a_row_whose_modulus_overflows(self):
+        # abs() raises on these finite parts: that row alone trips the guard
+        from itertools import repeat
+
+        guard = GuardPolicy()
+        wide = 1.7e308 + 1.7e308j
+        assert guard.divide([1.0, 1.0, 2.0], [2.0, wide, 4.0]) == [0.5, None, 0.5]
+        assert guard.divide([wide, 1.0], [1.0, 2.0], [1.0, 1.0]) == [None, 1.5]
+        assert guard.divide(repeat(1.0), [2.0, wide, 0.0], repeat(0.0)) == [0.5, None, None]
+        assert guard.divide([wide], [1.0]) == [None]
+        # an infinite part is no overflow: the quotient is left to the finite check
+        assert guard.divide([1.0, wide], [complex(math.inf, 0.0), 1.0]) == [0j, None]
 
 
 class TestRecord:
@@ -373,15 +395,73 @@ class TestNonFiniteScalars:
         for column in ([wide, 1j], [1.0, wide, 2.0], [1j, wide, None]):
             assert finite_entries(column) == [None if v is wide else v for v in column]
 
-    def test_non_finite_mpf_entries_are_invalid(self):
-        values = tuple(mpmath.mpf(x) for x in (1, 2, mpmath.mpf("inf"), 3, 4, 5))
-        table = iterated_aitken(SequenceSample(values))
-        for k, n, value, ok in table.entries():
-            if k > 0:
-                assert ok == (value is not None)
-                assert not ok or mpmath.isfinite(value), (k, n, value)
-        assert table.is_valid(1, 0)
-        assert not any(table.valid[2])
+    def test_magnitude_never_raises(self):
+        from seqaccel.core import magnitude
+
+        assert magnitude(-2.0) == 2.0 and magnitude(3 + 4j) == 5.0
+        assert magnitude(1.7e308 + 1.7e308j) == math.inf  # abs() raises OverflowError
+        assert magnitude(complex(math.inf, 0.0)) == math.inf
+        assert magnitude(mpmath.mpf("-1e400")) == mpmath.mpf("1e400")
+
+
+_EDGE_SAMPLE = SequenceSample((1.0, 0.5, 0.75, 0.625, 0.6875))
+_OUT_OF_RANGE = "is not a finite number in the double range"
+_POSITIVE = "must be positive and finite"
+
+#: (place, build(bad), message) for every place a scalar enters from outside
+_EDGE_PLACES = [
+    ("value", lambda bad: SequenceSample((1.0, bad, 2.0)), _OUT_OF_RANGE),
+    ("term", lambda bad: SequenceSample((1.0, 2.0, 3.0), (1.0, bad, 1.0)), _OUT_OF_RANGE),
+    ("limit", lambda bad: SequenceSample((1.0, 2.0), limit=bad), _OUT_OF_RANGE),
+    ("omega", lambda bad: weighted_ratio_transform(_EDGE_SAMPLE, (1.0, bad, 1.0, 1.0, 1.0)),
+     _OUT_OF_RANGE),
+    ("coefficient", lambda bad: pade_direct(PowerSeries((1, bad, 1), 1.0), 1, 1), _OUT_OF_RANGE),
+    ("z", lambda bad: staircase_sequence(PowerSeries((1, 1, 1), bad)), _OUT_OF_RANGE),
+    ("point", lambda bad: InterpolationPoints((bad, 2, 1), "to_zero"), _OUT_OF_RANGE),
+    ("alpha", lambda bad: osada_rho(_EDGE_SAMPLE, bad), _POSITIVE),
+    ("alpha_bdg", lambda bad: bdg_transform(_EDGE_SAMPLE, bad), _POSITIVE),
+    ("beta", lambda bad: richardson_standard(_EDGE_SAMPLE, bad), _POSITIVE),
+    ("beta_points", lambda bad: reciprocal_points(5, bad), _POSITIVE),
+    ("zeta", lambda bad: levin_variant(_EDGE_SAMPLE, "u", bad), _POSITIVE),
+    ("zeta_weighted", lambda bad: weighted_ratio_transform(_EDGE_SAMPLE, (1.0,) * 5, zeta=bad),
+     _POSITIVE),
+    ("guard_threshold", lambda bad: GuardPolicy(bad),
+     "guard threshold must be a finite nonnegative number"),
+]
+
+
+class TestEdgeCheck:
+    """Every record or parameter that takes scalars from outside admits
+    finite ones only, an ``int`` made a ``float``."""
+
+    @pytest.mark.parametrize(
+        "bad", (10**400, math.inf, math.nan, 1.7e308 + 1.7e308j, mpmath.mpf("inf")),
+        ids=("int", "inf", "nan", "wide_complex", "mpf_inf"),
+    )
+    @pytest.mark.parametrize("place, build, message", _EDGE_PLACES,
+                             ids=[place for place, _, _ in _EDGE_PLACES])
+    def test_out_of_range_scalar_is_rejected_at_construction(self, place, build, message, bad):
+        # never an OverflowError or any other traceback: the edge check
+        # raises before any arithmetic reads the scalar
+        with pytest.raises(InvalidParameterError, match=message):
+            build(bad)
+
+    def test_in_range_int_sample_keeps_its_table_values(self):
+        from seqaccel.cli import apply_transform, transform_names
+
+        ints = (1, 2, 4, 7, 11, 16, 22)
+        sample = SequenceSample(ints, limit=0)
+        assert sample.values == ints and {type(v) for v in sample.values} == {float}
+        assert type(sample.limit) is float
+        assert type(PowerSeries((1, 2), 1).z) is float
+        floats = SequenceSample(tuple(map(float, ints)))
+        for name in transform_names():
+            params = {"alpha": 1.0} if name in ("rho_osada", "bdg") else {}
+            got = apply_transform(name, sample, GuardPolicy(), params)
+            want = apply_transform(name, floats, GuardPolicy(), params)
+            assert [repr(c) for c in got.columns] == [repr(c) for c in want.columns], name
+            assert got.valid == want.valid, name
+        assert iterated_aitken(sample).columns[1] == [0.0, -2.0, -5.0, -9.0, -14.0]
 
 
 class TestColumnPrimitives:
@@ -503,26 +583,6 @@ class TestColumnPrimitives:
             assert apply_transform(name, sample, GuardPolicy(), params).name == name
         assert rho_standard(sample).name == "rho"
         assert pade_via_epsilon(PowerSeries((1.0, 1.0, 0.5), 1.0)).name == "pade_epsilon"
-
-    def test_int_beyond_the_double_range_never_escapes(self):
-        # float(10**400) raises OverflowError; the rows it enters are invalid,
-        # or the transform raises a package error, and the other rows keep values
-        from seqaccel import SequenceTransformError
-        from seqaccel.cli import apply_transform, transform_names
-        from seqaccel.core import is_finite
-
-        sample = SequenceSample((10**400, 1, 2, 4, 7, 11, 16))
-        for name in transform_names():
-            params = {"alpha": 1.0} if name in ("rho_osada", "bdg") else {}
-            try:
-                table = apply_transform(name, sample, GuardPolicy(), params)
-            except SequenceTransformError:
-                assert name.startswith(("levin_", "weniger_")), name
-                continue
-            assert all(is_finite(v) for _, _, v, ok in table.entries() if ok), name
-            if table.n_start == 0:  # the v rule starts at n=1 and never reads 10**400
-                assert not table.valid[1][0] and all(table.valid[1][1:]), name
-        assert iterated_aitken(sample).columns[1] == [None, 0.0, -2.0, -5.0, -9.0]
 
 
 def test_no_unused_imports():

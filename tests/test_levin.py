@@ -365,3 +365,18 @@ class TestColumnKernelBitIdentity:
                 table = weighted_ratio_transform(sample, omegas, family, zeta, guard)
                 oracle = _per_entry_ratio_table(values, omegas, family, zeta, guard, 0)
             _assert_bit_identical(table, oracle)
+
+    def test_columns_beyond_the_binomial_range_have_no_entry(self, monkeypatch):
+        # comb(k, k // 2) leaves the double range from k = 1030 on; scaled by
+        # 2**1100 from k = 5 on, a short table meets the same columns
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda k, j: comb(k, j) << (1100 if k >= 5 else 0))
+        sample = _BIT_IDENTITY_SAMPLES["float"]()
+        for variant, family in (
+            (levin_variant, LEVIN_POWER), (weniger_variant, WENIGER_POCHHAMMER),
+        ):
+            table = variant(sample, "t")
+            omegas = omega_sequence(sample, "t")
+            oracle = _per_entry_ratio_table(sample.values, omegas, family, 1.0, GuardPolicy(), 0)
+            _assert_bit_identical(table, oracle)
+            assert any(table.valid[4]) and not any(map(any, table.valid[5:]))

@@ -117,3 +117,11 @@ class TestStaircase:
         entries = staircase_sequence(series)
         assert entries[0][2] == 1.0
         assert any(value is None for _, _, value in entries[1:])
+
+    def test_overflowing_partial_sum_is_rejected(self):
+        # s_1 = 1e308 + 1e308 is not a finite number, so the series has no sample
+        series = PowerSeries((1e308, 1e308, 1.0, 1.0), 1.0)
+        with pytest.raises(InvalidParameterError, match="not a finite number"):
+            staircase_sequence(series)
+        with pytest.raises(InvalidParameterError, match="not a finite number"):
+            pade_via_epsilon(series)
