@@ -24,9 +24,12 @@ start at n=1.  User-supplied estimates ``omega_n`` go through
 ``weighted_ratio_transform``; ``levin_variant`` and ``weniger_variant``
 take a rule name.
 
-Every entry is its (k+1)-term binomial sum, built column by column with
-the binomial index outside and the rows inside, so a table still costs
-O(N^3) (Levin) or O(N^4) (Weniger) operations, at a smaller constant.
+Weniger's numerator and denominator follow the three-term recursion
+``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` of Weniger (Comput. Phys.
+Rep. 10 (1989) 189), two width-2 stencil tables, so a Weniger table costs
+O(N^2) operations.  A Levin entry is still its (k+1)-term binomial sum,
+built column by column with the binomial index outside and the rows
+inside: O(N^3) operations until Levin moves to its own recursion.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .core import (
     append_column,
     check_positive,
     finite_scalars,
+    stencil_table,
 )
 from .errors import InsufficientDataError, InvalidParameterError, ZeroRemainderError
 
@@ -131,20 +135,21 @@ def weighted_ratio_transform(
             f"{len(omegas)} remainder estimates for {len(values)} elements"
         )
     _reject_zero(omegas, 0)
-    name = "levin_ratio" if family == LEVIN_POWER else "weniger_ratio"
-    return _ratio_table(name, values, omegas, family, zeta, guard, n_start=0, extra=0)
+    if family == LEVIN_POWER:
+        return _ratio_table("levin_ratio", values, omegas, zeta, guard, n_start=0, extra=0)
+    return _factorial_table("weniger_ratio", values, omegas, zeta, guard, n_start=0, extra=0)
 
 
 def _ratio_table(
     name: str,
     values: Sequence[Scalar],
     omegas: Sequence[Scalar],
-    family: str,
     zeta: float,
     guard: GuardPolicy,
     n_start: int,
     extra: int,
 ) -> TransformTable:
+    """Levin's table: every entry its (k+1)-term binomial sum with power weights."""
     count = len(values)
     inv = [1.0 / w for w in omegas]
     ratio = [v * iw for v, iw in zip(values, inv)]
@@ -152,10 +157,7 @@ def _ratio_table(
     columns = [list(values)]
     valid = [[True] * count]
     for k in range(1, count):
-        p, rising = k - 1, range(k - 1)
-
-        def pochhammer_ratio(t, h):
-            return math.prod([(t + i) / (h + i) for i in rising], start=1.0)
+        p = k - 1
 
         def column(rows):
             # One comprehension per j adds term j to every row's (num, den), with
@@ -172,17 +174,58 @@ def _ratio_table(
             sign = 1.0
             for j in range(k + 1):
                 c = sign * math.comb(k, j)
-                terms = zip(acc, row_bases, heads, ratio[j:hi + j], inv[j:hi + j])
-                if family == LEVIN_POWER and k > 1:
-                    acc = [(x + y * r, z + y * u) for (x, z), b, h, r, u in terms
-                           for y in (c * ((b + j) / h) ** p,)]
-                else:
-                    acc = [(x + y * r, z + y * u) for (x, z), b, h, r, u in terms
-                           for y in (c * pochhammer_ratio(b + j, h),)]
+                acc = [(x + y * r, z + y * u)
+                       for (x, z), b, h, r, u in zip(acc, row_bases, heads, ratio[j:hi + j], inv[j:hi + j])
+                       for y in (c * ((b + j) / h) ** p,)]
                 sign = -sign
             return guard.divide([x for x, _ in acc], [z for _, z in acc])
 
         append_column(columns, valid, count - k, (), column)
+    return TransformTable(
+        name, columns, valid, n_start=n_start, order_step=1,
+        consumed_first=[k + 1 + extra for k in range(len(columns))],
+    )
+
+
+def _factorial_table(
+    name: str,
+    values: Sequence[Scalar],
+    omegas: Sequence[Scalar],
+    zeta: float,
+    guard: GuardPolicy,
+    n_start: int,
+    extra: int,
+) -> TransformTable:
+    """Weniger's table by the three-term recursion of its numerator and denominator.
+
+    ``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` from ``X_0 = s_n/omega_n``
+    and ``1/omega_n`` gives (-1)^k times the binomial sums of the Pochhammer
+    weights, so ``T_k = N_k / D_k`` is the same ratio.  ``f_1 = 1``: the
+    general factor, with n the absolute index, is 0/0 at zeta = 1, n = 0.
+    A guard trip on ``T`` stays in its entry; only a non-finite N or D spreads.
+    """
+    count = len(values)
+    inv = [1.0 / w for w in omegas]
+    ratio = [v * iw for v, iw in zip(values, inv)]
+    bases = [zeta + n for n in range(n_start, n_start + count)]
+
+    def kernel(cur, k, rows):
+        if k == 1:
+            return [cur[n + 1] - cur[n] for n in rows]
+        p, q, r, t = k - 1, k - 2, 2 * k - 2, 2 * k - 3
+        return [cur[n + 1] - (b + p) * (b + q) / ((b + r) * (b + t)) * cur[n]
+                for n in rows for b in (bases[n],)]
+
+    num = stencil_table(name, ratio, 2, kernel)
+    den = stencil_table(name, inv, 2, kernel)
+    columns = [list(values)]
+    valid = [[True] * count]
+    for k in range(1, count):
+        nums, dens = num.columns[k], den.columns[k]
+        append_column(
+            columns, valid, count - k, [(num.valid[k], (0,)), (den.valid[k], (0,))],
+            lambda rows: guard.divide([nums[n] for n in rows], [dens[n] for n in rows]),
+        )
     return TransformTable(
         name, columns, valid, n_start=n_start, order_step=1,
         consumed_first=[k + 1 + extra for k in range(len(columns))],
@@ -194,9 +237,11 @@ def _variant(
 ) -> TransformTable:
     start, omegas = _omega_with_start(sample, kind, zeta)
     values = sample.effective_values()[start:start + len(omegas)]
-    name = "levin_" + kind if family == LEVIN_POWER else "weniger_" + WENIGER_NAMES[kind]
     extra = start + (1 if kind in ("v", "d") else 0)
-    return _ratio_table(name, values, omegas, family, zeta, guard, n_start=start, extra=extra)
+    if family == LEVIN_POWER:
+        return _ratio_table("levin_" + kind, values, omegas, zeta, guard, start, extra)
+    name = "weniger_" + WENIGER_NAMES[kind]
+    return _factorial_table(name, values, omegas, zeta, guard, start, extra)
 
 
 def levin_variant(

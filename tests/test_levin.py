@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -229,6 +231,24 @@ class TestWenigerVariants:
         table = weniger_variant(sample, "d")
         assert abs(table.entry(14, 0) - sample.limit) < 1e-8
 
+    def test_guard_trip_stays_in_its_entry(self):
+        # 1/omega_1 = 1/omega_2 makes D_1^(1) exactly zero; the recursion runs on
+        # N and D, so the entries above (1, 1) keep their values
+        vals = tuple(1.0 + 0.5 ** n for n in range(7))
+        omegas = [1.0, 2.0, 2.0, 3.0, 5.0, 8.0, 13.0]
+        table = weighted_ratio_transform(SequenceSample(vals), omegas, WENIGER_POCHHAMMER)
+        assert table.valid[1] == [True, False, True, True, True, True]
+        assert all(map(all, table.valid[2:]))
+
+    def test_guard_threshold_trips_entries_the_default_keeps(self):
+        sample = generate_problem(ProblemSpec("euler_factorial", 18, {"x": 1.0}))
+        default = weniger_variant(sample, "d")
+        loose = weniger_variant(sample, "d", guard=GuardPolicy(1e-3))
+        tripped = {(k, n) for k, n, _, ok in loose.entries() if not ok}
+        assert {(k, n) for k, n, _, ok in default.entries() if not ok} < tripped
+        for k, n, value, ok in loose.entries():
+            assert not ok or repr(value) == repr(default.entry(k, n))
+
     def test_names_follow_estimate_rule(self):
         sample = SequenceSample(LN2_SUMS + (0.583333333333,))
         assert weniger_variant(sample, "d").name == "weniger_delta"
@@ -319,6 +339,61 @@ def _assert_bit_identical(table, oracle):
         assert table.valid[k] == [v is not None for v in want], k
 
 
+@functools.lru_cache(maxsize=None)
+def _pochhammer_weights(zeta, n, k):
+    """Exact ``(-1)^j C(k, j) (zeta+n+j)_{k-1}``, j = 0..k: the Pochhammer weights
+    of entry (k, n) without their common divisor ``(zeta+n+k)_{k-1}``."""
+    b = Fraction(zeta) + n
+    return tuple((-1) ** j * math.comb(k, j) * math.prod(b + j + i for i in range(k - 1))
+                 for j in range(k + 1))
+
+
+def _closed_form(values, omegas, zeta, n, k):
+    """``(X, kappa)`` of the factorial-series entry (k, n) whose window starts at
+    ``values[0]``, from its binomial sums at 50 digits on the same inputs;
+    ``(None, None)`` where the exact denominator is zero.  kappa is
+    ``(sum |num terms| + |X| sum |den terms|) / |den|``."""
+    weights = _pochhammer_weights(zeta, n, k)
+    with mpmath.workdps(50):
+        w = [mpmath.mpf(c.numerator) / c.denominator for c in weights]
+        s = [mpmath.mpmathify(v) for v in values[:k + 1]]
+        om = [mpmath.mpmathify(v) for v in omegas[:k + 1]]
+        nums = [c * v / o for c, v, o in zip(w, s, om)]
+        dens = [c / o for c, o in zip(w, om)]
+        den = mpmath.fsum(dens)
+        den_scale = mpmath.fsum(map(abs, dens))
+        # 50 digits cannot tell a denominator this small from zero: decide exactly
+        if abs(den) <= mpmath.mpf(10) ** -30 * den_scale and all(
+                type(o) is float for o in omegas[:k + 1]):
+            if sum(c / Fraction(o) for c, o in zip(weights, omegas)) == 0:
+                return None, None
+        x = mpmath.fsum(nums) / den
+        return x, (mpmath.fsum(map(abs, nums)) + abs(x) * den_scale) / abs(den)
+
+
+def _assert_as_accurate(table, values, omegas, zeta, oracle):
+    """Every Weniger entry is as accurate as the per-entry binomial sum, or
+    within ``(k+2) 2**-53 kappa`` of the 50-digit closed form: the rounding
+    bound of the golden-file policy.  An entry whose exact denominator is
+    zero is invalid; no entry the sum computes is lost."""
+    assert len(table.columns) == len(oracle)
+    assert [repr(v) for v in table.columns[0]] == [repr(v) for v in oracle[0]]
+    for k in range(1, len(oracle)):
+        for i, (new, old) in enumerate(zip(table.columns[k], oracle[k])):
+            x, kappa = _closed_form(values[i:], omegas[i:], zeta, table.n_start + i, k)
+            if x is None:
+                assert not table.valid[k][i], (k, i)
+                continue
+            assert table.valid[k][i] or old is None, (k, i)
+            if table.valid[k][i]:
+                with mpmath.workdps(50):
+                    error = abs(mpmath.mpmathify(new) - x)
+                    bound = (k + 2) * mpmath.mpf(2) ** -53 * kappa
+                    if old is not None:
+                        bound = max(bound, abs(mpmath.mpmathify(old) - x))
+                    assert error <= bound, (k, i, new, old, x)
+
+
 def _mpf_alternating(n):
     with mpmath.workdps(30):
         return make_partial_sums([mpmath.mpf(-1) ** j / (j + 1) for j in range(n + 1)])
@@ -334,7 +409,8 @@ _BIT_IDENTITY_SAMPLES = {
 
 
 class TestColumnKernelBitIdentity:
-    """The column-wise kernel reproduces the per-entry binomial sums bit for bit."""
+    """Levin's column-wise kernel reproduces the per-entry binomial sums bit for
+    bit; Weniger's three-term recursion is as accurate as those sums."""
 
     @pytest.mark.parametrize("zeta", (1.0, 0.3))
     @pytest.mark.parametrize("kind", ("u", "t", "v", "d"))
@@ -350,7 +426,10 @@ class TestColumnKernelBitIdentity:
             omegas = omega_sequence(sample, kind, zeta)
             values = sample.effective_values()[table.n_start:table.n_start + len(omegas)]
             oracle = _per_entry_ratio_table(values, omegas, family, zeta, guard, table.n_start)
-        _assert_bit_identical(table, oracle)
+        if family == LEVIN_POWER:
+            _assert_bit_identical(table, oracle)
+        else:
+            _assert_as_accurate(table, values, omegas, zeta, oracle)
 
     @pytest.mark.parametrize("guard", (GuardPolicy(), GuardPolicy(0.0)))
     @pytest.mark.parametrize("zeta", (1.0, 0.3))
@@ -359,24 +438,28 @@ class TestColumnKernelBitIdentity:
     def test_weighted_ratio_transform(self, scalars, family, zeta, guard):
         sample = _BIT_IDENTITY_SAMPLES[scalars]()
         values = sample.effective_values()
-        # constant estimates make every first-order denominator exactly zero
+        # constant estimates make every denominator from the first order on exactly zero
         for omegas in ([1.0] * len(values), [(-1.0) ** n / (n + 2) for n in range(len(values))]):
             with mpmath.workdps(30):
                 table = weighted_ratio_transform(sample, omegas, family, zeta, guard)
                 oracle = _per_entry_ratio_table(values, omegas, family, zeta, guard, 0)
-            _assert_bit_identical(table, oracle)
+            if family == LEVIN_POWER:
+                _assert_bit_identical(table, oracle)
+            else:
+                _assert_as_accurate(table, values, omegas, zeta, oracle)
 
     def test_columns_beyond_the_binomial_range_have_no_entry(self, monkeypatch):
         # comb(k, k // 2) leaves the double range from k = 1030 on; scaled by
         # 2**1100 from k = 5 on, a short table meets the same columns
+        sample = _BIT_IDENTITY_SAMPLES["float"]()
+        weniger = weniger_variant(sample, "t")
         comb = math.comb
         monkeypatch.setattr(math, "comb", lambda k, j: comb(k, j) << (1100 if k >= 5 else 0))
-        sample = _BIT_IDENTITY_SAMPLES["float"]()
-        for variant, family in (
-            (levin_variant, LEVIN_POWER), (weniger_variant, WENIGER_POCHHAMMER),
-        ):
-            table = variant(sample, "t")
-            omegas = omega_sequence(sample, "t")
-            oracle = _per_entry_ratio_table(sample.values, omegas, family, 1.0, GuardPolicy(), 0)
-            _assert_bit_identical(table, oracle)
-            assert any(table.valid[4]) and not any(map(any, table.valid[5:]))
+        table = levin_variant(sample, "t")
+        omegas = omega_sequence(sample, "t")
+        oracle = _per_entry_ratio_table(sample.values, omegas, LEVIN_POWER, 1.0, GuardPolicy(), 0)
+        _assert_bit_identical(table, oracle)
+        assert any(table.valid[4]) and not any(map(any, table.valid[5:]))
+        # the recursion uses no binomial weight: Weniger keeps those columns
+        patched = weniger_variant(sample, "t")
+        assert repr(patched) == repr(weniger) and all(map(any, patched.valid[5:]))
