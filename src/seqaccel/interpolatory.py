@@ -49,7 +49,7 @@ class InterpolationPoints(Record):
             raise InvalidParameterError(f"unknown direction {self.direction!r}")
         if not self.x:
             raise InvalidParameterError("interpolation points must be nonempty")
-        if any(not p > 0 for p in self.x):
+        if any(isinstance(p, complex) or not p > 0 for p in self.x):
             raise InvalidParameterError("interpolation points must be positive")
         pairs = zip(self.x, self.x[1:])
         if self.direction == TO_ZERO:

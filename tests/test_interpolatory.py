@@ -47,6 +47,13 @@ class TestInterpolationPoints:
         with pytest.raises(InvalidParameterError):
             InterpolationPoints((1.0,), "sideways")
 
+    @pytest.mark.parametrize("x, direction", (
+        ((1j, 2j), "to_infinity"), ((2j, 1j), "to_zero"), ((1.0, 2 + 0j), "to_infinity"),
+    ))
+    def test_complex_points_are_refused(self, x, direction):
+        with pytest.raises(InvalidParameterError, match="interpolation points must be positive"):
+            InterpolationPoints(x, direction)
+
     def test_standard_grids(self):
         assert reciprocal_points(3).x == pytest.approx((1.0, 0.5, 1 / 3))
         assert natural_points(3).x == (1.0, 2.0, 3.0)
