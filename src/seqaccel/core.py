@@ -217,15 +217,32 @@ class GuardPolicy(Record):
 
 
 def _check_partial_sums(values: Sequence[Scalar], terms: Sequence[Scalar]) -> None:
-    deltas = [(values[0], terms[0])]
-    deltas += [(values[n] - values[n - 1], terms[n]) for n in range(1, len(values))]
-    for n, (got, want) in enumerate(deltas):
-        scale = max(1.0, abs(values[n]), abs(want))
-        if abs((got - want) / scale) > _CONSISTENCY_RTOL:  # abs(got - want) may overflow
-            raise ConsistencyError(
-                f"values are not the partial sums of terms at n={n}: "
-                f"difference {got!r} vs term {want!r}"
-            )
+    """Raise at the first n where ``s_n - s_{n-1}`` (``s_0`` at n = 0) is not ``a_n``.
+
+    The difference is divided by ``max(1, |s_n|, |a_n|)`` before its modulus
+    is taken, which may overflow otherwise; the maximum is spelt out, as in
+    ``GuardPolicy.divide``, because a call to ``max`` per element costs more
+    than the rest of the element.
+    """
+    diffs = [values[0], *map(operator.sub, values[1:], values)]
+    bad = [
+        n for n, v, got, want in zip(range(len(values)), map(abs, values), diffs, terms)
+        if abs((got - want) / (v if v > (w := abs(want)) and v > 1.0 else w if w > 1.0 else 1.0))
+        > _CONSISTENCY_RTOL
+    ]
+    if bad:
+        n = bad[0]
+        raise ConsistencyError(
+            f"values are not the partial sums of terms at n={n}: "
+            f"difference {diffs[n]!r} vs term {terms[n]!r}"
+        )
+
+
+def _check_offset(start_offset, length: int) -> None:
+    if not isinstance(start_offset, int) or not 0 <= start_offset < length:
+        raise InvalidParameterError(
+            f"start_offset {start_offset!r} must be an integer in [0, {length})"
+        )
 
 
 class SequenceSample(Record):
@@ -251,10 +268,7 @@ class SequenceSample(Record):
             object.__setattr__(self, "limit", finite_scalars((self.limit,), "the limit")[0])
         if not self.values:
             raise EmptyInputError("a sequence sample needs at least one element")
-        if not isinstance(self.start_offset, int) or not 0 <= self.start_offset < len(self.values):
-            raise InvalidParameterError(
-                f"start_offset {self.start_offset!r} must be an integer in [0, {len(self.values)})"
-            )
+        _check_offset(self.start_offset, len(self.values))
         if self.terms is not None:
             object.__setattr__(self, "terms", finite_scalars(self.terms, "a series term"))
             if len(self.terms) != len(self.values):
@@ -280,7 +294,12 @@ class SequenceSample(Record):
         return self.terms if self.start_offset == 0 else None
 
     def with_offset(self, start_offset: int) -> "SequenceSample":
-        return SequenceSample(self.values, self.terms, self.limit, start_offset)
+        """This sample with ``start_offset``; its values, terms and limit,
+        checked when it was built, are not checked again."""
+        _check_offset(start_offset, len(self.values))
+        sample = object.__new__(type(self))
+        vars(sample).update(vars(self), start_offset=start_offset)
+        return sample
 
 
 def make_partial_sums(terms: Sequence[Scalar]) -> SequenceSample:

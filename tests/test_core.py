@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -29,6 +30,7 @@ from seqaccel import (
     weighted_ratio_transform,
     wynn_epsilon,
 )
+from seqaccel import core
 from seqaccel.core import Record, replace
 
 
@@ -53,6 +55,45 @@ class TestMakePartialSums:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             make_partial_sums([])
+
+
+def _loop_check_partial_sums(values, terms):
+    """The element-by-element partial-sum check the comprehension replaced."""
+    deltas = [(values[0], terms[0])]
+    deltas += [(values[n] - values[n - 1], terms[n]) for n in range(1, len(values))]
+    for n, (got, want) in enumerate(deltas):
+        scale = max(1.0, abs(values[n]), abs(want))
+        if abs((got - want) / scale) > 1e-9:
+            raise ConsistencyError(
+                f"values are not the partial sums of terms at n={n}: "
+                f"difference {got!r} vs term {want!r}"
+            )
+
+
+def _perturbed(terms, at, rel):
+    values = list(accumulate(terms))
+    for n in at:
+        values[n] *= 1 + rel
+    return tuple(values), tuple(terms)
+
+
+_TERMS = [random.Random(3).uniform(-1, 1) * 10.0 ** (k % 7 - 3) for k in range(60)]
+_PARTIAL_SUM_CASES = [
+    lambda: _perturbed(_TERMS, (), 0.0),
+    lambda: _perturbed(_TERMS, (0,), 1e-3),
+    lambda: _perturbed(_TERMS, (17,), 1e-6),
+    lambda: _perturbed(_TERMS, (59,), 1e-6),
+    lambda: _perturbed(_TERMS, (23, 41), 1e-6),
+    lambda: _perturbed(_TERMS, (30,), 0.9e-9),
+    lambda: _perturbed(_TERMS, (30,), 3e-9),
+    lambda: _perturbed([1e300 * t for t in _TERMS], (12,), 1e-12),
+    lambda: _perturbed([1e300 * t for t in _TERMS], (12,), 1e-6),
+    lambda: ((1e308, -1e308), (1e308, 1e308)),  # the difference overflows
+    lambda: _perturbed([complex(t, -2 * t) for t in _TERMS], (), 0.0),
+    lambda: _perturbed([complex(t, -2 * t) for t in _TERMS], (44,), 1e-6j),
+    lambda: _perturbed([mpmath.mpf(t) / 3 for t in _TERMS], (), 0),
+    lambda: _perturbed([mpmath.mpf(t) / 3 for t in _TERMS], (5,), mpmath.mpf(1e-6)),
+]
 
 
 class TestSequenceSample:
@@ -81,6 +122,35 @@ class TestSequenceSample:
     def test_complex_values(self):
         sample = make_partial_sums([1 + 1j, -0.5j, 0.25])
         assert sample.values[-1] == pytest.approx(1.25 + 0.5j)
+
+    @pytest.mark.parametrize("case", range(len(_PARTIAL_SUM_CASES)))
+    def test_consistency_check_matches_the_element_loop(self, case):
+        values, terms = _PARTIAL_SUM_CASES[case]()
+
+        def outcome(check):
+            try:
+                check(values, terms)
+            except ConsistencyError as error:
+                return str(error)
+            return None
+
+        assert outcome(core._check_partial_sums) == outcome(_loop_check_partial_sums)
+
+    def test_with_offset_keeps_the_checked_sample(self, monkeypatch):
+        sample = SequenceSample((1.0, 1.5, 1.75, 1.875), (1.0, 0.5, 0.25, 0.125), limit=2.0)
+        want = SequenceSample(sample.values, sample.terms, sample.limit, 2)
+
+        def unexpected(*args):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(core, "_check_partial_sums", unexpected)
+        monkeypatch.setattr(core, "finite_scalars", unexpected)
+        shifted = sample.with_offset(2)
+        assert type(shifted) is SequenceSample and shifted == want
+        assert sample.start_offset == 0
+        for bad in (4, -1, 1.0):
+            with pytest.raises(InvalidParameterError, match="must be an integer in"):
+                sample.with_offset(bad)
 
 
 def trips(guard, den, num=1.0):
