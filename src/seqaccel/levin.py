@@ -125,7 +125,7 @@ def weighted_ratio_transform(
     entry ``T_k^(n)`` is exact for ``s_n = s + omega_n z_n`` whenever the
     chosen weight family annihilates ``z_n`` at order k.
     """
-    if family not in (LEVIN_POWER, WENIGER_POCHHAMMER):
+    if family not in _BUILDERS:
         raise InvalidParameterError(f"unknown weight family {family!r}")
     check_positive("zeta", zeta)
     values = sample.effective_values()
@@ -135,9 +135,8 @@ def weighted_ratio_transform(
             f"{len(omegas)} remainder estimates for {len(values)} elements"
         )
     _reject_zero(omegas, 0)
-    if family == LEVIN_POWER:
-        return _ratio_table("levin_ratio", values, omegas, zeta, guard, n_start=0, extra=0)
-    return _factorial_table("weniger_ratio", values, omegas, zeta, guard, n_start=0, extra=0)
+    name = "levin_ratio" if family == LEVIN_POWER else "weniger_ratio"
+    return _BUILDERS[family](name, values, omegas, zeta, guard, n_start=0, extra=0)
 
 
 def _ratio_table(
@@ -232,16 +231,17 @@ def _factorial_table(
     )
 
 
+_BUILDERS = {LEVIN_POWER: _ratio_table, WENIGER_POCHHAMMER: _factorial_table}
+
+
 def _variant(
     sample: SequenceSample, kind: str, zeta: float, guard: GuardPolicy, family: str
 ) -> TransformTable:
     start, omegas = _omega_with_start(sample, kind, zeta)
     values = sample.effective_values()[start:start + len(omegas)]
+    name = "levin_" + kind if family == LEVIN_POWER else "weniger_" + WENIGER_NAMES[kind]
     extra = start + (1 if kind in ("v", "d") else 0)
-    if family == LEVIN_POWER:
-        return _ratio_table("levin_" + kind, values, omegas, zeta, guard, start, extra)
-    name = "weniger_" + WENIGER_NAMES[kind]
-    return _factorial_table(name, values, omegas, zeta, guard, start, extra)
+    return _BUILDERS[family](name, values, omegas, zeta, guard, n_start=start, extra=extra)
 
 
 def levin_variant(
