@@ -297,7 +297,8 @@ class TestInvariances:
 
 def _per_entry_ratio_table(values, omegas, family, zeta, guard, n_start):
     """Every entry as its own (k+1)-term binomial sum, in the earlier kernel's
-    operation order: the oracle of the column-wise kernel's bit identity."""
+    operation order: the oracle of Levin's bit identity and the accuracy
+    Weniger's recursion must match."""
 
     def weight_ratio(n, k, j):
         if k <= 1:
