@@ -345,13 +345,14 @@ def ingest(
     """Read a sequence from a CSV/JSON file path, ``-`` (stdin), or stream."""
     if hasattr(source, "read"):
         text = source.read()
-    elif source == "-":
-        text = sys.stdin.read()
     else:
         try:
-            with open(source, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
+            if source == "-":
+                text = sys.stdin.read()
+            else:
+                with open(source, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise IngestError(f"cannot read {source}: {exc}") from exc
     if fmt == "csv":
         scalars = []
@@ -373,6 +374,8 @@ def ingest(
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise IngestError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+        except RecursionError as exc:
+            raise IngestError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise IngestError("JSON input must be an object")
         raw_values = payload.get("values")
@@ -502,7 +505,7 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         item = line.strip()
@@ -537,7 +540,8 @@ def _common_arguments(parser: argparse.ArgumentParser, report: bool = True) -> N
     if report:
         parser.add_argument("--format", choices=_REPORT_FORMATS, default="tsv")
         parser.add_argument("--digits", type=int, default=16)
-        parser.add_argument("--guard-threshold", type=float, default=1e-14)
+        parser.add_argument("--guard-threshold", type=float,
+                            default=GuardPolicy.relative_threshold)
 
 
 def build_parser(config: Optional[Mapping] = None) -> argparse.ArgumentParser:
@@ -619,8 +623,11 @@ def _resolve_sample(args: argparse.Namespace) -> tuple:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

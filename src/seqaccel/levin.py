@@ -22,7 +22,8 @@ The backward difference at n=0 exists only when the series terms are
 stored (then ``s_0 - s_{-1} = a_0``); otherwise the u/t/v tables simply
 start at n=1.  User-supplied estimates ``omega_n`` go through
 ``weighted_ratio_transform``; ``levin_variant`` and ``weniger_variant``
-take a rule name.
+take a rule name.  All three share one front end, which forms ``1/omega_n``,
+``s_n/omega_n``, the bases ``zeta+n`` and column 0 for either weight family.
 
 Weniger's numerator and denominator follow the three-term recursion
 ``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` of Weniger (Comput. Phys.
@@ -64,35 +65,26 @@ def _omega_with_start(sample: SequenceSample, kind: str, zeta: float) -> tuple:
     values = sample.effective_values()
     if kind not in _ESTIMATE_RULES:
         raise InvalidParameterError(f"unknown remainder estimate kind {kind!r}")
-
     terms = sample.effective_terms()
-    diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-
-    def backward(n: int) -> Scalar:
-        # s_n - s_{n-1}; at n=0 this is the series term a_0 when available
-        return diffs[n - 1] if n >= 1 else terms[0]
-
+    forward = [values[i + 1] - values[i] for i in range(len(values) - 1)]  # s_{n+1} - s_n
+    # s_n - s_{n-1} from n = start; at n = 0 it is the series term a_0 when stored
+    backward = forward if terms is None else [terms[0], *forward]
     start = 0 if kind == "d" or terms is not None else 1
-    omegas = []
     last = len(values) - 2 if kind in ("v", "d") else len(values) - 1
     if last < start:
-        raise InsufficientDataError(
-            f"too few elements for the {kind} remainder estimate"
-        )
-    for n in range(start, last + 1):
-        if kind == "u":
-            w = (zeta + n) * backward(n)
-        elif kind == "t":
-            w = backward(n)
-        elif kind == "d":
-            w = diffs[n]
-        else:  # v
-            b, f = backward(n), diffs[n]
-            den = b - f
-            if den == 0:
-                raise ZeroRemainderError(n, f"v estimate undefined at n={n}: equal differences")
-            w = b * f / den
-        omegas.append(w)
+        raise InsufficientDataError(f"too few elements for the {kind} remainder estimate")
+    if kind == "u":
+        omegas = [(zeta + n) * b for n, b in enumerate(backward, start)]
+    elif kind == "t":
+        omegas = backward
+    elif kind == "d":
+        omegas = forward
+    else:  # v
+        dens = [b - f for b, f in zip(backward, forward[start:])]
+        if 0 in dens:
+            n = start + dens.index(0)
+            raise ZeroRemainderError(n, f"v estimate undefined at n={n}: equal differences")
+        omegas = [b * f / den for b, f, den in zip(backward, forward[start:], dens)]
     _reject_zero(omegas, start)
     return start, omegas
 
@@ -136,25 +128,30 @@ def weighted_ratio_transform(
         )
     _reject_zero(omegas, 0)
     name = "levin_ratio" if family == LEVIN_POWER else "weniger_ratio"
-    return _BUILDERS[family](name, values, omegas, zeta, guard, n_start=0, extra=0)
+    return _table(family, name, values, omegas, zeta, guard, n_start=0, extra=0)
 
 
-def _ratio_table(
-    name: str,
-    values: Sequence[Scalar],
-    omegas: Sequence[Scalar],
-    zeta: float,
-    guard: GuardPolicy,
-    n_start: int,
-    extra: int,
-) -> TransformTable:
-    """Levin's table: every entry its (k+1)-term binomial sum with power weights."""
+def _table(family: str, name: str, values: Sequence[Scalar], omegas: Sequence[Scalar],
+           zeta: float, guard: GuardPolicy, n_start: int, extra: int) -> TransformTable:
+    """Both builders' front end: ``1/omega_n``, ``s_n/omega_n``, bases ``zeta+n``, column 0.
+    ``extra`` is the start index, plus one when the estimates use a forward difference."""
     count = len(values)
     inv = [1.0 / w for w in omegas]
     ratio = [v * iw for v, iw in zip(values, inv)]
     bases = [zeta + n for n in range(n_start, n_start + count)]
     columns = [list(values)]
     valid = [[True] * count]
+    _BUILDERS[family](columns, valid, ratio, inv, bases, guard)
+    return TransformTable(
+        name, columns, valid, n_start=n_start, order_step=1,
+        consumed_first=[k + 1 + extra for k in range(len(columns))],
+    )
+
+
+def _ratio_table(columns: list, valid: list, ratio: list, inv: list, bases: list,
+                 guard: GuardPolicy) -> None:
+    """Levin's columns: every entry its (k+1)-term binomial sum with power weights."""
+    count = len(bases)
     for k in range(1, count):
         p = k - 1
 
@@ -180,22 +177,11 @@ def _ratio_table(
             return guard.divide([x for x, _ in acc], [z for _, z in acc])
 
         append_column(columns, valid, count - k, (), column)
-    return TransformTable(
-        name, columns, valid, n_start=n_start, order_step=1,
-        consumed_first=[k + 1 + extra for k in range(len(columns))],
-    )
 
 
-def _factorial_table(
-    name: str,
-    values: Sequence[Scalar],
-    omegas: Sequence[Scalar],
-    zeta: float,
-    guard: GuardPolicy,
-    n_start: int,
-    extra: int,
-) -> TransformTable:
-    """Weniger's table by the three-term recursion of its numerator and denominator.
+def _factorial_table(columns: list, valid: list, ratio: list, inv: list, bases: list,
+                     guard: GuardPolicy) -> None:
+    """Weniger's columns by the three-term recursion of their numerator and denominator.
 
     ``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` from ``X_0 = s_n/omega_n``
     and ``1/omega_n`` gives (-1)^k times the binomial sums of the Pochhammer
@@ -203,10 +189,7 @@ def _factorial_table(
     general factor, with n the absolute index, is 0/0 at zeta = 1, n = 0.
     A guard trip on ``T`` stays in its entry; only a non-finite N or D spreads.
     """
-    count = len(values)
-    inv = [1.0 / w for w in omegas]
-    ratio = [v * iw for v, iw in zip(values, inv)]
-    bases = [zeta + n for n in range(n_start, n_start + count)]
+    count = len(bases)
 
     def kernel(cur, k, rows):
         if k == 1:
@@ -215,33 +198,26 @@ def _factorial_table(
         return [cur[n + 1] - (b + p) * (b + q) / ((b + r) * (b + t)) * cur[n]
                 for n in rows for b in (bases[n],)]
 
-    num = stencil_table(name, ratio, 2, kernel)
-    den = stencil_table(name, inv, 2, kernel)
-    columns = [list(values)]
-    valid = [[True] * count]
+    num = stencil_table("numerator", ratio, 2, kernel)
+    den = stencil_table("denominator", inv, 2, kernel)
     for k in range(1, count):
         nums, dens = num.columns[k], den.columns[k]
         append_column(
             columns, valid, count - k, [(num.valid[k], (0,)), (den.valid[k], (0,))],
             lambda rows: guard.divide([nums[n] for n in rows], [dens[n] for n in rows]),
         )
-    return TransformTable(
-        name, columns, valid, n_start=n_start, order_step=1,
-        consumed_first=[k + 1 + extra for k in range(len(columns))],
-    )
 
 
 _BUILDERS = {LEVIN_POWER: _ratio_table, WENIGER_POCHHAMMER: _factorial_table}
 
 
-def _variant(
-    sample: SequenceSample, kind: str, zeta: float, guard: GuardPolicy, family: str
-) -> TransformTable:
+def _variant(sample: SequenceSample, kind: str, zeta: float, guard: GuardPolicy,
+             family: str) -> TransformTable:
     start, omegas = _omega_with_start(sample, kind, zeta)
     values = sample.effective_values()[start:start + len(omegas)]
     name = "levin_" + kind if family == LEVIN_POWER else "weniger_" + WENIGER_NAMES[kind]
     extra = start + (1 if kind in ("v", "d") else 0)
-    return _BUILDERS[family](name, values, omegas, zeta, guard, n_start=start, extra=extra)
+    return _table(family, name, values, omegas, zeta, guard, n_start=start, extra=extra)
 
 
 def levin_variant(

@@ -293,5 +293,3 @@ def _generate(spec: ProblemSpec) -> SequenceSample:
         ]
         terms = [values[0]] + [values[n] - values[n - 1] for n in range(1, count)]
         return SequenceSample(tuple(values), terms=tuple(terms), limit=s)
-
-    raise InvalidParameterError(f"unknown problem family {family!r}")

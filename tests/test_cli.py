@@ -291,6 +291,28 @@ class TestCliEndToEnd:
         out = capsys.readouterr().out
         assert "weniger_delta" in out
 
+    def test_pade_staircase_on_euler_problem(self, capsys):
+        assert main(["pade", "--problem", "euler_factorial:x=1:N=6", "--staircase"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert rows[0] == ["l", "m", "value", "abs_error", "valid"]
+        assert [row[:2] for row in rows[1:]] == [
+            ["0", "0"], ["1", "0"], ["1", "1"], ["2", "1"], ["2", "2"], ["3", "2"], ["3", "3"]]
+        assert all(row[4] == "1" for row in rows[1:])
+        assert float(rows[-1][3]) < 0.01
+
+    def test_gen_writes_complex_values_as_strings(self, tmp_path):
+        from seqaccel import generate_problem
+
+        out_file = tmp_path / "complex.json"
+        problem = "zeta_dirichlet:z=2+1j:N=2"
+        assert main(["gen", "--problem", problem, "--output", str(out_file)]) == 0
+        payload = json.loads(out_file.read_text())
+        scalars = [*payload["values"], *payload["terms"], payload["limit"], payload["params"]["z"]]
+        assert all(isinstance(value, str) for value in scalars)
+        sample = generate_problem(parse_problem(problem))
+        assert [complex(value) for value in payload["values"]] == list(sample.values)
+        assert complex(payload["params"]["z"]) == 2 + 1j
+
     def test_config_file_defaults_and_override(self, tmp_path, capsys):
         cfg = write(
             tmp_path / "run.cfg",
@@ -603,6 +625,49 @@ class TestCliRobustness:
     def test_package_errors_exit_2(self, capsys, argv, reason):
         assert main(argv) == 2
         assert reason in one_line_error(capsys, stdout_empty=True)
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["run", "--input", "{tmp}/undecodable", "--transforms", "aitken"],
+         "cannot read {tmp}/undecodable: 'utf-8' codec can't decode byte 0xff"),
+        (["run", "--input", "-", "--transforms", "aitken"],
+         "cannot read -: 'utf-8' codec can't decode byte 0xff"),
+        (["pade", "--coeffs", "{tmp}/undecodable", "--z", "1", "--staircase"],
+         "cannot read {tmp}/undecodable: 'utf-8' codec can't decode byte 0xff"),
+        ([*SMALL, "--config", "{tmp}/undecodable"],
+         "cannot read config {tmp}/undecodable: 'utf-8' codec can't decode byte 0xff"),
+        (["run", "--input", "{tmp}/deep.json", "--input-format", "json", "--transforms", "aitken"],
+         "invalid JSON: maximum recursion depth exceeded"),
+        ([*SMALL, "--output", "{tmp}/missing/report.tsv"], "cannot write {tmp}/missing/report.tsv"),
+        (["gen", "--problem", "geometric:s=1:c=1:lam=0.5:N=4", "--output", "{tmp}"],
+         "cannot write {tmp}"),
+    ], ids=["input", "stdin", "coeffs", "config", "deep_json", "run_output", "gen_output"])
+    def test_file_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, reason):
+        undecodable = b"1\n\xff\n"
+        (tmp_path / "undecodable").write_bytes(undecodable)
+        (tmp_path / "deep.json").write_text("[" * 200000)
+        # a strict UTF-8 stdin, as outside Python's UTF-8 mode
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(undecodable), "utf-8"))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv) == 2
+        assert reason.format(tmp=tmp_path) in one_line_error(capsys, stdout_empty=True)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--problem", "zeta_dirichlet:z=2:N=5"], "--transforms is required"),
+        (["run", "--transforms", "aitken"],
+         "a problem (--problem) or an input file (--input) is required"),
+        ([*SMALL[:3], "--transforms", ","], "at least one transform is required"),
+        (["pade"], "pade needs --problem or --coeffs"),
+        (["pade", "--problem", "power_series:name=exp:z=0.5:N=4", "--coeffs", "c.csv"],
+         "give either --problem or --coeffs, not both"),
+        (["pade", "--coeffs", "c.csv", "--staircase"], "--coeffs needs --z"),
+        (["pade", "--problem", "zeta_dirichlet:z=2:N=4", "--staircase"],
+         "pade needs a power_series or euler_factorial problem, or --coeffs"),
+        (["pade", "--problem", "power_series:name=exp:z=0.5:N=4"],
+         "pade needs --staircase or both --l and --m"),
+    ])
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert one_line_error(capsys, stdout_empty=True) == f"seqaccel: {message}\n"
 
 
 _PROBLEM_PARAMS = {
