@@ -32,7 +32,7 @@ def iterated_aitken(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
     steps (arithmetic progressions) flag entries invalid; they are never
     fatal here.
     """
-    s = sample.effective_values()
+    s = sample.values
     if len(s) < 3:
         raise InsufficientDataError("iterated Aitken needs at least 3 elements")
 
@@ -56,7 +56,7 @@ def wynn_epsilon(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> 
     a power series it produces the [n+k/k] Pade approximants.  Odd
     columns are auxiliary quantities only.
     """
-    s = sample.effective_values()
+    s = sample.values
     return cross_rule_table("epsilon", s, lambda k, rows: repeat(1.0), guard)
 
 
@@ -67,7 +67,7 @@ def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
     logarithmically convergent sequences.  Even columns are approximants;
     theta_{2k} consumes 3k+1 elements.
     """
-    s = sample.effective_values()
+    s = sample.values
     columns = [list(s)]
     valid = [[True] * len(s)]
     while len(columns[-1]) >= 2:
@@ -107,7 +107,7 @@ def iterated_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -
     column k consumes 3k+1 elements.  Shares the theta algorithm's reach:
     linear and logarithmic convergence, many divergent series.
     """
-    s = sample.effective_values()
+    s = sample.values
     if len(s) < 4:
         raise InsufficientDataError("iterated theta needs at least 4 elements")
 

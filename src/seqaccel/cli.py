@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 from . import __version__
@@ -42,6 +41,7 @@ from .core import (
     finite_entries,
     is_finite,
     magnitude,
+    make_partial_sums,
     walk_path,
 )
 from .errors import (
@@ -340,15 +340,15 @@ def ingest(
     fmt: str = "csv",
     values_mode: bool = False,
     limit: Optional[Scalar] = None,
-    start_offset: int = 0,
 ) -> SequenceSample:
     """Read a sequence from a CSV/JSON file path, ``-`` (stdin), or stream."""
     if hasattr(source, "read"):
         text = source.read()
     else:
         try:
-            if source == "-":
-                text = sys.stdin.read()
+            if source == "-":  # its bytes, decoded as strictly as a file's
+                stdin = getattr(sys.stdin, "buffer", None)
+                text = sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
             else:
                 with open(source, "r", encoding="utf-8") as handle:
                     text = handle.read()
@@ -395,12 +395,12 @@ def ingest(
         terms = None if raw_terms is None else number_list(raw_terms, "terms")
     else:
         raise ConfigError(f"unknown input format {fmt!r}")
-    if values is None:
-        values = tuple(accumulate(terms))
-        for n, value in enumerate(values):
-            if not is_finite(magnitude(value)):
-                raise IngestError(f"partial sum s_{n} overflows the double range")
-    return SequenceSample(values, terms, limit, start_offset)
+    if values is not None:
+        return SequenceSample(values, terms, limit)
+    try:
+        return make_partial_sums(terms, limit)
+    except InvalidParameterError as exc:
+        raise IngestError(str(exc)) from exc
 
 
 def _parse_param_value(key: str, raw: str):
@@ -603,22 +603,19 @@ def _option_scalar(flag: str, text: str) -> Scalar:
 def _resolve_sample(args: argparse.Namespace) -> tuple:
     """The (sample, label) pair named by --problem or --input."""
     limit = _option_scalar("--limit", args.limit) if args.limit else None
-    offset = args.start_offset
     if args.problem and args.input:
         raise ConfigError("give either --problem or --input, not both")
     if args.problem:
         spec = parse_problem(args.problem)
-        sample = generate_problem(spec)
+        sample, label = generate_problem(spec), spec.describe()
         if limit is not None:
             sample = SequenceSample(sample.values, sample.terms, limit)
-        return sample.with_offset(offset), spec.describe()
-    if args.input:
-        sample = ingest(
-            args.input, fmt=args.input_format, values_mode=args.values,
-            limit=limit, start_offset=offset,
-        )
-        return sample, "stdin" if args.input == "-" else args.input
-    raise ConfigError("a problem (--problem) or an input file (--input) is required")
+    elif args.input:
+        sample = ingest(args.input, fmt=args.input_format, values_mode=args.values, limit=limit)
+        label = "stdin" if args.input == "-" else args.input
+    else:
+        raise ConfigError("a problem (--problem) or an input file (--input) is required")
+    return sample.with_offset(args.start_offset), label
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:

@@ -238,29 +238,26 @@ def _check_partial_sums(values: Sequence[Scalar], terms: Sequence[Scalar]) -> No
         )
 
 
-def _check_offset(start_offset, length: int) -> None:
-    if not isinstance(start_offset, int) or not 0 <= start_offset < length:
-        raise InvalidParameterError(
-            f"start_offset {start_offset!r} must be an integer in [0, {length})"
-        )
-
-
 class SequenceSample(Record):
     """A finite prefix ``s_0 .. s_N`` of a real or complex sequence.
 
     ``terms``, when present, are series terms ``a_k`` with
     ``s_n = a_0 + ... + a_n`` (checked on construction).  ``limit`` is a
-    known limit or antilimit used for error reporting only.
-    ``start_offset`` excludes that many leading elements from every
-    transformation, the usual remedy when the first few elements of a
-    sequence behave irregularly.  Values, terms and limit pass the edge
-    check ``finite_scalars``.
+    known limit or antilimit used for error reporting only.  Values, terms
+    and limit pass the edge check ``finite_scalars``.  ``start_offset``
+    drops that many leading elements once the whole input is checked, the
+    usual remedy when the first few elements of a sequence behave
+    irregularly; the values left are the partial sums of no stored term
+    prefix, so such a sample has no terms.
     """
 
     values: tuple
     terms: Optional[tuple] = None
     limit: Optional[Scalar] = None
-    start_offset: int = 0
+
+    def __init__(self, values, terms=None, limit=None, start_offset: int = 0) -> None:
+        super().__init__(values, terms, limit)
+        vars(self).update(vars(self.with_offset(start_offset)))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", finite_scalars(self.values, "a sequence value"))
@@ -268,7 +265,6 @@ class SequenceSample(Record):
             object.__setattr__(self, "limit", finite_scalars((self.limit,), "the limit")[0])
         if not self.values:
             raise EmptyInputError("a sequence sample needs at least one element")
-        _check_offset(self.start_offset, len(self.values))
         if self.terms is not None:
             object.__setattr__(self, "terms", finite_scalars(self.terms, "a series term"))
             if len(self.terms) != len(self.values):
@@ -280,34 +276,34 @@ class SequenceSample(Record):
     def __len__(self) -> int:
         return len(self.values)
 
-    def effective_values(self) -> tuple:
-        """Values with the start offset applied."""
-        return self.values[self.start_offset:]
-
-    def effective_terms(self) -> Optional[tuple]:
-        """Terms when they still align with the effective values.
-
-        Once leading elements are excluded the retained values are no
-        longer the partial sums of any stored term prefix, so offset
-        samples report no terms.
-        """
-        return self.terms if self.start_offset == 0 else None
-
     def with_offset(self, start_offset: int) -> "SequenceSample":
-        """This sample with ``start_offset``; its values, terms and limit,
-        checked when it was built, are not checked again."""
-        _check_offset(start_offset, len(self.values))
+        """This sample without its first ``start_offset`` elements, and without
+        terms once any are gone; nothing is checked again."""
+        if not isinstance(start_offset, int) or not 0 <= start_offset < len(self.values):
+            raise InvalidParameterError(
+                f"start_offset {start_offset!r} must be an integer in [0, {len(self.values)})"
+            )
         sample = object.__new__(type(self))
-        vars(sample).update(vars(self), start_offset=start_offset)
+        vars(sample).update(vars(self))
+        if start_offset:
+            vars(sample).update(values=self.values[start_offset:], terms=None)
         return sample
 
 
-def make_partial_sums(terms: Sequence[Scalar]) -> SequenceSample:
-    """Build the partial-sum sample ``s_n = a_0 + ... + a_n`` of a series."""
-    terms = tuple(terms)
+def make_partial_sums(terms: Sequence[Scalar], limit: Optional[Scalar] = None) -> SequenceSample:
+    """The sample ``s_n = a_0 + ... + a_n`` of a series, the one place partial sums
+    are formed; the terms are checked first, so a sum not finite overflowed."""
+    terms = finite_scalars(terms, "a series term")
     if not terms:
         raise EmptyInputError("cannot form partial sums of an empty series")
-    return SequenceSample(tuple(accumulate(terms)), terms=terms)
+    values = tuple(accumulate(terms))
+    checked = finite_entries(values)
+    if checked is not values and None in checked:
+        raise InvalidParameterError(
+            f"partial sum s_{checked.index(None)} overflows: "
+            "not a finite number in the double range"
+        )
+    return SequenceSample(values, terms, limit)
 
 
 class TransformTable(Record):

@@ -95,7 +95,7 @@ def neville_richardson(
     evaluated at zero, hence it is exact once the sequence is polynomial
     of degree <= k in x.
     """
-    s = sample.effective_values()
+    s = sample.values
     x = _require_points(points, TO_ZERO, len(s))
 
     def kernel(cur, k, rows):
@@ -118,7 +118,7 @@ def richardson_standard(
     integer; fails for nonintegral alpha.
     """
     check_positive("beta", beta)
-    s = sample.effective_values()
+    s = sample.values
 
     def kernel(cur, k, rows):
         return [cur[n + 1] + (beta + n) / k * (cur[n + 1] - cur[n]) for n in rows]
@@ -138,7 +138,7 @@ def wynn_rho(
     the points consumed.  Strong on logarithmic convergence, useless for
     linear convergence and divergent series.
     """
-    s = sample.effective_values()
+    s = sample.values
     x = _require_points(points, TO_INFINITY, len(s))
     return cross_rule_table(
         "rho_general", s, lambda k, rows: [x[n + k] - x[n] for n in rows], guard
@@ -147,7 +147,7 @@ def wynn_rho(
 
 def rho_standard(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Wynn's rho algorithm on the standard points ``x_n = n + 1``."""
-    points = natural_points(len(sample.effective_values()))
+    points = natural_points(len(sample.values))
     return replace(wynn_rho(sample, points, guard), name="rho")
 
 
@@ -163,7 +163,7 @@ def osada_rho(
     ``n**(-alpha-2k)`` for any alpha > 0 (Osada 1990).
     """
     check_positive("alpha", alpha)
-    s = sample.effective_values()
+    s = sample.values
     return cross_rule_table("rho_osada", s, lambda k, rows: repeat(k - 1 + alpha), guard)
 
 
@@ -177,7 +177,7 @@ def iterated_rho(
     Column k consumes 2k+1 elements and inherits the rho algorithm's
     affinity for logarithmic convergence.
     """
-    s = sample.effective_values()
+    s = sample.values
     x = _require_points(points, TO_INFINITY, len(s))
     if len(s) < 3:
         raise InsufficientDataError("iterated rho needs at least 3 elements")
@@ -198,7 +198,7 @@ def iterated_rho_standard(
     sample: SequenceSample, guard: GuardPolicy = GuardPolicy()
 ) -> TransformTable:
     """Iterated rho_2 on the standard points ``x_n = n + 1``."""
-    s = sample.effective_values()
+    s = sample.values
     if len(s) < 3:
         raise InsufficientDataError("iterated rho needs at least 3 elements")
 
@@ -225,7 +225,7 @@ def bdg_transform(
     per level; the column-k error falls like ``n**(-alpha-2k)``.
     """
     check_positive("alpha", alpha)
-    s = sample.effective_values()
+    s = sample.values
     if len(s) < 3:
         raise InsufficientDataError("the BDG transformation needs at least 3 elements")
 
@@ -253,7 +253,7 @@ def estimate_decay(
     returned (``None`` marks guard trips) and any aggregation is left to
     the caller; the CLI summarizes with the median of the last quartile.
     """
-    s = sample.effective_values()
+    s = sample.values
     if len(s) < 4:
         raise InsufficientDataError("decay estimation needs at least 4 elements")
     # T_n = dd_n dd_{n+1} / (d_{n+1} dd_{n+1} - d_{n+2} dd_n) - 1, with

@@ -62,10 +62,9 @@ WENIGER_NAMES = {"u": "y", "t": "tau", "v": "phi", "d": "delta"}
 def _omega_with_start(sample: SequenceSample, kind: str, zeta: float) -> tuple:
     """Remainder estimates and the first sequence index they cover."""
     check_positive("zeta", zeta)
-    values = sample.effective_values()
+    values, terms = sample.values, sample.terms
     if kind not in _ESTIMATE_RULES:
         raise InvalidParameterError(f"unknown remainder estimate kind {kind!r}")
-    terms = sample.effective_terms()
     forward = [values[i + 1] - values[i] for i in range(len(values) - 1)]  # s_{n+1} - s_n
     # s_n - s_{n-1} from n = start; at n = 0 it is the series term a_0 when stored
     backward = forward if terms is None else [terms[0], *forward]
@@ -113,14 +112,14 @@ def weighted_ratio_transform(
 ) -> TransformTable:
     """The weighted-difference ratio transform for user-supplied estimates.
 
-    ``omegas`` must align with the (offset-adjusted) sample values.  The
+    ``omegas`` holds one estimate per sample value.  The
     entry ``T_k^(n)`` is exact for ``s_n = s + omega_n z_n`` whenever the
     chosen weight family annihilates ``z_n`` at order k.
     """
     if family not in _BUILDERS:
         raise InvalidParameterError(f"unknown weight family {family!r}")
     check_positive("zeta", zeta)
-    values = sample.effective_values()
+    values = sample.values
     omegas = finite_scalars(omegas, "a remainder estimate")
     if len(omegas) != len(values):
         raise InvalidParameterError(
@@ -214,7 +213,7 @@ _BUILDERS = {LEVIN_POWER: _ratio_table, WENIGER_POCHHAMMER: _factorial_table}
 def _variant(sample: SequenceSample, kind: str, zeta: float, guard: GuardPolicy,
              family: str) -> TransformTable:
     start, omegas = _omega_with_start(sample, kind, zeta)
-    values = sample.effective_values()[start:start + len(omegas)]
+    values = sample.values[start:start + len(omegas)]
     name = "levin_" + kind if family == LEVIN_POWER else "weniger_" + WENIGER_NAMES[kind]
     extra = start + (1 if kind in ("v", "d") else 0)
     return _table(family, name, values, omegas, zeta, guard, n_start=start, extra=extra)

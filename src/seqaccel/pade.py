@@ -11,6 +11,9 @@ highest approximant order available.
 
 from __future__ import annotations
 
+import operator
+from itertools import accumulate, repeat
+
 from .classic import wynn_epsilon
 from .core import (
     GuardPolicy,
@@ -20,6 +23,7 @@ from .core import (
     SequenceSample,
     TransformTable,
     finite_scalars,
+    make_partial_sums,
     replace,
     walk_path,
 )
@@ -45,20 +49,11 @@ class PowerSeries(Record):
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def partial_sums(self) -> list:
-        out = []
-        acc = 0.0
-        zp = 1.0
-        for g in self.coefficients:
-            acc = acc + g * zp
-            zp = zp * self.z
-            out.append(acc)
-        return out
-
     def sample(self) -> SequenceSample:
-        sums = self.partial_sums()
-        terms = [sums[0]] + [sums[i] - sums[i - 1] for i in range(1, len(sums))]
-        return SequenceSample(tuple(sums), terms=tuple(terms))
+        """The partial sums at ``z``, of the terms ``gamma_k z^k`` whose powers
+        are running products."""
+        powers = accumulate(repeat(self.z, self.order), operator.mul, initial=1.0)
+        return make_partial_sums(map(operator.mul, self.coefficients, powers))
 
 
 def _polyval(coeffs, z):

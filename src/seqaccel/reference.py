@@ -12,10 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cache
-from itertools import accumulate
 from typing import Mapping
 
-from .core import Record, Scalar, SequenceSample
+from .core import Record, Scalar, SequenceSample, make_partial_sums
 from .errors import DomainError, InvalidParameterError
 
 
@@ -232,13 +231,11 @@ def _generate(spec: ProblemSpec) -> SequenceSample:
     family = spec.family
 
     if family == "zeta_dirichlet":
-        z = spec.params.get("z")
-        if z is None:
-            raise InvalidParameterError("zeta_dirichlet needs parameter 'z'")
+        z = _param(spec, "z")
         if _real_part(z) <= 1:
             raise InvalidParameterError("zeta_dirichlet needs Re z > 1")
         terms = [(nu + 1) ** (-z) for nu in range(count)]
-        return SequenceSample(tuple(accumulate(terms)), tuple(terms), euler_maclaurin_zeta(z))
+        return make_partial_sums(terms, euler_maclaurin_zeta(z))
 
     if family == "power_series":
         name = _param(spec, "name")
@@ -250,17 +247,17 @@ def _generate(spec: ProblemSpec) -> SequenceSample:
             limit = _POWER_SERIES[name]["limit"](z)
         except (ValueError, ZeroDivisionError):
             pass  # pole or branch point: no limit attached
-        return SequenceSample(tuple(accumulate(terms)), tuple(terms), limit)
+        return make_partial_sums(terms, limit)
 
     if family == "euler_factorial":
         x = _param(spec, "x")
         if not x > 0:
             raise InvalidParameterError("euler_factorial needs x > 0")
         terms = [g * x ** k for k, g in enumerate(euler_factorial_coefficients(count))]
-        return SequenceSample(tuple(accumulate(terms)), tuple(terms), euler_series_value(x))
+        return make_partial_sums(terms, euler_series_value(x))
 
+    s = _param(spec, "s", 0.0)
     if family == "decay_model":
-        s = _param(spec, "s", 0.0)
         alpha = _param(spec, "alpha")
         beta = _param(spec, "beta", 1.0)
         c0 = _param(spec, "c0", 1.0)
@@ -273,15 +270,10 @@ def _generate(spec: ProblemSpec) -> SequenceSample:
         return SequenceSample(tuple(values), limit=s)
 
     if family == "geometric":
-        s = _param(spec, "s", 0.0)
         c = _param(spec, "c")
         lam = _param(spec, "lam")
         values = [s + c * lam ** n for n in range(count)]
-        terms = [values[0]] + [values[n] - values[n - 1] for n in range(1, count)]
-        return SequenceSample(tuple(values), terms=tuple(terms), limit=s)
-
-    if family == "exponential_sum":
-        s = _param(spec, "s", 0.0)
+    else:  # exponential_sum
         cs = list(_param(spec, "c"))
         lams = list(_param(spec, "lam"))
         if len(cs) != len(lams) or not cs:
@@ -291,5 +283,6 @@ def _generate(spec: ProblemSpec) -> SequenceSample:
         values = [
             s + sum(cj * lj ** n for cj, lj in zip(cs, lams)) for n in range(count)
         ]
-        terms = [values[0]] + [values[n] - values[n - 1] for n in range(1, count)]
-        return SequenceSample(tuple(values), terms=tuple(terms), limit=s)
+    # values first: the terms are their differences
+    terms = (values[0], *(b - a for a, b in zip(values, values[1:])))
+    return SequenceSample(tuple(values), terms, s)

@@ -12,11 +12,20 @@ table, estimate list or exception in grid order.  The grid: the problems
 of ``perfbench/cases.py`` at several N (0 to 3 among them), offsets 0 and
 1, each sample also without its terms, mpf copies of the real samples,
 the default guard and a zero guard, and two values of zeta.
+
+Four more lines fingerprint how samples are built: ``sample_view``, the
+``(values, terms, limit)`` of every grid sample as the builders see it;
+``power_series_sample``, the partial sums of ``PowerSeries.sample`` for the
+power series of ``perfbench/`` and of the golden Pade runs, with float and
+mpf coefficients; and ``ingest:csv`` and ``ingest:json``, the samples
+``cli.ingest`` reads from the terms of the grid's problems.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import json
 import os
 import sys
 
@@ -29,13 +38,18 @@ from seqaccel import (  # noqa: E402
     LEVIN_POWER,
     WENIGER_POCHHAMMER,
     GuardPolicy,
+    PowerSeries,
     ProblemSpec,
     SequenceSample,
     generate_problem,
     omega_sequence,
     weighted_ratio_transform,
 )
-from seqaccel.cli import apply_transform, transform_names  # noqa: E402
+from seqaccel.cli import apply_transform, ingest, transform_names  # noqa: E402
+from seqaccel.reference import (  # noqa: E402
+    euler_factorial_coefficients,
+    power_series_coefficients,
+)
 
 SIZES = (0, 1, 2, 3, 6, 12, 24)
 OFFSETS = (0, 1)
@@ -61,6 +75,42 @@ def samples():
                         yield sample.with_offset(offset)
 
 
+def view(sample):
+    """``(values, terms, limit)`` as the builders see them; on a tree whose
+    samples keep the offset beside the values, through its offset views."""
+    if hasattr(sample, "effective_values"):
+        return sample.effective_values(), sample.effective_terms(), sample.limit
+    return sample.values, sample.terms, sample.limit
+
+
+def power_series():
+    """Every series of the ``power_series_sample`` line, in a fixed order: the
+    perfbench power series at the grid's sizes and at the sizes perfbench
+    and the CLI workload use, Euler's series, and the golden Pade series."""
+    sizes = SIZES + (8, 20, 30, 40, 60)
+    for family, params in PROBLEMS.values():
+        for n in sizes:
+            if family == "power_series":
+                yield power_series_coefficients(params["name"], n + 1), params["z"]
+            elif family == "euler_factorial":
+                yield euler_factorial_coefficients(n + 1), params["x"]
+    yield power_series_coefficients("exp", 9), 1.0
+    yield [1.0] * 6, 0.5
+
+
+def ingest_texts():
+    """``(format, text)`` of a terms file for every grid problem that has
+    terms: CSV for all, JSON (numbers and the limit) for the real ones."""
+    for family, params in PROBLEMS.values():
+        for n in SIZES:
+            terms = generate_problem(ProblemSpec(family, n, params)).terms
+            if terms is None:
+                continue
+            yield "csv", "".join(f"{t!r}\n" for t in terms)
+            if not any(isinstance(t, complex) for t in terms):
+                yield "json", json.dumps({"terms": list(terms), "limit": 1.5})
+
+
 def outcome(build):
     try:
         return repr(build())
@@ -78,7 +128,7 @@ def params_of(name):
 
 def explicit_estimates(sample):
     """Levin's u estimate written out, ``(n+1) (s_n - s_{n-1})``, with ``s_{-1} = 0``."""
-    values = sample.effective_values()
+    values = view(sample)[0]
     return [(n + 1) * (v - (values[n - 1] if n else 0.0)) for n, v in enumerate(values)]
 
 
@@ -109,6 +159,15 @@ def main():
                         sample, omegas, family, zeta, guard))
                 record(f"weighted_ratio_transform:{family}", lambda: weighted_ratio_transform(
                     sample, omegas[1:], family, zeta))
+    for sample in grid:
+        record("sample_view", lambda: view(sample))
+    for coefficients, z in power_series():
+        record("power_series_sample", lambda: PowerSeries(tuple(coefficients), z).sample().values)
+        if not isinstance(z, complex):
+            mpf = tuple(map(mpmath.mpf, coefficients)), mpmath.mpf(z)
+            record("power_series_sample", lambda: PowerSeries(*mpf).sample().values)
+    for fmt, text in ingest_texts():
+        record(f"ingest:{fmt}", lambda: view(ingest(io.StringIO(text), fmt=fmt)))
     for label, (count, digest) in lines.items():
         print(label, count, digest.hexdigest())
 

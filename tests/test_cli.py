@@ -72,6 +72,10 @@ class TestIngest:
         with pytest.raises(IngestError):
             ingest("/nonexistent/nowhere.csv")
 
+    def test_stdin_text_stream_without_a_byte_buffer(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1\n0.5\n"))
+        assert ingest("-").values == (1.0, 1.5)
+
 
 class TestParsers:
     def test_problem_string(self):
@@ -225,6 +229,18 @@ class TestCliEndToEnd:
         offset_report = capsys.readouterr().out
         assert main(["run", "--input", cut, *base]) == 0
         assert capsys.readouterr().out == offset_report
+
+    def test_start_offset_of_a_problem_from_flag_or_config(self, tmp_path, capsys):
+        values = [f"{5.0 - 4.0 * 0.8 ** n!r}" for n in range(2, 11)]
+        cut = write(tmp_path / "cut.csv", "\n".join(values) + "\n")
+        base = ["--limit", "5", "--transforms", "aitken,epsilon,levin_t"]
+        assert main(["run", "--input", cut, "--values", *base]) == 0
+        cut_report = capsys.readouterr().out
+        problem = ["run", "--problem", "geometric:s=5:c=-4:lam=0.8:N=10", *base]
+        assert main([*problem, "--start-offset", "2"]) == 0
+        assert capsys.readouterr().out == cut_report
+        assert main([*problem, "--config", write(tmp_path / "o.cfg", "start_offset=2\n")]) == 0
+        assert capsys.readouterr().out == cut_report
 
     def test_ingest_error_exit_code(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.csv", "1\noops\n")
@@ -650,6 +666,20 @@ class TestCliRobustness:
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert main(argv) == 2
         assert reason.format(tmp=tmp_path) in one_line_error(capsys, stdout_empty=True)
+
+    def test_stdin_decodes_strictly_in_utf8_mode(self):
+        # Python's UTF-8 mode reads stdin text with errors="surrogateescape",
+        # which would pass byte 0xff on to the number parser
+        src = os.path.dirname(os.path.dirname(seqaccel.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-X", "utf8", "-m", "seqaccel.cli",
+                "run", "--input", "-", "--transforms", "aitken"]
+        result = subprocess.run(argv, input=b"1\n\xff\n", env=env, capture_output=True)
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.decode().startswith(
+            "seqaccel: cannot read -: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--problem", "zeta_dirichlet:z=2:N=5"], "--transforms is required"),

@@ -56,6 +56,15 @@ class TestMakePartialSums:
         with pytest.raises(EmptyInputError):
             make_partial_sums([])
 
+    def test_limit_and_the_first_overflowing_sum(self):
+        assert make_partial_sums([1.0, 0.5], 2.0) == SequenceSample((1.0, 1.5), (1.0, 0.5), 2.0)
+        with pytest.raises(InvalidParameterError,
+                           match="^partial sum s_1 overflows: not a finite number"):
+            make_partial_sums([1e308, 1e308, 1.0])
+        # a term that is not finite is named as such, not as an overflow
+        with pytest.raises(InvalidParameterError, match="^a series term is not a finite"):
+            make_partial_sums([1.0, math.inf])
+
 
 def _loop_check_partial_sums(values, terms):
     """The element-by-element partial-sum check the comprehension replaced."""
@@ -111,13 +120,26 @@ class TestSequenceSample:
         with pytest.raises(InvalidParameterError):
             SequenceSample((1.0, 2.0), start_offset=-1)
 
+    def test_offset_applies_once_at_construction(self):
+        values, terms = (1.0, 1.5, 1.75), (1.0, 0.5, 0.25)
+        want = SequenceSample((1.75,), None, 2.0)
+        assert SequenceSample(values, terms, 2.0, 2) == want
+        assert SequenceSample(values, terms, limit=2.0, start_offset=2) == want
+        # a later offset counts from the sample it is applied to
+        assert SequenceSample(values, terms, 2.0, 1).with_offset(1) == want
+        with pytest.raises(InvalidParameterError, match="must be an integer in"):
+            SequenceSample(values, start_offset=1.0)
+        # the whole input is checked before the offset drops any of it
+        with pytest.raises(ConsistencyError):
+            SequenceSample(values, (1.0, 0.5, 9.0), start_offset=2)
+
     def test_effective_views(self):
         sample = make_partial_sums([1.0, 2.0, 3.0])
         shifted = sample.with_offset(1)
-        assert shifted.effective_values() == sample.values[1:]
+        assert shifted.values == sample.values[1:]
         # truncated values are no longer partial sums of any stored terms
-        assert shifted.effective_terms() is None
-        assert sample.effective_terms() == sample.terms
+        assert shifted.terms is None
+        assert sample.with_offset(0).terms == sample.terms
 
     def test_complex_values(self):
         sample = make_partial_sums([1 + 1j, -0.5j, 0.25])
@@ -147,7 +169,7 @@ class TestSequenceSample:
         monkeypatch.setattr(core, "finite_scalars", unexpected)
         shifted = sample.with_offset(2)
         assert type(shifted) is SequenceSample and shifted == want
-        assert sample.start_offset == 0
+        assert shifted.values == (1.75, 1.875) and len(sample) == 4
         for bad in (4, -1, 1.0):
             with pytest.raises(InvalidParameterError, match="must be an integer in"):
                 sample.with_offset(bad)
@@ -252,8 +274,8 @@ class TestRecord:
 
     def test_positional_keyword_and_default_binding(self):
         sample = SequenceSample([1.0, 2.0], None, limit=3.0)
-        assert (sample.values, sample.terms, sample.limit, sample.start_offset) == (
-            (1.0, 2.0), None, 3.0, 0)
+        assert (sample.values, sample.terms, sample.limit) == ((1.0, 2.0), None, 3.0)
+        assert SequenceSample((1.0, 2.0), None, 3.0, 1).values == (2.0,)
         assert sample == SequenceSample(limit=3.0, values=(1.0, 2.0))
         assert PathSpec("order_constant", 2).order == 2
         assert GuardPolicy().relative_threshold == 1e-14

@@ -1,7 +1,6 @@
-import functools
 import math
+import pathlib
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -26,9 +25,11 @@ from seqaccel import (
     weniger_variant,
     ProblemSpec,
 )
+from seqaccel.cli import ingest
 from seqaccel.core import is_finite
+from seqaccel.levin import WENIGER_NAMES
 from _helpers import rel_diff
-from oracles import e_oracle
+from oracles import closed_form, e_oracle, pochhammer_weights, power_weights
 
 LN2_SUMS = (1.0, 0.5, 0.5 + 1.0 / 3.0)
 
@@ -340,38 +341,6 @@ def _assert_bit_identical(table, oracle):
         assert table.valid[k] == [v is not None for v in want], k
 
 
-@functools.lru_cache(maxsize=None)
-def _pochhammer_weights(zeta, n, k):
-    """Exact ``(-1)^j C(k, j) (zeta+n+j)_{k-1}``, j = 0..k: the Pochhammer weights
-    of entry (k, n) without their common divisor ``(zeta+n+k)_{k-1}``."""
-    b = Fraction(zeta) + n
-    return tuple((-1) ** j * math.comb(k, j) * math.prod(b + j + i for i in range(k - 1))
-                 for j in range(k + 1))
-
-
-def _closed_form(values, omegas, zeta, n, k):
-    """``(X, kappa)`` of the factorial-series entry (k, n) whose window starts at
-    ``values[0]``, from its binomial sums at 50 digits on the same inputs;
-    ``(None, None)`` where the exact denominator is zero.  kappa is
-    ``(sum |num terms| + |X| sum |den terms|) / |den|``."""
-    weights = _pochhammer_weights(zeta, n, k)
-    with mpmath.workdps(50):
-        w = [mpmath.mpf(c.numerator) / c.denominator for c in weights]
-        s = [mpmath.mpmathify(v) for v in values[:k + 1]]
-        om = [mpmath.mpmathify(v) for v in omegas[:k + 1]]
-        nums = [c * v / o for c, v, o in zip(w, s, om)]
-        dens = [c / o for c, o in zip(w, om)]
-        den = mpmath.fsum(dens)
-        den_scale = mpmath.fsum(map(abs, dens))
-        # 50 digits cannot tell a denominator this small from zero: decide exactly
-        if abs(den) <= mpmath.mpf(10) ** -30 * den_scale and all(
-                type(o) is float for o in omegas[:k + 1]):
-            if sum(c / Fraction(o) for c, o in zip(weights, omegas)) == 0:
-                return None, None
-        x = mpmath.fsum(nums) / den
-        return x, (mpmath.fsum(map(abs, nums)) + abs(x) * den_scale) / abs(den)
-
-
 def _assert_as_accurate(table, values, omegas, zeta, oracle):
     """Every Weniger entry is as accurate as the per-entry binomial sum, or
     within ``(k+2) 2**-53 kappa`` of the 50-digit closed form: the rounding
@@ -381,7 +350,8 @@ def _assert_as_accurate(table, values, omegas, zeta, oracle):
     assert [repr(v) for v in table.columns[0]] == [repr(v) for v in oracle[0]]
     for k in range(1, len(oracle)):
         for i, (new, old) in enumerate(zip(table.columns[k], oracle[k])):
-            x, kappa = _closed_form(values[i:], omegas[i:], zeta, table.n_start + i, k)
+            weights = pochhammer_weights(zeta, table.n_start + i, k)
+            x, kappa = closed_form(values[i:], omegas[i:], weights)
             if x is None:
                 assert not table.valid[k][i], (k, i)
                 continue
@@ -425,7 +395,7 @@ class TestColumnKernelBitIdentity:
         with mpmath.workdps(30):
             table = variant(sample, kind, zeta, guard)
             omegas = omega_sequence(sample, kind, zeta)
-            values = sample.effective_values()[table.n_start:table.n_start + len(omegas)]
+            values = sample.values[table.n_start:table.n_start + len(omegas)]
             oracle = _per_entry_ratio_table(values, omegas, family, zeta, guard, table.n_start)
         if family == LEVIN_POWER:
             _assert_bit_identical(table, oracle)
@@ -438,7 +408,7 @@ class TestColumnKernelBitIdentity:
     @pytest.mark.parametrize("scalars", sorted(_BIT_IDENTITY_SAMPLES))
     def test_weighted_ratio_transform(self, scalars, family, zeta, guard):
         sample = _BIT_IDENTITY_SAMPLES[scalars]()
-        values = sample.effective_values()
+        values = sample.values
         # constant estimates make every denominator from the first order on exactly zero
         for omegas in ([1.0] * len(values), [(-1.0) ** n / (n + 2) for n in range(len(values))]):
             with mpmath.workdps(30):
@@ -464,3 +434,44 @@ class TestColumnKernelBitIdentity:
         # the recursion uses no binomial weight: Weniger keeps those columns
         patched = weniger_variant(sample, "t")
         assert repr(patched) == repr(weniger) and all(map(any, patched.valid[5:]))
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+#: The ``run_*`` goldens: the sample each report was made from, and its
+#: number of valid Levin and Weniger rows with k >= 1.  ``run_geometric``
+#: has none: its s_0 = 0, so levin_t stops at a zero remainder estimate.
+_GOLDEN_RUNS = {
+    "run_zeta11": (lambda: generate_problem(ProblemSpec("zeta_dirichlet", 20, {"z": 1.1})), 20),
+    "run_euler": (lambda: generate_problem(ProblemSpec("euler_factorial", 25, {"x": 1.0})), 24),
+    "run_geometric": (lambda: generate_problem(
+        ProblemSpec("geometric", 15, {"s": 5.0, "c": -5.0, "lam": 0.8})), 0),
+    "run_nolimit": (lambda: ingest(str(GOLDEN_DIR / "sums.csv"), values_mode=True), 10),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(_GOLDEN_RUNS))
+def test_golden_levin_rows_are_within_the_rounding_bound(stem):
+    """Every valid Levin and Weniger row (k >= 1) of a ``run_*`` golden lies
+    within ``(k+2) 2**-53 kappa`` of the 50-digit closed form X on the same
+    double inputs, plus half a unit in the 16th printed digit of X."""
+    build, count = _GOLDEN_RUNS[stem]
+    sample = build()
+    kinds = {**{f"levin_{rule}": rule for rule in WENIGER_NAMES},
+             **{f"weniger_{name}": rule for rule, name in WENIGER_NAMES.items()}}
+    rows = [line.split("\t") for line in (GOLDEN_DIR / f"{stem}.tsv").read_text().splitlines()]
+    checked = 0
+    for name, k, n, printed, _, valid in (row for row in rows if row[0] in kinds):
+        k, n, kind = int(k), int(n), kinds[name]
+        if valid != "1" or k == 0:
+            continue
+        weights = (power_weights if name.startswith("levin_") else pochhammer_weights)(1.0, n, k)
+        omegas = omega_sequence(sample, kind)
+        start = 0 if kind == "d" or sample.terms is not None else 1
+        x, kappa = closed_form(sample.values[n:], omegas[n - start:], weights)
+        with mpmath.workdps(50):
+            error = abs(mpmath.mpf(printed) - x)
+            bound = (k + 2) * mpmath.mpf(2) ** -53 * kappa + mpmath.mpf("0.5e-15") * abs(x)
+            assert error <= bound, (name, k, n, printed, x, error / bound)
+        checked += 1
+    assert checked == count

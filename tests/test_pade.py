@@ -71,7 +71,8 @@ class TestPadeViaEpsilon:
     def test_gauge_column_is_partial_sums(self):
         series = exp_series(4, z=0.5)
         table = pade_via_epsilon(series)
-        assert [v for _, v, _ in table.column(0)] == pytest.approx(series.partial_sums())
+        sums = [sum(0.5 ** j / math.factorial(j) for j in range(n + 1)) for n in range(4)]
+        assert [v for _, v, _ in table.column(0)] == pytest.approx(sums)
 
     def test_label_mapping(self):
         assert pade_label(2, 0) == (1, 1)
