@@ -64,12 +64,7 @@ from .interpolatory import (
 )
 from .levin import WENIGER_NAMES, levin_variant, weniger_variant
 from .pade import PowerSeries, pade_direct, pade_epsilon, staircase_sequence
-from .reference import (
-    ProblemSpec,
-    euler_factorial_coefficients,
-    generate_problem,
-    power_series_coefficients,
-)
+from .reference import ProblemSpec, generate_problem, problem_series
 
 MAX_DIGITS = 17  # double precision carries no more
 
@@ -687,17 +682,7 @@ def _resolve_series(args: argparse.Namespace) -> tuple:
         raise ConfigError("give either --problem or --coeffs, not both")
     if args.problem:
         spec = parse_problem(args.problem)
-        if spec.family not in ("power_series", "euler_factorial"):
-            raise ConfigError(
-                "pade needs a power_series or euler_factorial problem, or --coeffs"
-            )
-        sample = generate_problem(spec)
-        if spec.family == "power_series":
-            coeffs = power_series_coefficients(spec.params["name"], spec.length + 1)
-            z = spec.params["z"]
-        else:
-            coeffs, z = euler_factorial_coefficients(spec.length + 1), spec.params["x"]
-        return PowerSeries(tuple(coeffs), z), sample.limit, spec.describe()
+        return (*problem_series(spec), spec.describe())
     if args.coeffs:
         if args.z is None:
             raise ConfigError("--coeffs needs --z")

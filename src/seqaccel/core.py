@@ -306,6 +306,33 @@ def make_partial_sums(terms: Sequence[Scalar], limit: Optional[Scalar] = None) -
     return SequenceSample(values, terms, limit)
 
 
+class PowerSeries(Record):
+    """Coefficients gamma_0..gamma_N of a (formal) power series and a point z."""
+
+    coefficients: tuple
+    z: Scalar
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coefficients", finite_scalars(self.coefficients, "a coefficient"))
+        if not self.coefficients:
+            raise InvalidParameterError("a power series needs at least one coefficient")
+        object.__setattr__(self, "z", finite_scalars((self.z,), "z")[0])
+
+    @property
+    def order(self) -> int:
+        return len(self.coefficients) - 1
+
+    def sample(self, limit: Optional[Scalar] = None) -> SequenceSample:
+        """The partial sums at ``z`` of the terms ``gamma_k z**k``, with ``limit``."""
+        try:
+            terms = [g * self.z ** k for k, g in enumerate(self.coefficients)]
+        except OverflowError:  # a float or complex power beyond the double range
+            raise InvalidParameterError(
+                "a series term is not a finite number in the double range"
+            ) from None
+        return make_partial_sums(terms, limit)
+
+
 class TransformTable(Record):
     """Triangular array ``T_k^(n)`` stored column-wise with validity flags.
 

@@ -11,19 +11,15 @@ highest approximant order available.
 
 from __future__ import annotations
 
-import operator
-from itertools import accumulate, repeat
-
 from .classic import wynn_epsilon
 from .core import (
     GuardPolicy,
     PathSpec,
+    PowerSeries,
     Record,
     Scalar,
     SequenceSample,
     TransformTable,
-    finite_scalars,
-    make_partial_sums,
     replace,
     walk_path,
 )
@@ -31,29 +27,6 @@ from .errors import DegeneratePadeError, InvalidParameterError, SingularMatrixEr
 from .linalg import solve_dense
 
 _PIVOT_RTOL = 1e-13
-
-
-class PowerSeries(Record):
-    """Coefficients gamma_0..gamma_N of a (formal) power series and a point z."""
-
-    coefficients: tuple
-    z: Scalar
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", finite_scalars(self.coefficients, "a coefficient"))
-        if not self.coefficients:
-            raise InvalidParameterError("a power series needs at least one coefficient")
-        object.__setattr__(self, "z", finite_scalars((self.z,), "z")[0])
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def sample(self) -> SequenceSample:
-        """The partial sums at ``z``, of the terms ``gamma_k z^k`` whose powers
-        are running products."""
-        powers = accumulate(repeat(self.z, self.order), operator.mul, initial=1.0)
-        return make_partial_sums(map(operator.mul, self.coefficients, powers))
 
 
 def _polyval(coeffs, z):

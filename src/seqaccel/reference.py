@@ -14,7 +14,7 @@ import math
 from functools import cache
 from typing import Mapping
 
-from .core import Record, Scalar, SequenceSample, make_partial_sums
+from .core import PowerSeries, Record, Scalar, SequenceSample, make_partial_sums
 from .errors import DomainError, InvalidParameterError
 
 
@@ -164,11 +164,6 @@ def power_series_coefficients(name: str, count: int) -> list:
     return [series["coefficient"](k) for k in range(count)]
 
 
-def euler_factorial_coefficients(count: int) -> list:
-    """Coefficients k! (-1)^k of the divergent factorial series in x."""
-    return [math.factorial(k) * (-1.0) ** k for k in range(count)]
-
-
 PROBLEM_FAMILIES = (
     "zeta_dirichlet",
     "power_series",
@@ -212,10 +207,10 @@ def _param(spec: ProblemSpec, name: str, default=None):
     raise InvalidParameterError(f"{spec.family} needs parameter {name!r}")
 
 
-def generate_problem(spec: ProblemSpec) -> SequenceSample:
-    """Terms, partial sums, and the known (anti)limit for a corpus problem."""
+def _checked(build, spec: ProblemSpec):
+    """``build(spec)``, overflows and wrong-kind parameters raised as ``InvalidParameterError``."""
     try:
-        return _generate(spec)
+        return build(spec)
     except OverflowError as exc:
         raise InvalidParameterError(
             f"{spec.describe()}: an element overflows double precision ({exc})"
@@ -224,6 +219,41 @@ def generate_problem(spec: ProblemSpec) -> SequenceSample:
         raise InvalidParameterError(
             f"{spec.describe()}: a parameter has the wrong kind ({exc})"
         ) from exc
+
+
+def generate_problem(spec: ProblemSpec) -> SequenceSample:
+    """Terms, partial sums, and the known (anti)limit for a corpus problem."""
+    if spec.family in ("power_series", "euler_factorial"):
+        series, limit = problem_series(spec)
+        return series.sample(limit)
+    return _checked(_generate, spec)
+
+
+def problem_series(spec: ProblemSpec) -> tuple:
+    """The ``(PowerSeries, limit)`` of a power_series or euler_factorial problem;
+    the limit is ``None`` at a pole or branch point."""
+    return _checked(_series, spec)
+
+
+def _series(spec: ProblemSpec) -> tuple:
+    if spec.family == "power_series":
+        name, z = _param(spec, "name"), _param(spec, "z")
+        coefficients = power_series_coefficients(name, spec.length + 1)
+        try:
+            limit = _POWER_SERIES[name]["limit"](z)
+        except (ValueError, ZeroDivisionError):
+            limit = None  # pole or branch point: no limit attached
+    elif spec.family == "euler_factorial":  # sum_k k! (-x)^k
+        z = _param(spec, "x")
+        if not z > 0:
+            raise InvalidParameterError("euler_factorial needs x > 0")
+        coefficients = [math.factorial(k) * (-1.0) ** k for k in range(spec.length + 1)]
+        limit = euler_series_value(z)
+    else:
+        raise InvalidParameterError(
+            "pade needs a power_series or euler_factorial problem, or --coeffs"
+        )
+    return PowerSeries(tuple(coefficients), z), limit
 
 
 def _generate(spec: ProblemSpec) -> SequenceSample:
@@ -236,25 +266,6 @@ def _generate(spec: ProblemSpec) -> SequenceSample:
             raise InvalidParameterError("zeta_dirichlet needs Re z > 1")
         terms = [(nu + 1) ** (-z) for nu in range(count)]
         return make_partial_sums(terms, euler_maclaurin_zeta(z))
-
-    if family == "power_series":
-        name = _param(spec, "name")
-        z = _param(spec, "z")
-        coefficients = power_series_coefficients(name, count)
-        terms = [g * z ** k for k, g in enumerate(coefficients)]
-        limit = None
-        try:
-            limit = _POWER_SERIES[name]["limit"](z)
-        except (ValueError, ZeroDivisionError):
-            pass  # pole or branch point: no limit attached
-        return make_partial_sums(terms, limit)
-
-    if family == "euler_factorial":
-        x = _param(spec, "x")
-        if not x > 0:
-            raise InvalidParameterError("euler_factorial needs x > 0")
-        terms = [g * x ** k for k, g in enumerate(euler_factorial_coefficients(count))]
-        return make_partial_sums(terms, euler_series_value(x))
 
     s = _param(spec, "s", 0.0)
     if family == "decay_model":

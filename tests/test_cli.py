@@ -316,6 +316,30 @@ class TestCliEndToEnd:
         assert all(row[4] == "1" for row in rows[1:])
         assert float(rows[-1][3]) < 0.01
 
+    @pytest.mark.parametrize("problem", ("power_series:name=log1p:z=0.9:N=20",
+                                         "power_series:name=log1p:z=0.5+0.4j:N=20",
+                                         "euler_factorial:x=0.3:N=20"))
+    def test_pade_staircase_matches_pade_epsilon_run(self, capsys, problem):
+        # eps_2k^(n) = [n+k/k]: both read the Pade table off the same partial sums
+        assert main(["run", "--problem", problem, "--transforms", "pade_epsilon",
+                     "--path", "staircase"]) == 0
+        run_values = [row.split("\t")[3] for row in capsys.readouterr().out.splitlines()[1:]
+                      if not row.startswith("#")]
+        assert main(["pade", "--problem", problem, "--staircase"]) == 0
+        pade_values = [row.split("\t")[2] for row in capsys.readouterr().out.splitlines()[1:]]
+        assert len(run_values) == 21
+        assert run_values == pade_values
+
+    def test_pade_direct_on_a_problem_matches_its_coefficients(self, tmp_path, capsys):
+        # a direct approximant needs no partial sum, so x^4 overflowing does not matter
+        argv = ["pade", "--problem", "euler_factorial:x=1e100:N=5", "--l", "2", "--m", "2"]
+        assert main(argv) == 0
+        from_problem = capsys.readouterr().out.splitlines()[1].split("\t")
+        coeffs = write(tmp_path / "c.csv", "1\n-1\n2\n-6\n24\n-120\n")
+        assert main(["pade", "--coeffs", coeffs, "--z", "1e100", "--l", "2", "--m", "2"]) == 0
+        from_coeffs = capsys.readouterr().out.splitlines()[1].split("\t")
+        assert from_problem[:3] == from_coeffs[:3] == ["2", "2", "0.3333333333333333"]
+
     def test_gen_writes_complex_values_as_strings(self, tmp_path):
         from seqaccel import generate_problem
 
@@ -358,6 +382,9 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 # reports that the acceptance tests pin.  Input files are read from
 # tests/golden, so the report labels do not depend on where the suite runs.
 _REPORTS = {
+    # a linearly convergent problem with s_0 != 0, so its Levin rows are valid
+    "run_geometric_levin": ["run", "--problem", "geometric:s=2:c=-1:lam=0.8:N=15",
+                            "--transforms", "levin_t,levin_u"],
     "run_nolimit": ["run", "--input", "sums.csv", "--values",
                     "--transforms", "aitken,levin_t"],
     "compare_zeta2": ["compare", "--problem", "zeta_dirichlet:z=2:N=12",
@@ -637,6 +664,12 @@ class TestCliRobustness:
          "wrong kind"),
         (["run", "--problem", "euler_factorial:x=inf:N=10", "--transforms", "levin_u"],
          "not a finite number"),
+        (["pade", "--problem", "euler_factorial:x=1e100:N=5", "--staircase"],
+         "a series term is not a finite number in the double range"),
+        (["pade", "--problem", "power_series:name=exp:z=1:N=5000", "--l", "4", "--m", "4"],
+         "overflows double precision"),
+        (["pade", "--problem", "power_series:name=exp:z=1,2:N=5", "--l", "2", "--m", "2"],
+         "wrong kind"),
     ])
     def test_package_errors_exit_2(self, capsys, argv, reason):
         assert main(argv) == 2

@@ -446,6 +446,8 @@ _GOLDEN_RUNS = {
     "run_euler": (lambda: generate_problem(ProblemSpec("euler_factorial", 25, {"x": 1.0})), 24),
     "run_geometric": (lambda: generate_problem(
         ProblemSpec("geometric", 15, {"s": 5.0, "c": -5.0, "lam": 0.8})), 0),
+    "run_geometric_levin": (lambda: generate_problem(
+        ProblemSpec("geometric", 15, {"s": 2.0, "c": -1.0, "lam": 0.8})), 30),
     "run_nolimit": (lambda: ingest(str(GOLDEN_DIR / "sums.csv"), values_mode=True), 10),
 }
 
