@@ -77,22 +77,43 @@ def finite_entries(values: list) -> list:
 
 
 def finite_scalars(values: Iterable, what: str) -> tuple:
-    """``values`` as a tuple, each ``int`` made a ``float``, when each is finite:
+    """``values`` as a tuple, each ``int`` made a ``float``, when each is a finite number:
     a ``float``, ``int`` or ``complex`` needs its modulus in the double range."""
     values = tuple(values)
     kinds = set(map(type, values))
     if int in kinds:  # nan stands in for an int beyond the double range
         values = tuple([v if type(v) is not int else float(v) if abs(v) <= _DOUBLE_MAX
                         else math.nan for v in values])
-    checked = finite_entries(values)  # one sum unless an entry fails
-    if type(None) in kinds or checked is not values and None in checked:
-        raise InvalidParameterError(f"{what} is not a finite number in the double range")
-    return values
+    if _numbers(kinds, values):
+        checked = finite_entries(values)  # one sum unless an entry fails
+        if checked is values or None not in checked:
+            return values
+    raise InvalidParameterError(f"{what} is not a finite number in the double range")
+
+
+def _numbers(kinds: set, values: tuple) -> bool:
+    """One value of each type in ``kinds`` but ``float``, ``int`` and ``complex`` has
+    ``x * 0 == 0``: for a ``str`` or a ``tuple`` the product is empty, for ``None`` it raises."""
+    try:
+        return all(next(v for v in values if type(v) is kind) * 0 == 0
+                   for kind in kinds - {float, int, complex})
+    except TypeError:
+        return False
+
+
+def _in_double_range(value, zero_ok: bool = False) -> bool:
+    """``value`` is a real number in (0, max double], or in [0, max double] when
+    ``zero_ok``; a ``complex``, a ``str`` or a ``tuple`` is not."""
+    try:
+        return not isinstance(value, complex) and (
+            0 <= value if zero_ok else 0 < value) and value <= _DOUBLE_MAX
+    except TypeError:
+        return False
 
 
 def check_positive(name: str, value) -> None:
     """Reject a parameter that is not a real number in (0, inf) within the double range."""
-    if isinstance(value, complex) or not 0 < value <= _DOUBLE_MAX:
+    if not _in_double_range(value):
         raise InvalidParameterError(f"{name} must be positive and finite")
 
 
@@ -186,8 +207,7 @@ class GuardPolicy(Record):
     relative_threshold: float = 1e-14
 
     def __post_init__(self) -> None:
-        threshold = self.relative_threshold
-        if isinstance(threshold, complex) or not 0 <= threshold <= _DOUBLE_MAX:
+        if not _in_double_range(self.relative_threshold, zero_ok=True):
             raise InvalidParameterError("guard threshold must be a finite nonnegative number")
 
     def divide(self, nums: Iterable, dens: Iterable, bases: Optional[Iterable] = None) -> list:

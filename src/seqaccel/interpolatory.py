@@ -146,9 +146,12 @@ def wynn_rho(
 
 
 def rho_standard(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
-    """Wynn's rho algorithm on the standard points ``x_n = n + 1``."""
-    points = natural_points(len(sample.values))
-    return replace(wynn_rho(sample, points, guard), name="rho")
+    """Wynn's rho algorithm on the standard points ``x_n = n + 1``.
+
+    Its numerator ``x_(n+k) - x_n`` is exactly k, Osada's ``k - 1 + alpha``
+    at alpha = 1, so it is Osada's table to the last bit.
+    """
+    return replace(osada_rho(sample, 1.0, guard), name="rho")
 
 
 def osada_rho(

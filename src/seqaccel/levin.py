@@ -27,10 +27,10 @@ take a rule name.  All three share one front end, which forms ``1/omega_n``,
 
 Weniger's numerator and denominator follow the three-term recursion
 ``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` of Weniger (Comput. Phys.
-Rep. 10 (1989) 189), two width-2 stencil tables, so a Weniger table costs
-O(N^2) operations.  A Levin entry is still its (k+1)-term binomial sum,
-built column by column with the binomial index outside and the rows
-inside: O(N^3) operations until Levin moves to its own recursion.
+Rep. 10 (1989) 189), one pass per column keeping only the current N and D:
+O(N^2) operations and little memory beyond the table.  A Levin entry is
+still its (k+1)-term binomial sum, built column by column with the binomial
+index outside and the rows inside: O(N^3) operations until it has its own.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .core import (
     append_column,
     check_positive,
     finite_scalars,
-    stencil_table,
 )
 from .errors import InsufficientDataError, InvalidParameterError, ZeroRemainderError
 
@@ -184,27 +183,28 @@ def _factorial_table(columns: list, valid: list, ratio: list, inv: list, bases: 
 
     ``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` from ``X_0 = s_n/omega_n``
     and ``1/omega_n`` gives (-1)^k times the binomial sums of the Pochhammer
-    weights, so ``T_k = N_k / D_k`` is the same ratio.  ``f_1 = 1``: the
-    general factor, with n the absolute index, is 0/0 at zeta = 1, n = 0.
-    A guard trip on ``T`` stays in its entry; only a non-finite N or D spreads.
+    weights, so ``T_k = N_k / D_k`` is the same ratio.  A column is one pass:
+    ``f_k(n)`` once for N and D (``f_1 = 1``: the general factor, with n the
+    absolute index, is 0/0 at zeta = 1, n = 0), N_k and D_k in place of the
+    working columns before them, and ``T_k`` by one guarded division.  A
+    guard trip on ``T`` stays in its entry; only a non-finite N or D spreads.
     """
+
+    def advance(cur, ok, f):
+        col, flags = [], []  # X_k and its flags from X_{k-1}
+        append_column(col, flags, len(cur) - 1, [(ok, (0, 1))], lambda rows: (
+            [cur[n + 1] - cur[n] for n in rows] if f is None
+            else [cur[n + 1] - f[n] * cur[n] for n in rows]))
+        return col[0], flags[0]
+
     count = len(bases)
-
-    def kernel(cur, k, rows):
-        if k == 1:
-            return [cur[n + 1] - cur[n] for n in rows]
-        p, q, r, t = k - 1, k - 2, 2 * k - 2, 2 * k - 3
-        return [cur[n + 1] - (b + p) * (b + q) / ((b + r) * (b + t)) * cur[n]
-                for n in rows for b in (bases[n],)]
-
-    num = stencil_table("numerator", ratio, 2, kernel)
-    den = stencil_table("denominator", inv, 2, kernel)
+    num, num_ok, den, den_ok = ratio, [True] * count, inv, [True] * count
     for k in range(1, count):
-        nums, dens = num.columns[k], den.columns[k]
-        append_column(
-            columns, valid, count - k, [(num.valid[k], (0,)), (den.valid[k], (0,))],
-            lambda rows: guard.divide([nums[n] for n in rows], [dens[n] for n in rows]),
-        )
+        p, q, r, t = k - 1, k - 2, 2 * k - 2, 2 * k - 3
+        f = [(b + p) * (b + q) / ((b + r) * (b + t)) for b in bases[:count - k]] if k > 1 else None
+        (num, num_ok), (den, den_ok) = advance(num, num_ok, f), advance(den, den_ok, f)
+        append_column(columns, valid, count - k, [(num_ok, (0,)), (den_ok, (0,))],
+                      lambda rows: guard.divide([num[n] for n in rows], [den[n] for n in rows]))
 
 
 _BUILDERS = {LEVIN_POWER: _ratio_table, WENIGER_POCHHAMMER: _factorial_table}

@@ -123,7 +123,9 @@ def euler_series_value(x: float) -> float:
                 p = p * z / k
                 s += p / k
                 e += p
-            return float(z * (Decimal(_EULER_GAMMA) + (-z).ln() + s) / e)
+            # ln y = l0 + ln(y e^-l0) from a float l0: libmpdec's ln is quick near 1
+            l0 = Decimal(math.log(-z))
+            return float(z * (Decimal(_EULER_GAMMA) + l0 + (-z * (-l0).exp()).ln() + s) / e)
         # a_1 = 1, a_2j = a_2j+1 = j x; (p, q) = A_(2j-2), A_(2j-1), (r, s) the B's
         a, p, q, r, s = 0, 0, 1, 1, 1
         root = Decimal("1e20")  # (a_1 ... a_2j+1 / 1e-40)^(1/2); r <= s

@@ -11,7 +11,11 @@ transform, then ``omega_sequence:<rule>`` and
 table, estimate list or exception in grid order.  The grid: the problems
 of ``perfbench/cases.py`` at several N (0 to 3 among them), offsets 0 and
 1, each sample also without its terms, mpf copies of the real samples,
-the default guard and a zero guard, and two values of zeta.
+the default guard and a zero guard, and two values of zeta.  The grid
+stops at N = 24, so ``weniger_large`` fingerprints the four ``weniger_*``
+rules and the Pochhammer ``weighted_ratio_transform`` at the sizes the
+``lib_levin`` benchmark builds: the same problems at N = 30, 40, 50 and
+100, offsets 0 and 1, both values of zeta and the default guard.
 
 Four more lines fingerprint how samples are built: ``sample_view``, the
 ``(values, terms, limit)`` of every grid sample as the builders see it;
@@ -50,6 +54,7 @@ from seqaccel.cli import apply_transform, ingest, transform_names  # noqa: E402
 from seqaccel.reference import power_series_coefficients  # noqa: E402
 
 SIZES = (0, 1, 2, 3, 6, 12, 24)
+WENIGER_SIZES = (30, 40, 50, 100)
 OFFSETS = (0, 1)
 GUARDS = (GuardPolicy(), GuardPolicy(0.0))
 ZETAS = (1.0, 2.5)
@@ -157,6 +162,18 @@ def main():
                         sample, omegas, family, zeta, guard))
                 record(f"weighted_ratio_transform:{family}", lambda: weighted_ratio_transform(
                     sample, omegas[1:], family, zeta))
+    weniger = [name for name in transform_names() if name.startswith("weniger_")]
+    for family, params in PROBLEMS.values():
+        for n in WENIGER_SIZES:
+            base = generate_problem(ProblemSpec(family, n, params))
+            for sample in (base.with_offset(offset) for offset in OFFSETS):
+                omegas = explicit_estimates(sample)
+                for zeta in ZETAS:
+                    for name in weniger:
+                        record("weniger_large", lambda: apply_transform(
+                            name, sample, GUARDS[0], {"zeta": zeta}))
+                    record("weniger_large", lambda: weighted_ratio_transform(
+                        sample, omegas, WENIGER_POCHHAMMER, zeta))
     for sample in grid:
         record("sample_view", lambda: view(sample))
     for coefficients, z in power_series():

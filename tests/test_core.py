@@ -527,8 +527,9 @@ class TestEdgeCheck:
     finite ones only, an ``int`` made a ``float``."""
 
     @pytest.mark.parametrize(
-        "bad", (10**400, math.inf, math.nan, 1.7e308 + 1.7e308j, mpmath.mpf("inf")),
-        ids=("int", "inf", "nan", "wide_complex", "mpf_inf"),
+        "bad",
+        (10**400, math.inf, math.nan, 1.7e308 + 1.7e308j, mpmath.mpf("inf"), "a", (1.0, 2.0)),
+        ids=("int", "inf", "nan", "wide_complex", "mpf_inf", "str", "tuple"),
     )
     @pytest.mark.parametrize("place, build, message", _EDGE_PLACES,
                              ids=[place for place, _, _ in _EDGE_PLACES])

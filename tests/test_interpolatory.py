@@ -23,6 +23,7 @@ from seqaccel import (
     rho_standard,
     wynn_rho,
 )
+from seqaccel.core import replace
 from _helpers import error_slope, rel_diff, table_rel_spread
 from oracles import richardson_binomial
 
@@ -128,6 +129,20 @@ class TestWynnRho:
         general = wynn_rho(SequenceSample(vals), natural_points(9))
         standard = rho_standard(SequenceSample(vals))
         assert table_rel_spread(general, standard) < 1e-12
+
+    @pytest.mark.parametrize("kind", ("float", "complex", "mpf"))
+    def test_standard_form_is_natural_points_to_the_bit(self, kind):
+        # x_(n+k) - x_n is exactly k on x_n = n + 1, the numerator rho_standard uses
+        reals, imags = random_values(3, 12), random_values(4, 12)
+        with mpmath.workdps(30):
+            vals = {
+                "float": reals,
+                "complex": tuple(map(complex, reals, imags)),
+                "mpf": tuple(mpmath.mpf(v) / 3 for v in reals),
+            }[kind]
+            sample = SequenceSample(vals)
+            general = wynn_rho(sample, natural_points(len(vals)))
+            assert repr(rho_standard(sample)) == repr(replace(general, name="rho"))
 
     def test_does_not_accelerate_linear_convergence(self):
         vals = tuple(1.0 + 2.0 ** -n for n in range(12))

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import random
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -240,6 +241,20 @@ class TestWenigerVariants:
         table = weighted_ratio_transform(SequenceSample(vals), omegas, WENIGER_POCHHAMMER)
         assert table.valid[1] == [True, False, True, True, True, True]
         assert all(map(all, table.valid[2:]))
+
+    @pytest.mark.parametrize("j", (0, 3, 8))
+    def test_non_finite_numerator_and_denominator_spread_over_their_cone(self, j):
+        # 1/omega_j overflows to inf, so N_0 and D_0 are not finite at j, and
+        # T_k^(m) reads them exactly when m <= j <= m + k; alternating
+        # estimates keep every other denominator clear of zero
+        vals = tuple(accumulate((-1.0) ** n / (n + 1) for n in range(9)))
+        omegas = [(-1.0) ** n * (n + 2.0) ** 2 for n in range(9)]
+        omegas[j] = 1e-310
+        table = weighted_ratio_transform(SequenceSample(vals), omegas, WENIGER_POCHHAMMER)
+        assert all(table.valid[0])
+        for k in range(1, table.max_order + 1):
+            assert table.valid[k] == [not m <= j <= m + k for m in range(9 - k)], k
+            assert all(is_finite(v) for v, ok in zip(table.columns[k], table.valid[k]) if ok)
 
     def test_guard_threshold_trips_entries_the_default_keeps(self):
         sample = generate_problem(ProblemSpec("euler_factorial", 18, {"x": 1.0}))
