@@ -398,37 +398,50 @@ def ingest(
         raise IngestError(str(exc)) from exc
 
 
-def _parse_param_value(key: str, raw: str):
+def _key_values(pieces: Sequence[str], what: str, parse) -> dict:
+    """``key=value`` spec pieces as a dict of ``parse(key, raw)`` by key; a piece
+    without ``=`` and a key given twice are refused."""
+    out = {}
+    for piece in pieces:
+        key, sep, raw = piece.partition("=")
+        if not sep:
+            raise ConfigError(f"{what} parameter {piece!r} is not key=value")
+        if key in out:
+            raise ConfigError(f"{what} parameter {key} is given twice")
+        out[key] = parse(key, raw)
+    return out
+
+
+def _problem_param(key: str, raw: str):
     if key == "name":  # power_series:name=exp
         return raw
     try:
+        if key == "N":
+            return int(raw)
         if "," in raw:
             return tuple(parse_scalar(item) for item in raw.split(",") if item)
         return parse_scalar(raw)
     except ValueError:
-        raise ConfigError(f"problem parameter {key}={raw!r} is not numeric") from None
+        raise ConfigError(f"N must be an integer, got {raw!r}" if key == "N" else
+                          f"problem parameter {key}={raw!r} is not numeric") from None
+
+
+def _transform_param(key: str, raw: str) -> Scalar:
+    try:
+        return parse_scalar(raw)
+    except ValueError:
+        raise ConfigError(f"transform parameter {key + '=' + raw!r} is not numeric") from None
 
 
 def parse_problem(text: str) -> ProblemSpec:
     parts = [p for p in text.split(":") if p]
     if not parts:
         raise ConfigError("empty problem specification")
-    family, length, params = parts[0], None, {}
-    for part in parts[1:]:
-        key, sep, raw = part.partition("=")
-        if not sep:
-            raise ConfigError(f"problem parameter {part!r} is not key=value")
-        if key == "N":
-            try:
-                length = int(raw)
-            except ValueError:
-                raise ConfigError(f"N must be an integer, got {raw!r}") from None
-        else:
-            params[key] = _parse_param_value(key, raw)
-    if length is None:
+    params = _key_values(parts[1:], "problem", _problem_param)
+    if "N" not in params:
         raise ConfigError("problem needs N=<last index> (N+1 elements are generated)")
     try:
-        return ProblemSpec(family, length, params)
+        return ProblemSpec(parts[0], params.pop("N"), params)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -437,19 +450,9 @@ def parse_transforms(text: str) -> tuple:
     out = []
     for item in text.split(","):
         item = item.strip()
-        if not item:
-            continue
-        pieces = item.split(":")
-        name, params = pieces[0], {}
-        for piece in pieces[1:]:
-            key, sep, raw = piece.partition("=")
-            if not sep:
-                raise ConfigError(f"transform parameter {piece!r} is not key=value")
-            try:
-                params[key] = parse_scalar(raw)
-            except ValueError:
-                raise ConfigError(f"transform parameter {piece!r} is not numeric") from None
-        out.append((name, params))
+        if item:
+            name, *pieces = item.split(":")
+            out.append((name, _key_values(pieces, "transform", _transform_param)))
     if not out:
         raise ConfigError("at least one transform is required")
     return tuple(out)

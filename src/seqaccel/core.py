@@ -117,6 +117,15 @@ def check_positive(name: str, value) -> None:
         raise InvalidParameterError(f"{name} must be positive and finite")
 
 
+def check_integer(name: str, value, low: Optional[int] = None, high: Optional[int] = None) -> None:
+    """Reject a parameter that is not an ``int`` (a ``float`` or a ``str`` is not),
+    or that lies outside ``[low, high]``; a bound given as ``None`` is absent."""
+    if not isinstance(value, int) or (low is not None and value < low) or (
+            high is not None and value > high):
+        bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+        raise InvalidParameterError(f"{name} must be an integer{bounds}, got {value!r}")
+
+
 class Record:
     """Base of the package's immutable value types.
 
@@ -299,10 +308,7 @@ class SequenceSample(Record):
     def with_offset(self, start_offset: int) -> "SequenceSample":
         """This sample without its first ``start_offset`` elements, and without
         terms once any are gone; nothing is checked again."""
-        if not isinstance(start_offset, int) or not 0 <= start_offset < len(self.values):
-            raise InvalidParameterError(
-                f"start_offset {start_offset!r} must be an integer in [0, {len(self.values)})"
-            )
+        check_integer("start_offset", start_offset, 0, len(self.values) - 1)
         sample = object.__new__(type(self))
         vars(sample).update(vars(self))
         if start_offset:
@@ -549,6 +555,9 @@ class PathSpec(Record):
             raise InvalidParameterError(f"unknown path kind {self.kind!r}")
         if self.kind == "order_constant" and self.order is None:
             raise InvalidParameterError("order_constant path needs an order k")
+        for name in ("order", "index"):  # their range is the table's, checked on a walk
+            if getattr(self, name) is not None:
+                check_integer(name, getattr(self, name))
 
     @classmethod
     def order_constant(cls, k: int) -> "PathSpec":

@@ -4,8 +4,9 @@ Wynn's rho algorithm and its variants, and the decay-parameter estimator.
 These transforms aim at logarithmically convergent sequences.  The
 polynomial (Richardson) and rational (rho) standard forms handle remainders
 ``(n+beta)**(-alpha)`` with integer alpha; Osada's variant and the
-Bjorstad-Dahlquist-Grosse iteration take a known nonintegral alpha and
-restore the ``O(n**(-alpha-2k))`` error order.
+Bjorstad-Dahlquist-Grosse (BDG) iteration take a known alpha > 0 and restore
+the ``O(n**(-alpha-2k))`` error order.  The standard ``rho`` and
+``rho_iterated`` are Osada's rho and BDG at alpha = 1, one kernel per shape.
 """
 
 from __future__ import annotations
@@ -146,11 +147,8 @@ def wynn_rho(
 
 
 def rho_standard(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
-    """Wynn's rho algorithm on the standard points ``x_n = n + 1``.
-
-    Its numerator ``x_(n+k) - x_n`` is exactly k, Osada's ``k - 1 + alpha``
-    at alpha = 1, so it is Osada's table to the last bit.
-    """
+    """Wynn's rho on ``x_n = n + 1``: its numerator ``x_(n+k) - x_n`` is exactly k,
+    Osada's ``k - 1 + alpha`` at alpha = 1, so it is Osada's table to the last bit."""
     return replace(osada_rho(sample, 1.0, guard), name="rho")
 
 
@@ -200,21 +198,10 @@ def iterated_rho(
 def iterated_rho_standard(
     sample: SequenceSample, guard: GuardPolicy = GuardPolicy()
 ) -> TransformTable:
-    """Iterated rho_2 on the standard points ``x_n = n + 1``."""
-    s = sample.values
-    if len(s) < 3:
+    """Iterated rho_2 on ``x_n = n + 1``, which is BDG at alpha = 1: both scale by 2k/(2k-1)."""
+    if len(sample.values) < 3:
         raise InsufficientDataError("iterated rho needs at least 3 elements")
-
-    def kernel(cur, k, rows):
-        # cur[n+1] - num / den
-        d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
-        return guard.divide(
-            [-(2 * k * d1 * d0) for d0, d1 in d],
-            [(2 * k - 1) * (d1 - d0) for d0, d1 in d],
-            [cur[n + 1] for n in rows],
-        )
-
-    return stencil_table("rho_iterated", s, 3, kernel)
+    return replace(bdg_transform(sample, 1.0, guard), name="rho_iterated")
 
 
 def bdg_transform(

@@ -20,6 +20,7 @@ from .core import (
     Scalar,
     SequenceSample,
     TransformTable,
+    check_integer,
     replace,
     walk_path,
 )
@@ -55,8 +56,8 @@ def pade_direct(series: PowerSeries, l: int, m: int) -> PadeApproximant:
     l+m.  A singular system signals a block in the Pade table and raises
     ``DegeneratePadeError``.
     """
-    if l < 0 or m < 0:
-        raise InvalidParameterError("numerator and denominator degrees must be >= 0")
+    check_integer("numerator degree l", l, 0)
+    check_integer("denominator degree m", m, 0)
     g = series.coefficients
     if l + m > series.order:
         raise InvalidParameterError(

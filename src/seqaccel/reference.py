@@ -14,7 +14,7 @@ import math
 from functools import cache
 from typing import Mapping
 
-from .core import PowerSeries, Record, Scalar, SequenceSample, make_partial_sums
+from .core import PowerSeries, Record, Scalar, SequenceSample, check_integer, make_partial_sums
 from .errors import DomainError, InvalidParameterError
 
 
@@ -42,8 +42,7 @@ def _bernoulli_even() -> tuple:
 
 def pochhammer(z: Scalar, m: int) -> Scalar:
     """The rising factorial (z)_m = z (z+1) ... (z+m-1); (z)_0 = 1."""
-    if not isinstance(m, int) or m < 0:
-        raise InvalidParameterError("pochhammer needs an integer m >= 0")
+    check_integer("m", m, 0)
     acc = 1.0
     for i in range(m):
         acc = acc * (z + i)
@@ -64,11 +63,9 @@ def euler_maclaurin_zeta(z: Scalar, n: int = 40, k: int = 12) -> Scalar:
     """
     if _real_part(z) <= 1:
         raise DomainError("the Dirichlet series for zeta converges only for Re z > 1")
-    if n < 0:
-        raise InvalidParameterError("n must be nonnegative")
     bernoulli = _bernoulli_even()
-    if not 1 <= k <= len(bernoulli):
-        raise InvalidParameterError(f"k must lie in [1, {len(bernoulli)}]")
+    check_integer("n", n, 0)
+    check_integer("k", k, 1, len(bernoulli))
     partial = 0.0
     for nu in range(n + 1):
         partial = partial + (nu + 1) ** (-z)
@@ -87,19 +84,20 @@ def euler_series_value(x: float) -> float:
     """The Stieltjes-integral sum assigned to ``sum_k k! (-x)^k``.
 
     ``integral_0^inf exp(-t) / (1 + x t) dt`` has the closed form
-    ``y e^y E1(y)`` with ``y = 1/x``.  It is evaluated in 40-digit
+    ``y e^y E1(y)`` with ``y = 1/x``.  It is evaluated in 48-digit
     ``decimal`` arithmetic to within 1e-36 relative and rounded once to a
     float, so the result is correctly rounded (barring a value within
     1e-36 of a halfway point).  The series itself diverges for every
     x > 0; at ``x = inf`` the closed form is ``0 * inf`` and the result
-    is nan.
+    is nan.  The branches meet at y = 8, where they cost about the same.
 
-    - y <= 2: ``E1(y) = -gamma - ln y - sum_k>=1 (-y)^k / (k k!)``
+    - y <= 8: ``E1(y) = -gamma - ln y - sum_k>=1 (-y)^k / (k k!)``
       (Abramowitz & Stegun 5.1.11), with ``e^-y = sum_k (-y)^k / k!`` from
-      the same terms.  Both sums alternate with falling terms, so each
-      remainder is below the first term ``y^k / k!`` under 1e-42, against
-      E1(y) > 0.048 and e^-y > 0.13.
-    - y > 2: the Stieltjes fraction ``1 / (1 + x / (1 + x / (1 + 2x /
+      the same terms.  Both sums alternate, with terms falling once k > y,
+      so each remainder is below the first omitted ``y^k / k!``, under
+      1e-46, against E1(y) > 3.7e-5 and e^-y > 3.3e-4.  The terms reach
+      ``8^8 / 8! < 420``, so cancellation costs under 7 of the 48 digits.
+    - y > 8: the Stieltjes fraction ``1 / (1 + x / (1 + x / (1 + 2x /
       (1 + 2x / (1 + 3x / ...)))))`` for ``y e^y E1(y)`` (A&S 5.1.22;
       Cuyt et al., Handbook of Continued Fractions for Special Functions,
       14.1).  Its coefficients are positive, so successive convergents
@@ -112,12 +110,12 @@ def euler_series_value(x: float) -> float:
         return math.nan
     from decimal import Context, Decimal, localcontext  # only Euler problems pay for it
 
-    with localcontext(Context(prec=40)) as ctx:
+    with localcontext(Context(prec=48)) as ctx:
         xd = ctx.create_decimal_from_float(float(x))
-        if x >= 0.5:
+        if x >= 0.125:
             z = -1 / xd
             k, p, s, e = 1, z, z, 1 + z  # p = z^k / k!, s = sum p / k, e = sum p
-            tiny = Decimal("1e-42")
+            tiny = Decimal("1e-46")
             while abs(p) >= tiny:
                 k += 1
                 p = p * z / k
@@ -190,8 +188,7 @@ class ProblemSpec(Record):
                 f"unknown problem family {self.family!r}; "
                 f"choose from {', '.join(PROBLEM_FAMILIES)}"
             )
-        if self.length < 0:
-            raise InvalidParameterError("length must be nonnegative")
+        check_integer("length N", self.length, 0)
 
     def describe(self) -> str:
         inner = ":".join(

@@ -101,6 +101,21 @@ class TestParsers:
         with pytest.raises(ConfigError):
             parse_transforms("levin_u:zeta")
 
+    @pytest.mark.parametrize("spec, key", (("zeta_dirichlet:z=2:N=5:z=3", "z"),
+                                           ("geometric:c=1:lam=0.5:N=5:N=7", "N")))
+    def test_problem_refuses_a_repeated_key(self, capsys, spec, key):
+        with pytest.raises(ConfigError, match=f"problem parameter {key} is given twice"):
+            parse_problem(spec)
+        assert main(["run", "--problem", spec, "--transforms", "aitken"]) == 2
+        one_line_error(capsys, stdout_empty=True)
+
+    def test_transforms_refuse_a_repeated_key(self, capsys):
+        with pytest.raises(ConfigError, match="transform parameter zeta is given twice"):
+            parse_transforms("levin_u:zeta=1:zeta=2")
+        argv = ["run", "--problem", "zeta_dirichlet:z=2:N=10", "--transforms", "levin_u:zeta=1:zeta=2"]
+        assert main(argv) == 2
+        one_line_error(capsys, stdout_empty=True)
+
     def test_paths(self):
         assert parse_path("staircase") == PathSpec.staircase()
         assert parse_path("order_constant:2") == PathSpec.order_constant(2)

@@ -15,14 +15,17 @@ from seqaccel import (
     PathRangeError,
     PathSpec,
     PowerSeries,
+    ProblemSpec,
     SequenceSample,
     bdg_transform,
+    euler_maclaurin_zeta,
     extract_path,
     iterated_aitken,
     levin_variant,
     make_partial_sums,
     osada_rho,
     pade_direct,
+    pochhammer,
     reciprocal_points,
     richardson_standard,
     staircase_sequence,
@@ -521,6 +524,21 @@ _EDGE_PLACES = [
      "guard threshold must be a finite nonnegative number"),
 ]
 
+#: (place, build(bad)) for every integer parameter of the library; the CLI
+#: parses these values as ints, so only a library call can pass another kind
+_INTEGER_PLACES = [
+    ("path_order",
+     lambda bad: walk_path(wynn_epsilon(_EDGE_SAMPLE), PathSpec.order_constant(bad))),
+    ("path_index", lambda bad: PathSpec.index_constant(bad)),
+    ("pade_l", lambda bad: pade_direct(PowerSeries((1.0, 1.0, 1.0), 0.5), bad, 1)),
+    ("pade_m", lambda bad: pade_direct(PowerSeries((1.0, 1.0, 1.0), 0.5), 1, bad)),
+    ("problem_length", lambda bad: ProblemSpec("geometric", bad, {"c": 1.0, "lam": 0.5})),
+    ("zeta_n", lambda bad: euler_maclaurin_zeta(2.0, bad)),
+    ("zeta_k", lambda bad: euler_maclaurin_zeta(2.0, 20, bad)),
+    ("start_offset", lambda bad: _EDGE_SAMPLE.with_offset(bad)),
+    ("pochhammer_m", lambda bad: pochhammer(2.0, bad)),
+]
+
 
 class TestEdgeCheck:
     """Every record or parameter that takes scalars from outside admits
@@ -537,6 +555,14 @@ class TestEdgeCheck:
         # never an OverflowError or any other traceback: the edge check
         # raises before any arithmetic reads the scalar
         with pytest.raises(InvalidParameterError, match=message):
+            build(bad)
+
+    @pytest.mark.parametrize("bad", (1.5, "2"), ids=("float", "str"))
+    @pytest.mark.parametrize("place, build", _INTEGER_PLACES,
+                             ids=[place for place, _ in _INTEGER_PLACES])
+    def test_integer_parameter_of_another_kind_is_refused(self, place, build, bad):
+        # an InvalidParameterError naming the parameter, never a bare TypeError
+        with pytest.raises(InvalidParameterError, match=r"must be an integer.*, got"):
             build(bad)
 
     def test_in_range_int_sample_keeps_its_table_values(self):

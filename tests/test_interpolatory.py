@@ -207,6 +207,24 @@ class TestIteratedRho:
         standard = iterated_rho_standard(SequenceSample(vals))
         assert table_rel_spread(general, standard) < 1e-12
 
+    @pytest.mark.parametrize("kind", ("float", "complex", "mpf"))
+    def test_standard_form_is_bdg_at_alpha_one(self, kind):
+        # both scale column k by 2k/(2k-1); the standard form is BDG's table renamed
+        reals, imags = random_values(5, 60), random_values(6, 60)
+        with mpmath.workdps(30):
+            vals = {
+                "float": reals,
+                "complex": tuple(map(complex, reals, imags)),
+                "mpf": tuple(mpmath.mpf(v) / 3 for v in reals),
+            }[kind]
+            sample = SequenceSample(vals)
+            bdg = bdg_transform(sample, 1.0)
+            assert repr(iterated_rho_standard(sample)) == repr(replace(bdg, name="rho_iterated"))
+
+    def test_standard_form_needs_three_elements(self):
+        with pytest.raises(InsufficientDataError, match="iterated rho needs at least 3 elements"):
+            iterated_rho_standard(SequenceSample((1.0, 2.0)))
+
 
 class TestOsadaRho:
     def test_recorded_value_for_inverse_sqrt(self):

@@ -115,11 +115,14 @@ class TestEulerSeriesValue:
 
 _LOG_UNIFORM = random.Random(20261018)
 # the extremes of the double range, both sides of the series/fraction switch
-# at x = 0.5 (y = 2), and log-uniform draws across twelve decades
+# at x = 0.125 (y = 8) and of its former place at x = 0.5 (y = 2), the
+# series' deepest cancellation just above the switch, and log-uniform draws
+# across twelve decades
 EULER_GRID = [
     1e-8, 1e-4, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3,
     5e-324, 1e-300, 1e300, 1.7e308, sys.float_info.max,
     math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+    math.nextafter(0.125, 0.0), 0.125, math.nextafter(0.125, 1.0), 0.13, 0.2, 0.3, 0.45,
     *(10 ** _LOG_UNIFORM.uniform(-6, 6) for _ in range(300)),
 ]
 
