@@ -9,7 +9,7 @@ iteration additionally handle a good deal of logarithmic convergence.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import cycle, repeat
 
 from .core import (
     GuardPolicy,
@@ -17,6 +17,7 @@ from .core import (
     TransformTable,
     append_column,
     cross_rule_table,
+    dead_tail,
     lozenge_column,
     stencil_table,
 )
@@ -57,7 +58,7 @@ def wynn_epsilon(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> 
     columns are auxiliary quantities only.
     """
     s = sample.values
-    return cross_rule_table("epsilon", s, lambda k, rows: repeat(1.0), guard)
+    return cross_rule_table("epsilon", s, lambda k, rows: repeat(1), guard)
 
 
 def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
@@ -65,7 +66,8 @@ def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
 
     A modification of the epsilon recursion that also accelerates many
     logarithmically convergent sequences.  Even columns are approximants;
-    theta_{2k} consumes 3k+1 elements.
+    theta_{2k} consumes 3k+1 elements.  The first column with no valid
+    entry ends the arithmetic (``dead_tail``).
     """
     s = sample.values
     columns = [list(s)]
@@ -74,7 +76,8 @@ def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
         k = len(columns)
         if k % 2 == 1:
             # odd rule: theta_{2j+1}^(n) = theta_{2j-1}^(n+1) + 1 / (theta_{2j}^(n+1) - theta_{2j}^(n))
-            lozenge_column(columns, valid, lambda k, rows: repeat(1.0), guard)
+            if not lozenge_column(columns, valid, lambda k, rows: repeat(1), guard):
+                dead_tail(columns, valid, cycle((2, 1)))
             continue
         # even rule: theta_{2j+2}^(n) = theta_{2j}^(n+1)
         #   + (D theta_{2j}^(n+1)) (D theta_{2j+1}^(n+1)) / (D^2 theta_{2j+1}^(n))
@@ -93,7 +96,8 @@ def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
 
         # the odd column first: once the table saturates it is the one that
         # holds no valid entry, and append_column stops there
-        append_column(columns, valid, length, [(odd_ok, (0, 1, 2)), (even_ok, (1, 2))], column)
+        if not append_column(columns, valid, length, [(odd_ok, (0, 1, 2)), (even_ok, (1, 2))], column):
+            dead_tail(columns, valid, cycle((1, 2)))
     return TransformTable(
         "theta", columns, valid, order_step=2,
         consumed_first=[1 + 3 * (k // 2) + k % 2 for k in range(len(columns))],

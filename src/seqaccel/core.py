@@ -16,7 +16,7 @@ import math
 import operator
 import sys
 from functools import partial
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, count, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -392,6 +392,8 @@ class TransformTable(Record):
         return 0 <= n - self.n_start < len(self.columns[k])
 
     def entry(self, k: int, n: int) -> Optional[Scalar]:
+        check_integer("k", k)
+        check_integer("n", n)
         if not self.has_entry(k, n):
             raise PathRangeError(f"table {self.name} has no entry ({k}, {n})")
         return self.columns[k][n - self.n_start]
@@ -422,7 +424,7 @@ class TransformTable(Record):
 
 def append_column(
     columns: list, valid: list, length: int, antecedents: Iterable, column: Callable
-) -> None:
+) -> bool:
     """Append one table column of ``length`` rows; the one place an entry turns invalid.
 
     Each antecedent is a ``(flags, shifts)`` pair, one per antecedent
@@ -436,29 +438,55 @@ def append_column(
     - a guard trip: ``column`` gave ``None`` (``GuardPolicy.divide``);
     - a non-finite value, checked once for the whole column.
 
-    A fully valid antecedent column is skipped without slicing it.
+    A fully valid antecedent column is skipped without slicing it, the
+    others are ANDed a machine word at a time.  A column computed at every
+    row whose plain ``sum`` is a finite ``float`` is stored as it is: an
+    infinity or a NaN would spread to the sum, a guard ``None`` makes it
+    raise, a ``complex`` or ``mpf`` entry gives it another type.  Returns
+    whether the column holds a valid entry: where each column reads every
+    row of the one before, none after one without can (``dead_tail``).
     """
     usable = None
     for flags, shifts in antecedents:
         if all(flags):
             continue
         for shift in shifts:
-            part = flags[shift:shift + length]
-            usable = part if usable is None else list(map(operator.and_, usable, part))
-            if not any(usable):
+            part = int.from_bytes(bytes(flags[shift:shift + length]), "big")
+            usable = part if usable is None else usable & part
+            if not usable:
                 columns.append([None] * length)
                 valid.append([False] * length)
-                return
-    rows = range(length) if usable is None else list(compress(range(length), usable))
+                return False
+    rows = range(length) if usable is None else list(compress(count(), usable.to_bytes(length, "big")))
     entries = column(rows)
     if len(rows) == length:
+        try:  # an mpf or complex sum would cost more than the check it spares
+            total = sum(entries) if type(entries[-1]) is float else None
+        except TypeError:  # a guard None
+            total = None
+        if type(total) is float and is_finite(total):
+            columns.append(entries)
+            valid.append([True] * length)
+            return True
         col = finite_entries(entries)
     else:
         col = [None] * length
         for i, value in zip(rows, finite_entries(entries)):
             col[i] = value
     columns.append(col)
-    valid.append([v is not None for v in col])
+    valid.append(ok := [v is not None for v in col])
+    return True in ok
+
+
+def dead_tail(columns: list, valid: list, steps: Iterable[int]) -> None:
+    """Append empty columns, each ``next(steps)`` rows shorter than the last, while they keep a row."""
+    length = len(columns[-1])
+    for step in steps:
+        length -= step
+        if length < 1:
+            return
+        columns.append([None] * length)
+        valid.append([False] * length)
 
 
 def stencil_table(
@@ -473,14 +501,15 @@ def stencil_table(
     row ``n`` comes from ``cur[n] .. cur[n + width - 1]`` of column
     ``k-1``, so column ``k`` consumes ``(width-1)*k + 1`` elements.
     Columns are added while the last one still holds ``width`` entries;
-    once one has no valid entry, the rest cost no arithmetic.
+    the first with no valid entry ends the arithmetic (``dead_tail``).
     """
     columns = [list(values)]
     valid = [[True] * len(values)]
     while len(columns[-1]) >= width:
         cur = columns[-1]
         step = partial(kernel, cur, len(columns))
-        append_column(columns, valid, len(cur) - width + 1, [(valid[-1], range(width))], step)
+        if not append_column(columns, valid, len(cur) - width + 1, [(valid[-1], range(width))], step):
+            dead_tail(columns, valid, repeat(width - 1))
     return TransformTable(
         name, columns, valid,
         consumed_first=[(width - 1) * k + 1 for k in range(len(columns))],
@@ -492,9 +521,10 @@ def lozenge_column(
     valid: list,
     numerator: Callable[[int, Sequence[int]], Iterable[Scalar]],
     guard: GuardPolicy,
-) -> None:
+) -> bool:
     """Append column ``k`` of the lozenge rule
-    ``T_k^(n) = T_{k-2}^(n+1) + num_k^(n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``.
+    ``T_k^(n) = T_{k-2}^(n+1) + num_k^(n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``
+    and return whether it holds a valid entry.
 
     ``numerator(k, rows)`` gives ``num_k^(n)`` for the rows ``rows``: a
     repeated constant (epsilon, Osada) or one value per row (rho on
@@ -508,10 +538,10 @@ def lozenge_column(
         antecedents.append((valid[k - 2], (1,)))
 
     def column(rows):
-        bases = repeat(0.0) if k == 1 else [base[n + 1] for n in rows]
+        bases = repeat(0) if k == 1 else [base[n + 1] for n in rows]
         return guard.divide(numerator(k, rows), [cur[n + 1] - cur[n] for n in rows], bases)
 
-    append_column(columns, valid, len(cur) - 1, antecedents, column)
+    return append_column(columns, valid, len(cur) - 1, antecedents, column)
 
 
 def cross_rule_table(
@@ -525,12 +555,14 @@ def cross_rule_table(
     The epsilon, rho, and Osada algorithms all share this recursion shape;
     they differ only in the numerator ``numerator(k, rows)`` placed over
     ``T_{k-1}^(n+1) - T_{k-1}^(n)``.  Only even-order columns are
-    approximants.
+    approximants.  The first column with no valid entry ends the arithmetic
+    (``dead_tail``).
     """
     columns = [list(values)]
     valid = [[True] * len(values)]
     while len(columns[-1]) >= 2:
-        lozenge_column(columns, valid, numerator, guard)
+        if not lozenge_column(columns, valid, numerator, guard):
+            dead_tail(columns, valid, repeat(1))
     return TransformTable(name, columns, valid, order_step=2)
 
 

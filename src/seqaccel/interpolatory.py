@@ -20,6 +20,7 @@ from .core import (
     Scalar,
     SequenceSample,
     TransformTable,
+    check_integer,
     check_positive,
     cross_rule_table,
     finite_entries,
@@ -65,12 +66,14 @@ class InterpolationPoints(Record):
 
 def reciprocal_points(length: int, beta: float = 1.0) -> InterpolationPoints:
     """The customary Richardson grid ``x_n = 1 / (n + beta)``."""
+    check_integer("length", length)
     check_positive("beta", beta)
     return InterpolationPoints(tuple(1.0 / (n + beta) for n in range(length)), TO_ZERO)
 
 
 def natural_points(length: int) -> InterpolationPoints:
     """The customary rho grid ``x_n = n + 1``."""
+    check_integer("length", length)
     return InterpolationPoints(tuple(float(n + 1) for n in range(length)), TO_INFINITY)
 
 
@@ -149,7 +152,7 @@ def wynn_rho(
 def rho_standard(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Wynn's rho on ``x_n = n + 1``: its numerator ``x_(n+k) - x_n`` is exactly k,
     Osada's ``k - 1 + alpha`` at alpha = 1, so it is Osada's table to the last bit."""
-    return replace(osada_rho(sample, 1.0, guard), name="rho")
+    return replace(osada_rho(sample, 1, guard), name="rho")
 
 
 def osada_rho(
@@ -201,7 +204,7 @@ def iterated_rho_standard(
     """Iterated rho_2 on ``x_n = n + 1``, which is BDG at alpha = 1: both scale by 2k/(2k-1)."""
     if len(sample.values) < 3:
         raise InsufficientDataError("iterated rho needs at least 3 elements")
-    return replace(bdg_transform(sample, 1.0, guard), name="rho_iterated")
+    return replace(bdg_transform(sample, 1, guard), name="rho_iterated")
 
 
 def bdg_transform(

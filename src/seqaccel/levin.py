@@ -134,7 +134,7 @@ def _table(family: str, name: str, values: Sequence[Scalar], omegas: Sequence[Sc
     """Both builders' front end: ``1/omega_n``, ``s_n/omega_n``, bases ``zeta+n``, column 0.
     ``extra`` is the start index, plus one when the estimates use a forward difference."""
     count = len(values)
-    inv = [1.0 / w for w in omegas]
+    inv = [1 / w for w in omegas]
     ratio = [v * iw for v, iw in zip(values, inv)]
     bases = [zeta + n for n in range(n_start, n_start + count)]
     columns = [list(values)]

@@ -155,6 +155,7 @@ _POWER_SERIES = {
 
 def power_series_coefficients(name: str, count: int) -> list:
     """Coefficients gamma_0 .. gamma_{count-1} of a named power series."""
+    check_integer("count", count)
     try:
         series = _POWER_SERIES[name]
     except KeyError:

@@ -15,7 +15,12 @@ the default guard and a zero guard, and two values of zeta.  The grid
 stops at N = 24, so ``weniger_large`` fingerprints the four ``weniger_*``
 rules and the Pochhammer ``weighted_ratio_transform`` at the sizes the
 ``lib_levin`` benchmark builds: the same problems at N = 30, 40, 50 and
-100, offsets 0 and 1, both values of zeta and the default guard.
+100, offsets 0 and 1, both values of zeta and the default guard; and
+``classic_large`` fingerprints every other registered transform at the
+sizes the ``lib_classic`` benchmark builds, where most lozenge and iterated
+tables end in columns without a valid entry: each real problem in float at
+N = 100, 200 and 400 and in mpf at N = 40, each complex problem at N = 80,
+both guards.
 
 Four more lines fingerprint how samples are built: ``sample_view``, the
 ``(values, terms, limit)`` of every grid sample as the builders see it;
@@ -55,6 +60,7 @@ from seqaccel.reference import power_series_coefficients  # noqa: E402
 
 SIZES = (0, 1, 2, 3, 6, 12, 24)
 WENIGER_SIZES = (30, 40, 50, 100)
+CLASSIC_SIZES = (100, 200, 400)
 OFFSETS = (0, 1)
 GUARDS = (GuardPolicy(), GuardPolicy(0.0))
 ZETAS = (1.0, 2.5)
@@ -76,6 +82,26 @@ def samples():
                 for offset in OFFSETS:
                     if offset < len(sample.values):
                         yield sample.with_offset(offset)
+
+
+def classic_samples():
+    """The samples of ``classic_large``, or the exception raised in place of one."""
+    mpmath.mp.dps = MPF_DPS
+    for family, params in PROBLEMS.values():
+        if any(isinstance(v, complex) for v in generate_problem(ProblemSpec(family, 1, params)).values):
+            sizes = ((80, None),)
+        else:
+            sizes = tuple((n, None) for n in CLASSIC_SIZES) + ((40, mpmath.mpf),)
+        for n, convert in sizes:
+            try:
+                sample = generate_problem(ProblemSpec(family, n, params))
+            except Exception as exc:  # an element beyond the double range
+                yield exc
+                continue
+            if convert is not None:
+                terms = None if sample.terms is None else tuple(map(convert, sample.terms))
+                sample = SequenceSample(tuple(map(convert, sample.values)), terms, sample.limit)
+            yield sample
 
 
 def view(sample):
@@ -174,6 +200,15 @@ def main():
                             name, sample, GUARDS[0], {"zeta": zeta}))
                     record("weniger_large", lambda: weighted_ratio_transform(
                         sample, omegas, WENIGER_POCHHAMMER, zeta))
+    classic = [name for name in transform_names() if not name.startswith(("levin_", "weniger_"))]
+    for sample in classic_samples():
+        if isinstance(sample, Exception):
+            record("classic_large", lambda: sample)
+            continue
+        for name in classic:
+            for params in params_of(name):
+                for guard in GUARDS:
+                    record("classic_large", lambda: apply_transform(name, sample, guard, params))
     for sample in grid:
         record("sample_view", lambda: view(sample))
     for coefficients, z in power_series():

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from seqaccel import (
     iterated_aitken,
     iterated_theta,
     make_partial_sums,
+    rho_standard,
     wynn_epsilon,
 )
 from _helpers import rel_diff
@@ -165,6 +167,27 @@ class TestIteratedTheta:
     def test_needs_four_elements(self):
         with pytest.raises(InsufficientDataError):
             iterated_theta(SequenceSample((1.0, 2.0, 3.0)))
+
+
+class TestExactArithmetic:
+    """On ``Fraction`` samples the lozenge and iterated tables are exact: no
+    float literal in a recursion turns an entry into a float."""
+
+    # s + two exponential terms, exact; N = 12 keeps the fractions small
+    SAMPLE = SequenceSample(tuple(
+        2 + Fraction(9, 10) ** n + Fraction(1, 2) * Fraction(-7, 10) ** n for n in range(13)))
+
+    def test_epsilon_4_is_the_limit_on_two_exponentials(self):
+        table = wynn_epsilon(self.SAMPLE)
+        assert table.valid[4] == [True] * 9
+        assert table.columns[4] == [2] * 9
+
+    @pytest.mark.parametrize("build", [iterated_aitken, wynn_epsilon, brezinski_theta,
+                                       rho_standard])
+    def test_every_valid_entry_is_a_fraction(self, build):
+        table = build(self.SAMPLE)
+        kinds = {type(v) for k, n, v, ok in table.entries() if ok}
+        assert kinds == {Fraction}
 
 
 class TestCovariance:

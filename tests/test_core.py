@@ -18,11 +18,13 @@ from seqaccel import (
     ProblemSpec,
     SequenceSample,
     bdg_transform,
+    brezinski_theta,
     euler_maclaurin_zeta,
     extract_path,
     iterated_aitken,
     levin_variant,
     make_partial_sums,
+    natural_points,
     osada_rho,
     pade_direct,
     pochhammer,
@@ -33,8 +35,9 @@ from seqaccel import (
     weighted_ratio_transform,
     wynn_epsilon,
 )
-from seqaccel import core
+from seqaccel import classic, core
 from seqaccel.core import Record, replace
+from seqaccel.reference import power_series_coefficients
 
 
 class TestMakePartialSums:
@@ -537,6 +540,11 @@ _INTEGER_PLACES = [
     ("zeta_k", lambda bad: euler_maclaurin_zeta(2.0, 20, bad)),
     ("start_offset", lambda bad: _EDGE_SAMPLE.with_offset(bad)),
     ("pochhammer_m", lambda bad: pochhammer(2.0, bad)),
+    ("natural_points", lambda bad: natural_points(bad)),
+    ("reciprocal_points", lambda bad: reciprocal_points(bad)),
+    ("power_series_count", lambda bad: power_series_coefficients("exp", bad)),
+    ("table_entry_n", lambda bad: wynn_epsilon(_EDGE_SAMPLE).entry(0, bad)),
+    ("table_entry_k", lambda bad: wynn_epsilon(_EDGE_SAMPLE).entry(bad, 0)),
 ]
 
 
@@ -594,7 +602,7 @@ class TestColumnPrimitives:
             return [{0: 1.0, 2: None, 3: float("inf")}[i] for i in rows]
 
         columns, valid = [], []
-        append_column(columns, valid, 4, [([True, False, True, True], (0,))], column)
+        assert append_column(columns, valid, 4, [([True, False, True, True], (0,))], column)
         assert calls == [[0, 2, 3]]
         assert columns == [[1.0, None, None, None]]
         assert valid == [[True, False, False, False]]
@@ -607,7 +615,7 @@ class TestColumnPrimitives:
 
         flags = [False, False, False]
         columns, valid = [[1.0]], [[True]]
-        append_column(columns, valid, 3, [(flags, (0,))], column)
+        assert append_column(columns, valid, 3, [(flags, (0,))], column) is False
         assert columns[1] == [None] * 3
         assert valid[1] == [False] * 3
         assert valid[1] is not flags
@@ -621,9 +629,89 @@ class TestColumnPrimitives:
 
         odd, even = [True, False, True, False], [False, False, True]
         columns, valid = [], []
-        append_column(columns, valid, 2, [(odd, (0, 2)), (even, (1,))], column)
+        assert append_column(columns, valid, 2, [(odd, (0, 2)), (even, (1,))], column) is False
         assert columns == [[None, None]]
         assert valid == [[False, False]]
+
+    def test_finite_float_column_whose_sum_overflows_stays_valid(self):
+        from seqaccel.core import append_column
+
+        columns, valid = [], []
+        entries = [1e308, 1e308, -1e308]
+        assert append_column(columns, valid, 3, (), lambda rows: entries)
+        assert columns == [entries] and valid == [[True] * 3]
+
+    def test_non_finite_and_tripped_rows_are_invalid(self):
+        from seqaccel.core import append_column
+
+        entries = [1.0, math.inf, 2.0, None, -math.inf, math.nan, 3.0]
+        columns, valid = [], []
+        assert append_column(columns, valid, 7, (), lambda rows: entries)
+        assert valid == [[True, False, True, False, False, False, True]]
+        assert columns == [[1.0, None, 2.0, None, None, None, 3.0]]
+        columns, valid = [], []
+        assert append_column(columns, valid, 2, (), lambda rows: [None, math.nan]) is False
+        assert columns == [[None, None]] and valid == [[False, False]]
+
+    @pytest.mark.parametrize("entries", [
+        [1.0, complex(1.7e308, 1.7e308)],
+        [complex(1.7e308, 1.7e308), 1.0],
+        [complex(1.7e308, 1.7e308), 2j, complex(1e308, 1e308), 1.0],
+    ], ids=["complex_last", "float_last", "mixed"])
+    def test_complex_entry_whose_modulus_overflows_is_invalid(self, entries):
+        # a float sum would pass these columns; |1e308 + 1e308j| is finite
+        from seqaccel.core import append_column
+
+        columns, valid = [], []
+        assert append_column(columns, valid, len(entries), (), lambda rows: entries)
+        wide = [v == complex(1.7e308, 1.7e308) for v in entries]
+        assert valid == [[not w for w in wide]]
+        assert columns == [[None if w else v for v, w in zip(entries, wide)]]
+
+    # (build, the call of GuardPolicy.divide that trips every row): each
+    # computed column divides once, so that column is the first without a
+    # valid entry; theta's 2 and 4 are its even rule, 3 its odd (lozenge) rule
+    _DEAD_AT = [(iterated_aitken, 2), (wynn_epsilon, 2), (wynn_epsilon, 3),
+                (brezinski_theta, 2), (brezinski_theta, 3), (brezinski_theta, 4)]
+
+    @pytest.mark.parametrize("build, dead", _DEAD_AT,
+                             ids=[f"{b.__name__}-{d}" for b, d in _DEAD_AT])
+    def test_dead_tail_ends_the_arithmetic_and_keeps_the_table(self, monkeypatch, build, dead):
+        sample = SequenceSample(tuple(2.0 + 0.9 ** n + 0.5 * (-0.7) ** n for n in range(16)))
+        divides, appended = [], []
+
+        class Tripping(GuardPolicy):
+            def divide(self, nums, dens, bases=None):
+                divides.append(len(divides) + 1)
+                rows = GuardPolicy.divide(self, nums, dens, bases)
+                return [None] * len(rows) if len(divides) == dead else rows
+
+        def spy(columns, valid, length, antecedents, column):
+            k = len(columns)
+            appended.append(k)
+            return append(columns, valid, length, antecedents,
+                          lambda rows: (kernels.append(k), column(rows))[1])
+
+        append, kernels = core.append_column, []
+        monkeypatch.setattr(core, "append_column", spy)
+        monkeypatch.setattr(classic, "append_column", spy)
+        table = build(sample, Tripping())
+        assert not any(table.valid[dead]) and all(any(table.valid[k]) for k in range(dead))
+        assert table.max_order >= dead + 3
+        assert divides == list(range(1, dead + 1))
+        assert appended == kernels == list(range(1, dead + 1))
+
+        # the full build: no dead tail, every later column through append_column
+        monkeypatch.setattr(core, "dead_tail", lambda *args: None)
+        monkeypatch.setattr(classic, "dead_tail", lambda *args: None)
+        divides.clear(), appended.clear(), kernels.clear()
+        full = build(sample, Tripping())
+        assert appended == list(range(1, full.max_order + 1))
+        assert kernels == list(range(1, dead + 1))
+        assert [repr(c) for c in table.columns] == [repr(c) for c in full.columns]
+        assert table.valid == full.valid
+        assert table.consumed_first == full.consumed_first
+        assert (table.order_step, table.n_start) == (full.order_step, full.n_start)
 
     @pytest.mark.parametrize("width", [2, 3, 4])
     def test_stencil_table_propagates_invalidity(self, width):
