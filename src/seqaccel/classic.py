@@ -15,10 +15,9 @@ from .core import (
     GuardPolicy,
     SequenceSample,
     TransformTable,
-    append_column,
+    build_table,
     cross_rule_table,
-    dead_tail,
-    lozenge_column,
+    lozenge_rule,
     stencil_table,
 )
 from .errors import InsufficientDataError
@@ -66,42 +65,25 @@ def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
 
     A modification of the epsilon recursion that also accelerates many
     logarithmically convergent sequences.  Even columns are approximants;
-    theta_{2k} consumes 3k+1 elements.  The first column with no valid
-    entry ends the arithmetic (``dead_tail``).
+    theta_{2k} consumes 3k+1 elements.
     """
-    s = sample.values
-    columns = [list(s)]
-    valid = [[True] * len(s)]
-    while len(columns[-1]) >= 2:
-        k = len(columns)
-        if k % 2 == 1:
-            # odd rule: theta_{2j+1}^(n) = theta_{2j-1}^(n+1) + 1 / (theta_{2j}^(n+1) - theta_{2j}^(n))
-            if not lozenge_column(columns, valid, lambda k, rows: repeat(1), guard):
-                dead_tail(columns, valid, cycle((2, 1)))
-            continue
-        # even rule: theta_{2j+2}^(n) = theta_{2j}^(n+1)
-        #   + (D theta_{2j}^(n+1)) (D theta_{2j+1}^(n+1)) / (D^2 theta_{2j+1}^(n))
-        even, even_ok = columns[k - 2], valid[k - 2]
-        odd, odd_ok = columns[k - 1], valid[k - 1]
-        length = len(odd) - 2
-        if length <= 0:
-            break
 
-        def column(rows):
-            return guard.divide(
+    def rules(columns, valid):
+        while True:
+            # odd rule: theta_{2j+1}^(n) = theta_{2j-1}^(n+1) + 1 / (theta_{2j}^(n+1) - theta_{2j}^(n))
+            yield lozenge_rule(columns, valid, lambda k, rows: repeat(1), guard)
+            # even rule: theta_{2j+2}^(n) = theta_{2j}^(n+1)
+            #   + (D theta_{2j}^(n+1)) (D theta_{2j+1}^(n+1)) / (D^2 theta_{2j+1}^(n));
+            # the odd column first: once the table saturates it is the one
+            # without a valid entry, and append_column stops there
+            even, odd = columns[-2], columns[-1]
+            yield [(valid[-1], (0, 1, 2)), (valid[-2], (1, 2))], lambda rows: guard.divide(
                 [(even[n + 2] - even[n + 1]) * (odd[n + 2] - odd[n + 1]) for n in rows],
                 [odd[n + 2] - 2 * odd[n + 1] + odd[n] for n in rows],
                 [even[n + 1] for n in rows],
             )
 
-        # the odd column first: once the table saturates it is the one that
-        # holds no valid entry, and append_column stops there
-        if not append_column(columns, valid, length, [(odd_ok, (0, 1, 2)), (even_ok, (1, 2))], column):
-            dead_tail(columns, valid, cycle((1, 2)))
-    return TransformTable(
-        "theta", columns, valid, order_step=2,
-        consumed_first=[1 + 3 * (k // 2) + k % 2 for k in range(len(columns))],
-    )
+    return build_table("theta", sample.values, cycle((1, 2)), rules, order_step=2)
 
 
 def iterated_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:

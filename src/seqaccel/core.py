@@ -4,7 +4,9 @@ Every transformation in this package maps a finite sequence prefix
 ``s_0 .. s_N`` to a doubly indexed triangular array ``T_k^(n)``.  The
 subscript ``k`` is the transformation order, the superscript ``n`` is the
 smallest sequence index entering the entry, and column 0 always repeats
-the input (``T_0^(n) = s_n``).  Scalars from outside pass one edge check,
+the input (``T_0^(n) = s_n``).  ``build_table`` is the one column loop
+every table is built by, and ``append_column`` the one place an entry
+turns invalid.  Scalars from outside pass one edge check,
 ``finite_scalars``.  Entries whose defining recursion ran into a near-zero
 denominator, or a non-finite value, are flagged invalid instead of carrying
 an unreliable number, and invalidity propagates to every dependent entry.
@@ -367,8 +369,8 @@ class TransformTable(Record):
     auxiliary quantities (epsilon, theta, rho families); approximants then
     live in the even columns only.  ``consumed_first[k]`` records how many
     input elements the first entry of column ``k`` consumes, from which the
-    data budget of any entry follows.  Tables are frozen: a builder names
-    its table at construction (``core.replace`` makes a renamed copy).
+    data budget of any entry follows.  Tables are frozen: ``build_table``
+    names a table at construction (``core.replace`` makes a renamed copy).
     """
 
     name: str
@@ -376,7 +378,7 @@ class TransformTable(Record):
     valid: list
     n_start: int = 0
     order_step: int = 1
-    consumed_first: Optional[list] = None
+    consumed_first: list
 
     @property
     def max_order(self) -> int:
@@ -418,8 +420,7 @@ class TransformTable(Record):
 
     def consumed(self, k: int, n: int) -> int:
         """Number of input elements consumed to compute ``T_k^(n)``."""
-        first = self.consumed_first[k] if self.consumed_first else k + 1
-        return first + (n - self.n_start)
+        return self.consumed_first[k] + (n - self.n_start)
 
 
 def append_column(
@@ -443,8 +444,7 @@ def append_column(
     row whose plain ``sum`` is a finite ``float`` is stored as it is: an
     infinity or a NaN would spread to the sum, a guard ``None`` makes it
     raise, a ``complex`` or ``mpf`` entry gives it another type.  Returns
-    whether the column holds a valid entry: where each column reads every
-    row of the one before, none after one without can (``dead_tail``).
+    whether ``column`` ran, which ``build_table`` reads to end the arithmetic.
     """
     usable = None
     for flags, shifts in antecedents:
@@ -474,19 +474,47 @@ def append_column(
         for i, value in zip(rows, finite_entries(entries)):
             col[i] = value
     columns.append(col)
-    valid.append(ok := [v is not None for v in col])
-    return True in ok
+    valid.append([v is not None for v in col])
+    return True
 
 
-def dead_tail(columns: list, valid: list, steps: Iterable[int]) -> None:
-    """Append empty columns, each ``next(steps)`` rows shorter than the last, while they keep a row."""
-    length = len(columns[-1])
+def build_table(
+    name: str,
+    values: Sequence[Scalar],
+    steps: Iterable[int],
+    rules: Callable[[list, list], Iterator[tuple]],
+    n_start: int = 0,
+    order_step: int = 1,
+    lookahead: int = 0,
+) -> TransformTable:
+    """The one column loop: the table ``name`` with column 0 ``values`` (at ``n_start``).
+
+    Column ``k`` is ``next(steps)`` rows shorter than column ``k-1``, and
+    the table ends where a column would have no row.  ``rules(columns,
+    valid)`` is a generator over the table's own lists; it yields, column
+    by column, the ``(antecedents, column)`` arguments of
+    ``append_column``.  A rule's rows read the column before it, or working
+    columns that die with it (Weniger's N and D), so once a column has no
+    computable row no later one has: the rest are appended invalid, with no
+    arithmetic and without resuming ``rules``.  Entry
+    ``T_k^(n)`` reads the input up to index ``n + len(values) -
+    len(columns[k]) + lookahead``, which gives ``consumed_first``.
+    """
+    columns, valid = [list(values)], [[True] * len(values)]
+    pairs = rules(columns, valid)
+    length, live = len(values), True
     for step in steps:
         length -= step
         if length < 1:
-            return
-        columns.append([None] * length)
-        valid.append([False] * length)
+            break
+        if live:
+            live = append_column(columns, valid, length, *next(pairs))
+        else:
+            columns.append([None] * length)
+            valid.append([False] * length)
+    first = n_start + len(values) + 1 + lookahead
+    return TransformTable(name, columns, valid, n_start, order_step,
+                          [first - len(col) for col in columns])
 
 
 def stencil_table(
@@ -500,31 +528,19 @@ def stencil_table(
     ``kernel(cur, k, rows)`` returns column ``k`` at the rows ``rows``:
     row ``n`` comes from ``cur[n] .. cur[n + width - 1]`` of column
     ``k-1``, so column ``k`` consumes ``(width-1)*k + 1`` elements.
-    Columns are added while the last one still holds ``width`` entries;
-    the first with no valid entry ends the arithmetic (``dead_tail``).
     """
-    columns = [list(values)]
-    valid = [[True] * len(values)]
-    while len(columns[-1]) >= width:
-        cur = columns[-1]
-        step = partial(kernel, cur, len(columns))
-        if not append_column(columns, valid, len(cur) - width + 1, [(valid[-1], range(width))], step):
-            dead_tail(columns, valid, repeat(width - 1))
-    return TransformTable(
-        name, columns, valid,
-        consumed_first=[(width - 1) * k + 1 for k in range(len(columns))],
-    )
+    return build_table(name, values, repeat(width - 1), lambda columns, valid: (
+        ([(valid[-1], range(width))], partial(kernel, columns[-1], len(columns))) for _ in count()))
 
 
-def lozenge_column(
+def lozenge_rule(
     columns: list,
     valid: list,
     numerator: Callable[[int, Sequence[int]], Iterable[Scalar]],
     guard: GuardPolicy,
-) -> bool:
-    """Append column ``k`` of the lozenge rule
-    ``T_k^(n) = T_{k-2}^(n+1) + num_k^(n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``
-    and return whether it holds a valid entry.
+) -> tuple:
+    """The ``append_column`` arguments of column ``k = len(columns)`` of the lozenge rule
+    ``T_k^(n) = T_{k-2}^(n+1) + num_k^(n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``.
 
     ``numerator(k, rows)`` gives ``num_k^(n)`` for the rows ``rows``: a
     repeated constant (epsilon, Osada) or one value per row (rho on
@@ -541,7 +557,7 @@ def lozenge_column(
         bases = repeat(0) if k == 1 else [base[n + 1] for n in rows]
         return guard.divide(numerator(k, rows), [cur[n + 1] - cur[n] for n in rows], bases)
 
-    return append_column(columns, valid, len(cur) - 1, antecedents, column)
+    return antecedents, column
 
 
 def cross_rule_table(
@@ -555,15 +571,10 @@ def cross_rule_table(
     The epsilon, rho, and Osada algorithms all share this recursion shape;
     they differ only in the numerator ``numerator(k, rows)`` placed over
     ``T_{k-1}^(n+1) - T_{k-1}^(n)``.  Only even-order columns are
-    approximants.  The first column with no valid entry ends the arithmetic
-    (``dead_tail``).
+    approximants.
     """
-    columns = [list(values)]
-    valid = [[True] * len(values)]
-    while len(columns[-1]) >= 2:
-        if not lozenge_column(columns, valid, numerator, guard):
-            dead_tail(columns, valid, repeat(1))
-    return TransformTable(name, columns, valid, order_step=2)
+    return build_table(name, values, repeat(1), lambda columns, valid: (
+        lozenge_rule(columns, valid, numerator, guard) for _ in count()), order_step=2)
 
 
 class PathSpec(Record):

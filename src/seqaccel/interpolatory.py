@@ -119,7 +119,8 @@ def richardson_standard(
     """Richardson extrapolation on the standard grid ``x_n = 1/(n + beta)``.
 
     Accelerates remainders ``(n+beta)**(-alpha)`` when alpha is a positive
-    integer; fails for nonintegral alpha.
+    integer; fails for nonintegral alpha.  It takes ``guard`` only for the
+    registry's one call signature: its kernel divides by ``k``, never by data.
     """
     check_positive("beta", beta)
     s = sample.values

@@ -23,7 +23,8 @@ stored (then ``s_0 - s_{-1} = a_0``); otherwise the u/t/v tables simply
 start at n=1.  User-supplied estimates ``omega_n`` go through
 ``weighted_ratio_transform``; ``levin_variant`` and ``weniger_variant``
 take a rule name.  All three share one front end, which forms ``1/omega_n``,
-``s_n/omega_n``, the bases ``zeta+n`` and column 0 for either weight family.
+``s_n/omega_n`` and the bases ``zeta+n`` for either weight family and hands
+that family's column rules to ``core.build_table``.
 
 Weniger's numerator and denominator follow the three-term recursion
 ``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` of Weniger (Comput. Phys.
@@ -36,7 +37,9 @@ index outside and the rows inside: O(N^3) operations until it has its own.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from functools import partial
+from itertools import count, repeat
+from typing import Iterator, Sequence
 
 from .core import (
     GuardPolicy,
@@ -44,6 +47,7 @@ from .core import (
     SequenceSample,
     TransformTable,
     append_column,
+    build_table,
     check_positive,
     finite_scalars,
 )
@@ -126,31 +130,24 @@ def weighted_ratio_transform(
         )
     _reject_zero(omegas, 0)
     name = "levin_ratio" if family == LEVIN_POWER else "weniger_ratio"
-    return _table(family, name, values, omegas, zeta, guard, n_start=0, extra=0)
+    return _table(family, name, values, omegas, zeta, guard, n_start=0, lookahead=0)
 
 
 def _table(family: str, name: str, values: Sequence[Scalar], omegas: Sequence[Scalar],
-           zeta: float, guard: GuardPolicy, n_start: int, extra: int) -> TransformTable:
-    """Both builders' front end: ``1/omega_n``, ``s_n/omega_n``, bases ``zeta+n``, column 0.
-    ``extra`` is the start index, plus one when the estimates use a forward difference."""
-    count = len(values)
+           zeta: float, guard: GuardPolicy, n_start: int, lookahead: int) -> TransformTable:
+    """Both builders' front end: ``1/omega_n``, ``s_n/omega_n`` and the bases ``zeta+n``.
+    ``lookahead`` is 1 when the estimates read one element ahead (a forward difference)."""
     inv = [1 / w for w in omegas]
     ratio = [v * iw for v, iw in zip(values, inv)]
-    bases = [zeta + n for n in range(n_start, n_start + count)]
-    columns = [list(values)]
-    valid = [[True] * count]
-    _BUILDERS[family](columns, valid, ratio, inv, bases, guard)
-    return TransformTable(
-        name, columns, valid, n_start=n_start, order_step=1,
-        consumed_first=[k + 1 + extra for k in range(len(columns))],
-    )
+    bases = [zeta + n for n in range(n_start, n_start + len(values))]
+    rules = partial(_BUILDERS[family], ratio, inv, bases, guard)
+    return build_table(name, values, repeat(1), rules, n_start=n_start, lookahead=lookahead)
 
 
-def _ratio_table(columns: list, valid: list, ratio: list, inv: list, bases: list,
-                 guard: GuardPolicy) -> None:
+def _ratio_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
+                 columns: list, valid: list) -> Iterator[tuple]:
     """Levin's columns: every entry its (k+1)-term binomial sum with power weights."""
-    count = len(bases)
-    for k in range(1, count):
+    for k in count(1):
         p = k - 1
 
         def column(rows):
@@ -174,11 +171,11 @@ def _ratio_table(columns: list, valid: list, ratio: list, inv: list, bases: list
                 sign = -sign
             return guard.divide([x for x, _ in acc], [z for _, z in acc])
 
-        append_column(columns, valid, count - k, (), column)
+        yield (), column
 
 
-def _factorial_table(columns: list, valid: list, ratio: list, inv: list, bases: list,
-                     guard: GuardPolicy) -> None:
+def _factorial_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
+                     columns: list, valid: list) -> Iterator[tuple]:
     """Weniger's columns by the three-term recursion of their numerator and denominator.
 
     ``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` from ``X_0 = s_n/omega_n``
@@ -197,14 +194,13 @@ def _factorial_table(columns: list, valid: list, ratio: list, inv: list, bases: 
             else [cur[n + 1] - f[n] * cur[n] for n in rows]))
         return col[0], flags[0]
 
-    count = len(bases)
-    num, num_ok, den, den_ok = ratio, [True] * count, inv, [True] * count
-    for k in range(1, count):
+    num, num_ok, den, den_ok = ratio, [True] * len(ratio), inv, [True] * len(inv)
+    for k in count(1):
         p, q, r, t = k - 1, k - 2, 2 * k - 2, 2 * k - 3
-        f = [(b + p) * (b + q) / ((b + r) * (b + t)) for b in bases[:count - k]] if k > 1 else None
+        f = [(b + p) * (b + q) / ((b + r) * (b + t)) for b in bases[:len(num) - 1]] if k > 1 else None
         (num, num_ok), (den, den_ok) = advance(num, num_ok, f), advance(den, den_ok, f)
-        append_column(columns, valid, count - k, [(num_ok, (0,)), (den_ok, (0,))],
-                      lambda rows: guard.divide([num[n] for n in rows], [den[n] for n in rows]))
+        yield [(num_ok, (0,)), (den_ok, (0,))], lambda rows: guard.divide(
+            [num[n] for n in rows], [den[n] for n in rows])
 
 
 _BUILDERS = {LEVIN_POWER: _ratio_table, WENIGER_POCHHAMMER: _factorial_table}
@@ -215,8 +211,7 @@ def _variant(sample: SequenceSample, kind: str, zeta: float, guard: GuardPolicy,
     start, omegas = _omega_with_start(sample, kind, zeta)
     values = sample.values[start:start + len(omegas)]
     name = "levin_" + kind if family == LEVIN_POWER else "weniger_" + WENIGER_NAMES[kind]
-    extra = start + (1 if kind in ("v", "d") else 0)
-    return _table(family, name, values, omegas, zeta, guard, n_start=start, extra=extra)
+    return _table(family, name, values, omegas, zeta, guard, start, int(kind in ("v", "d")))
 
 
 def levin_variant(

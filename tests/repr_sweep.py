@@ -8,7 +8,9 @@ round-trips at its precision).  Pytest does not collect this file.
 Each line reads ``<name> <outcomes> <md5>``: one line per registered
 transform, then ``omega_sequence:<rule>`` and
 ``weighted_ratio_transform:<family>``.  The md5 covers the repr of every
-table, estimate list or exception in grid order.  The grid: the problems
+estimate list or exception, and of every table's content (``name``,
+``columns``, ``valid``, ``n_start``, ``order_step`` and ``consumed(k,
+n_start)`` for each k), in grid order.  The grid: the problems
 of ``perfbench/cases.py`` at several N (0 to 3 among them), offsets 0 and
 1, each sample also without its terms, mpf copies of the real samples,
 the default guard and a zero guard, and two values of zeta.  The grid
@@ -51,6 +53,7 @@ from seqaccel import (  # noqa: E402
     PowerSeries,
     ProblemSpec,
     SequenceSample,
+    TransformTable,
     generate_problem,
     omega_sequence,
     weighted_ratio_transform,
@@ -140,9 +143,20 @@ def ingest_texts():
                 yield "json", json.dumps({"terms": list(terms), "limit": 1.5})
 
 
+def content(result):
+    """A table's content, or any other outcome as it is: the content is what a
+    table holds, not how it stores it, so a ``consumed_first`` kept as
+    ``None`` (meaning ``k + 1``) and one kept as that list read the same."""
+    if not isinstance(result, TransformTable):
+        return result
+    budgets = [result.consumed(k, result.n_start) for k in range(len(result.columns))]
+    return (result.name, result.columns, result.valid, result.n_start, result.order_step,
+            budgets)
+
+
 def outcome(build):
     try:
-        return repr(build())
+        return repr(content(build()))
     except Exception as exc:  # an exception is an outcome like a table
         return repr(exc)
 

@@ -190,6 +190,26 @@ class TestExactArithmetic:
         assert kinds == {Fraction}
 
 
+class TestDataBudget:
+    """``consumed(k, n)`` of every column, worked by hand on 13 elements.
+
+    eps_k^(n) reads s_n .. s_{n+k}.  theta_{2j}^(n) reads s_n .. s_{n+3j}, and
+    theta_{2j+1}^(n) reads theta_{2j}^(n+1), hence s_n .. s_{n+3j+1}."""
+
+    SAMPLE = SequenceSample(random_values(5, 13))
+
+    @pytest.mark.parametrize("build, first", [
+        (wynn_epsilon, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]),
+        (brezinski_theta, [1, 2, 4, 5, 7, 8, 10, 11, 13]),
+    ], ids=["epsilon", "theta"])
+    def test_every_column(self, build, first):
+        table = build(self.SAMPLE)
+        assert [table.consumed(k, 0) for k in range(table.max_order + 1)] == first
+        for k, n, _, _ in table.entries():
+            assert table.consumed(k, n) == first[k] + n
+            assert table.consumed(k, n) <= 13
+
+
 class TestCovariance:
     """Translation and scaling behavior shared by the whole family."""
 

@@ -17,6 +17,7 @@ from seqaccel import (
     PowerSeries,
     ProblemSpec,
     SequenceSample,
+    WENIGER_POCHHAMMER,
     bdg_transform,
     brezinski_theta,
     euler_maclaurin_zeta,
@@ -35,7 +36,7 @@ from seqaccel import (
     weighted_ratio_transform,
     wynn_epsilon,
 )
-from seqaccel import classic, core
+from seqaccel import core
 from seqaccel.core import Record, replace
 from seqaccel.reference import power_series_coefficients
 
@@ -649,8 +650,9 @@ class TestColumnPrimitives:
         assert append_column(columns, valid, 7, (), lambda rows: entries)
         assert valid == [[True, False, True, False, False, False, True]]
         assert columns == [[1.0, None, 2.0, None, None, None, 3.0]]
+        # the column ran, so a later column may still have a computable row
         columns, valid = [], []
-        assert append_column(columns, valid, 2, (), lambda rows: [None, math.nan]) is False
+        assert append_column(columns, valid, 2, (), lambda rows: [None, math.nan]) is True
         assert columns == [[None, None]] and valid == [[False, False]]
 
     @pytest.mark.parametrize("entries", [
@@ -669,16 +671,40 @@ class TestColumnPrimitives:
         assert columns == [[None if w else v for v, w in zip(entries, wide)]]
 
     # (build, the call of GuardPolicy.divide that trips every row): each
-    # computed column divides once, so that column is the first without a
-    # valid entry; theta's 2 and 4 are its even rule, 3 its odd (lozenge) rule
+    # computed column divides once, so that column is the last one computed
+    # and the next the first without a computable row; theta's 2 and 4 are
+    # its even rule, 3 its odd (lozenge) rule
     _DEAD_AT = [(iterated_aitken, 2), (wynn_epsilon, 2), (wynn_epsilon, 3),
                 (brezinski_theta, 2), (brezinski_theta, 3), (brezinski_theta, 4)]
+
+    @staticmethod
+    def _spy(monkeypatch, kernels, appended, live=None):
+        """Record each column ``build_table`` appends and each that runs its kernel;
+        ``live`` in place of ``append_column``'s answer disables the dead tail."""
+        monkeypatch.undo()
+        append = core.append_column
+
+        def spy(columns, valid, length, antecedents, column):
+            k = len(columns)
+            appended.append(k)
+            ran = append(columns, valid, length, antecedents,
+                         lambda rows: (kernels.append(k), column(rows))[1])
+            return ran if live is None else live
+
+        monkeypatch.setattr(core, "append_column", spy)
+
+    @staticmethod
+    def _assert_same_table(table, full):
+        assert [repr(c) for c in table.columns] == [repr(c) for c in full.columns]
+        assert table.valid == full.valid
+        assert table.consumed_first == full.consumed_first
+        assert (table.order_step, table.n_start) == (full.order_step, full.n_start)
 
     @pytest.mark.parametrize("build, dead", _DEAD_AT,
                              ids=[f"{b.__name__}-{d}" for b, d in _DEAD_AT])
     def test_dead_tail_ends_the_arithmetic_and_keeps_the_table(self, monkeypatch, build, dead):
         sample = SequenceSample(tuple(2.0 + 0.9 ** n + 0.5 * (-0.7) ** n for n in range(16)))
-        divides, appended = [], []
+        divides, appended, kernels = [], [], []
 
         class Tripping(GuardPolicy):
             def divide(self, nums, dens, bases=None):
@@ -686,32 +712,40 @@ class TestColumnPrimitives:
                 rows = GuardPolicy.divide(self, nums, dens, bases)
                 return [None] * len(rows) if len(divides) == dead else rows
 
-        def spy(columns, valid, length, antecedents, column):
-            k = len(columns)
-            appended.append(k)
-            return append(columns, valid, length, antecedents,
-                          lambda rows: (kernels.append(k), column(rows))[1])
-
-        append, kernels = core.append_column, []
-        monkeypatch.setattr(core, "append_column", spy)
-        monkeypatch.setattr(classic, "append_column", spy)
+        self._spy(monkeypatch, kernels, appended)
         table = build(sample, Tripping())
         assert not any(table.valid[dead]) and all(any(table.valid[k]) for k in range(dead))
         assert table.max_order >= dead + 3
         assert divides == list(range(1, dead + 1))
-        assert appended == kernels == list(range(1, dead + 1))
+        assert kernels == list(range(1, dead + 1))
+        assert appended == list(range(1, dead + 2))
 
-        # the full build: no dead tail, every later column through append_column
-        monkeypatch.setattr(core, "dead_tail", lambda *args: None)
-        monkeypatch.setattr(classic, "dead_tail", lambda *args: None)
+        # the full build: no dead tail, every later column through append_column,
+        # whose kernel still never runs
         divides.clear(), appended.clear(), kernels.clear()
+        self._spy(monkeypatch, kernels, appended, live=True)
         full = build(sample, Tripping())
         assert appended == list(range(1, full.max_order + 1))
         assert kernels == list(range(1, dead + 1))
-        assert [repr(c) for c in table.columns] == [repr(c) for c in full.columns]
-        assert table.valid == full.valid
-        assert table.consumed_first == full.consumed_first
-        assert (table.order_step, table.n_start) == (full.order_step, full.n_start)
+        self._assert_same_table(table, full)
+
+    def test_weniger_dead_tail_once_numerator_and_denominator_die(self, monkeypatch):
+        # 1/omega_n alternates at 0.7e308: N_1 and D_1 stay finite, every row of
+        # N_2 and D_2 overflows, so T_2 is the first column without a computable row
+        values = tuple(1.0 + 0.1 * 0.5 ** n for n in range(10))
+        omegas = [(-1.0) ** n / 0.7e308 for n in range(10)]
+        appended, kernels = [], []
+        self._spy(monkeypatch, kernels, appended)
+        table = weighted_ratio_transform(SequenceSample(values), omegas, WENIGER_POCHHAMMER)
+        assert all(table.valid[1]) and not any(map(any, table.valid[2:]))
+        assert table.max_order == 9
+        assert kernels == [1] and appended == [1, 2]
+
+        appended.clear(), kernels.clear()
+        self._spy(monkeypatch, kernels, appended, live=True)
+        full = weighted_ratio_transform(SequenceSample(values), omegas, WENIGER_POCHHAMMER)
+        assert kernels == [1] and appended == list(range(1, 10))
+        self._assert_same_table(table, full)
 
     @pytest.mark.parametrize("width", [2, 3, 4])
     def test_stencil_table_propagates_invalidity(self, width):

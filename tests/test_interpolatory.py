@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -24,6 +25,7 @@ from seqaccel import (
     wynn_rho,
 )
 from seqaccel.core import replace
+from seqaccel.interpolatory import TO_INFINITY
 from _helpers import error_slope, rel_diff, table_rel_spread
 from oracles import richardson_binomial
 
@@ -273,6 +275,25 @@ class TestBdgTransform:
     def test_alpha_validation(self):
         with pytest.raises(InvalidParameterError):
             bdg_transform(SequenceSample((1.0, 2.0, 3.0)), alpha=-1.0)
+
+
+class TestExactIdentities:
+    """On exact input (ln 2's partial sums in ``Fraction``, N = 12, on the
+    points ``x_n = n + 1``) the standard-grid tables are their general forms
+    to the last digit."""
+
+    SAMPLE = make_partial_sums([Fraction((-1) ** j, j + 1) for j in range(13)])
+    POINTS = InterpolationPoints(tuple(Fraction(n + 1) for n in range(13)), TO_INFINITY)
+
+    def test_rho_standard_is_wynn_rho(self):
+        got, want = rho_standard(self.SAMPLE), wynn_rho(self.SAMPLE, self.POINTS)
+        assert got.columns == want.columns and got.valid == want.valid
+
+    def test_iterated_rho_is_bdg_at_alpha_one(self):
+        got = iterated_rho(self.SAMPLE, self.POINTS)
+        want = bdg_transform(self.SAMPLE, Fraction(1))
+        assert got.columns == want.columns and got.valid == want.valid
+        assert sum(map(sum, got.valid)) == 49
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import random
+from fractions import Fraction
 from itertools import accumulate
 
 import mpmath
@@ -449,6 +450,52 @@ class TestColumnKernelBitIdentity:
         # the recursion uses no binomial weight: Weniger keeps those columns
         patched = weniger_variant(sample, "t")
         assert repr(patched) == repr(weniger) and all(map(any, patched.valid[5:]))
+
+
+class TestDataBudget:
+    """``consumed(k, n)``, worked by hand: T_k^(n) reads s_n .. s_{n+k} and the
+    estimates omega_n .. omega_{n+k}.  u, t and v read s_{n-1} too, which is
+    why they start at n = 1 without stored terms (a_0 stands in for s_0 - s_{-1}
+    with them), and v and d read s_{n+k+1}.  The budget is the last index read,
+    plus one, so the entry at the top of a table reads the whole sample."""
+
+    @pytest.mark.parametrize("stored", (True, False), ids=("terms", "values"))
+    @pytest.mark.parametrize("kind", ("u", "t", "v", "d"))
+    @pytest.mark.parametrize("variant", (levin_variant, weniger_variant))
+    def test_every_rule(self, variant, kind, stored):
+        sample = make_partial_sums([(-1.0) ** j / (j + 1) for j in range(10)])
+        if not stored:
+            sample = SequenceSample(sample.values)
+        table = variant(sample, kind)
+        assert table.n_start == (0 if stored or kind == "d" else 1)
+        ahead = 1 if kind in ("v", "d") else 0
+        assert table.max_order == 9 - table.n_start - ahead
+        for k, n, _, _ in table.entries():
+            assert table.consumed(k, n) == n + k + 1 + ahead, (k, n)
+        assert table.consumed(table.max_order, table.n_start) == 10
+
+    @pytest.mark.parametrize("family", (LEVIN_POWER, WENIGER_POCHHAMMER))
+    def test_explicit_estimates(self, family):
+        omegas = [(-1.0) ** j / (j + 2) for j in range(8)]
+        table = weighted_ratio_transform(SequenceSample(LN2_SUMS * 2 + LN2_SUMS[:2]), omegas, family)
+        assert [table.consumed(k, n) for k, n, _, _ in table.entries()] == [
+            n + k + 1 for k in range(8) for n in range(8 - k)]
+
+
+def test_weniger_recursion_is_the_exact_pochhammer_sum():
+    # on exact input the recursion is the binomial sum of the Pochhammer weights
+    # to the last digit, at every one of the 91 entries of ln 2 at N = 12
+    sample = make_partial_sums([Fraction((-1) ** j, j + 1) for j in range(13)])
+    table = weniger_variant(sample, "u", zeta=Fraction(1))
+    omegas = omega_sequence(sample, "u", Fraction(1))
+    s = sample.values
+    columns = [[sum(c * s[n + j] / omegas[n + j] for j, c in enumerate(w))
+                / sum(c / omegas[n + j] for j, c in enumerate(w))
+                for n in range(13 - k) for w in (pochhammer_weights(1, n, k),)]
+               for k in range(13)]
+    assert table.columns == columns
+    assert table.valid == [[True] * len(c) for c in columns]
+    assert sum(map(len, columns)) == 91
 
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
