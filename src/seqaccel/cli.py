@@ -453,8 +453,6 @@ def parse_transforms(text: str) -> tuple:
         if item:
             name, *pieces = item.split(":")
             out.append((name, _key_values(pieces, "transform", _transform_param)))
-    if not out:
-        raise ConfigError("at least one transform is required")
     return tuple(out)
 
 

@@ -1,15 +1,16 @@
 """Sequence containers, triangular transform tables, paths, and numerical guards.
 
-Every transformation in this package maps a finite sequence prefix
-``s_0 .. s_N`` to a doubly indexed triangular array ``T_k^(n)``.  The
-subscript ``k`` is the transformation order, the superscript ``n`` is the
-smallest sequence index entering the entry, and column 0 always repeats
-the input (``T_0^(n) = s_n``).  ``build_table`` is the one column loop
-every table is built by, and ``append_column`` the one place an entry
-turns invalid.  Scalars from outside pass one edge check,
-``finite_scalars``.  Entries whose defining recursion ran into a near-zero
-denominator, or a non-finite value, are flagged invalid instead of carrying
-an unreliable number, and invalidity propagates to every dependent entry.
+Every transformation in this package maps a finite sequence prefix ``s_0 ..
+s_N`` to a doubly indexed triangular array ``T_k^(n)``.  The subscript ``k``
+is the transformation order, the superscript ``n`` is the smallest sequence
+index entering the entry, and column 0 always repeats the input (``T_0^(n) =
+s_n``).  ``build_table`` is the one column loop every table is built by, and
+``compute_column``, which returns a column, the one place an entry turns
+invalid; a table's ``lookahead`` gives every entry's data budget.  Scalars
+from outside pass one edge check, ``finite_scalars``.  Entries whose
+defining recursion ran into a near-zero denominator, or a non-finite value,
+are flagged invalid instead of carrying an unreliable number, and invalidity
+propagates to every dependent entry.
 """
 
 from __future__ import annotations
@@ -367,9 +368,9 @@ class TransformTable(Record):
     ``columns[k][n - n_start]`` holds ``T_k^(n)`` (``None`` when invalid).
     ``order_step`` is 2 for algorithms whose odd-order entries are mere
     auxiliary quantities (epsilon, theta, rho families); approximants then
-    live in the even columns only.  ``consumed_first[k]`` records how many
-    input elements the first entry of column ``k`` consumes, from which the
-    data budget of any entry follows.  Tables are frozen: ``build_table``
+    live in the even columns only.  ``lookahead`` counts the input elements
+    an entry reads past its stencil (1 for a forward-difference estimate);
+    ``consumed`` forms every budget from it.  Tables are frozen: ``build_table``
     names a table at construction (``core.replace`` makes a renamed copy).
     """
 
@@ -378,7 +379,7 @@ class TransformTable(Record):
     valid: list
     n_start: int = 0
     order_step: int = 1
-    consumed_first: list
+    lookahead: int = 0
 
     @property
     def max_order(self) -> int:
@@ -420,20 +421,18 @@ class TransformTable(Record):
 
     def consumed(self, k: int, n: int) -> int:
         """Number of input elements consumed to compute ``T_k^(n)``."""
-        return self.consumed_first[k] + (n - self.n_start)
+        return n + len(self.columns[0]) + 1 + self.lookahead - len(self.columns[k])
 
 
-def append_column(
-    columns: list, valid: list, length: int, antecedents: Iterable, column: Callable
-) -> bool:
-    """Append one table column of ``length`` rows; the one place an entry turns invalid.
+def compute_column(length: int, antecedents: Iterable, column: Callable) -> Optional[tuple]:
+    """Column ``(entries, flags)`` of ``length`` rows; the one place an entry turns invalid.
 
     Each antecedent is a ``(flags, shifts)`` pair, one per antecedent
     column: row ``i`` depends on ``flags[i + shift]`` for every shift.
     ``column(rows)`` returns the entries of the rows ``rows``, in order,
     and runs only on rows whose antecedents are all valid; a column
-    without such a row never calls it.  An entry is invalid for one of
-    three causes:
+    without such a row never calls it and is ``None``.  An entry is
+    invalid for one of three causes:
 
     - an invalid antecedent: the row is not computed;
     - a guard trip: ``column`` gave ``None`` (``GuardPolicy.divide``);
@@ -441,10 +440,10 @@ def append_column(
 
     A fully valid antecedent column is skipped without slicing it, the
     others are ANDed a machine word at a time.  A column computed at every
-    row whose plain ``sum`` is a finite ``float`` is stored as it is: an
+    row whose plain ``sum`` is a finite ``float`` is returned as it is: an
     infinity or a NaN would spread to the sum, a guard ``None`` makes it
-    raise, a ``complex`` or ``mpf`` entry gives it another type.  Returns
-    whether ``column`` ran, which ``build_table`` reads to end the arithmetic.
+    raise, a ``complex`` or ``mpf`` entry gives it another type.  Nothing
+    is mutated: ``build_table`` stores the pair, or ends the arithmetic.
     """
     usable = None
     for flags, shifts in antecedents:
@@ -454,9 +453,7 @@ def append_column(
             part = int.from_bytes(bytes(flags[shift:shift + length]), "big")
             usable = part if usable is None else usable & part
             if not usable:
-                columns.append([None] * length)
-                valid.append([False] * length)
-                return False
+                return None
     rows = range(length) if usable is None else list(compress(count(), usable.to_bytes(length, "big")))
     entries = column(rows)
     if len(rows) == length:
@@ -465,17 +462,13 @@ def append_column(
         except TypeError:  # a guard None
             total = None
         if type(total) is float and is_finite(total):
-            columns.append(entries)
-            valid.append([True] * length)
-            return True
+            return entries, [True] * length
         col = finite_entries(entries)
     else:
-        col = [None] * length
+        col = [None] * length  # the rows not computed stay None
         for i, value in zip(rows, finite_entries(entries)):
             col[i] = value
-    columns.append(col)
-    valid.append([v is not None for v in col])
-    return True
+    return col, [v is not None for v in col]
 
 
 def build_table(
@@ -493,28 +486,24 @@ def build_table(
     the table ends where a column would have no row.  ``rules(columns,
     valid)`` is a generator over the table's own lists; it yields, column
     by column, the ``(antecedents, column)`` arguments of
-    ``append_column``.  A rule's rows read the column before it, or working
-    columns that die with it (Weniger's N and D), so once a column has no
-    computable row no later one has: the rest are appended invalid, with no
-    arithmetic and without resuming ``rules``.  Entry
-    ``T_k^(n)`` reads the input up to index ``n + len(values) -
-    len(columns[k]) + lookahead``, which gives ``consumed_first``.
+    ``compute_column``, and only this loop appends to the lists.  A rule's
+    rows read the column before it, or working columns that die with it
+    (Weniger's N and D), so once a column has no computable row, or
+    ``rules`` stops, no later one has: the rest are appended invalid, with
+    no arithmetic and without resuming ``rules``.
     """
     columns, valid = [list(values)], [[True] * len(values)]
-    pairs = rules(columns, valid)
-    length, live = len(values), True
+    pairs, length, col = rules(columns, valid), len(values), True
     for step in steps:
         length -= step
         if length < 1:
             break
-        if live:
-            live = append_column(columns, valid, length, *next(pairs))
-        else:
-            columns.append([None] * length)
-            valid.append([False] * length)
-    first = n_start + len(values) + 1 + lookahead
-    return TransformTable(name, columns, valid, n_start, order_step,
-                          [first - len(col) for col in columns])
+        rule = col and next(pairs, None)  # none once a column had no computable row
+        col = rule and compute_column(length, *rule)
+        entries, flags = col or ([None] * length, [False] * length)
+        columns.append(entries)
+        valid.append(flags)
+    return TransformTable(name, columns, valid, n_start, order_step, lookahead)
 
 
 def stencil_table(
@@ -539,7 +528,7 @@ def lozenge_rule(
     numerator: Callable[[int, Sequence[int]], Iterable[Scalar]],
     guard: GuardPolicy,
 ) -> tuple:
-    """The ``append_column`` arguments of column ``k = len(columns)`` of the lozenge rule
+    """The ``compute_column`` arguments of column ``k = len(columns)`` of the lozenge rule
     ``T_k^(n) = T_{k-2}^(n+1) + num_k^(n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``.
 
     ``numerator(k, rows)`` gives ``num_k^(n)`` for the rows ``rows``: a

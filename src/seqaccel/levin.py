@@ -46,9 +46,9 @@ from .core import (
     Scalar,
     SequenceSample,
     TransformTable,
-    append_column,
     build_table,
     check_positive,
+    compute_column,
     finite_scalars,
 )
 from .errors import InsufficientDataError, InvalidParameterError, ZeroRemainderError
@@ -187,18 +187,19 @@ def _factorial_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
     guard trip on ``T`` stays in its entry; only a non-finite N or D spreads.
     """
 
-    def advance(cur, ok, f):
-        col, flags = [], []  # X_k and its flags from X_{k-1}
-        append_column(col, flags, len(cur) - 1, [(ok, (0, 1))], lambda rows: (
+    def advance(cur, ok, f):  # X_k and its flags from X_{k-1}, or None
+        return compute_column(len(cur) - 1, [(ok, (0, 1))], lambda rows: (
             [cur[n + 1] - cur[n] for n in rows] if f is None
             else [cur[n + 1] - f[n] * cur[n] for n in rows]))
-        return col[0], flags[0]
 
     num, num_ok, den, den_ok = ratio, [True] * len(ratio), inv, [True] * len(inv)
     for k in count(1):
         p, q, r, t = k - 1, k - 2, 2 * k - 2, 2 * k - 3
         f = [(b + p) * (b + q) / ((b + r) * (b + t)) for b in bases[:len(num) - 1]] if k > 1 else None
-        (num, num_ok), (den, den_ok) = advance(num, num_ok, f), advance(den, den_ok, f)
+        nums, dens = advance(num, num_ok, f), advance(den, den_ok, f)
+        if not (nums and dens):
+            return  # T_k has no computable row either
+        (num, num_ok), (den, den_ok) = nums, dens
         yield [(num_ok, (0,)), (den_ok, (0,))], lambda rows: guard.divide(
             [num[n] for n in rows], [den[n] for n in rows])
 

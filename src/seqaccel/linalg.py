@@ -2,8 +2,8 @@
 
 Gaussian elimination with partial pivoting, written against generic
 scalars so that complex (or exact) coefficient types survive the solve.
-A pivot below ``pivot_rtol`` times the magnitude scale of the original
-matrix raises ``SingularMatrixError`` rather than returning an
+A pivot below ``_PIVOT_RTOL`` (1e-13) times the magnitude scale of the
+original matrix raises ``SingularMatrixError`` rather than returning an
 ill-conditioned solution.
 """
 
@@ -13,8 +13,10 @@ from typing import Sequence
 
 from .errors import SingularMatrixError
 
+_PIVOT_RTOL = 1e-13
 
-def solve_dense(matrix: Sequence[Sequence], rhs: Sequence, pivot_rtol: float = 1e-13) -> list:
+
+def solve_dense(matrix: Sequence[Sequence], rhs: Sequence) -> list:
     n = len(matrix)
     if n == 0:
         return []
@@ -23,7 +25,7 @@ def solve_dense(matrix: Sequence[Sequence], rhs: Sequence, pivot_rtol: float = 1
         raise ValueError("solve_dense needs a square system")
     b = list(rhs)
     scale = max((abs(x) for row in a for x in row), default=0.0)
-    threshold = pivot_rtol * max(1.0, scale)
+    threshold = _PIVOT_RTOL * max(1.0, scale)
 
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))

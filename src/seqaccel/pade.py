@@ -27,8 +27,6 @@ from .core import (
 from .errors import DegeneratePadeError, InvalidParameterError, SingularMatrixError
 from .linalg import solve_dense
 
-_PIVOT_RTOL = 1e-13
-
 
 def _polyval(coeffs, z):
     acc = 0.0
@@ -73,7 +71,7 @@ def pade_direct(series: PowerSeries, l: int, m: int) -> PadeApproximant:
         matrix = [[gamma(l + 1 + r - c) for c in range(1, m + 1)] for r in range(m)]
         rhs = [-gamma(l + 1 + r) for r in range(m)]
         try:
-            solution = solve_dense(matrix, rhs, pivot_rtol=_PIVOT_RTOL)
+            solution = solve_dense(matrix, rhs)
         except SingularMatrixError as exc:
             raise DegeneratePadeError(
                 f"[{l}/{m}] order conditions are singular: {exc}"

@@ -145,8 +145,8 @@ def ingest_texts():
 
 def content(result):
     """A table's content, or any other outcome as it is: the content is what a
-    table holds, not how it stores it, so a ``consumed_first`` kept as
-    ``None`` (meaning ``k + 1``) and one kept as that list read the same."""
+    table holds, not how it stores it, so budgets are compared as
+    ``consumed(k, n_start)``, whatever field they are formed from."""
     if not isinstance(result, TransformTable):
         return result
     budgets = [result.consumed(k, result.n_start) for k in range(len(result.columns))]

@@ -607,6 +607,25 @@ class TestCliRobustness:
         with pytest.raises(IngestError):
             ingest(path, fmt="json")
 
+    def test_pade_with_singular_order_conditions_exits_3(self, capsys):
+        # the geometric series is [0/1]: the [1/2] order conditions have a zero pivot
+        argv = ["pade", "--problem", "power_series:name=geometric:z=0.5:N=4", "--l", "1", "--m", "2"]
+        assert main(argv) == 3
+        assert "[1/2] order conditions are singular" in one_line_error(capsys, stdout_empty=True)
+
+    def test_divergent_problem_without_a_limit_reports_no_error(self, capsys):
+        # 1 + 1 + 1 + ... has no limit, so no entry has an abs_error
+        argv = ["run", "--problem", "power_series:name=geometric:z=1:N=6",
+                "--transforms", "epsilon,levin_u", "--format", "tsv"]
+        assert main(argv) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "transform\tk\tn\tvalue\tabs_error\tvalid"
+        entries = [row.split("\t") for row in rows if not row.startswith("#")]
+        summaries = [row for row in rows if row.startswith("# summary")]
+        assert any(e[5] == "1" for e in entries) and len(summaries) == 2
+        assert all(e[4] == "NA" for e in entries)
+        assert all(row.endswith("\tabs_error=NA") for row in summaries)
+
     def test_total_failure_names_the_reason(self, capsys):
         argv = ["run", "--problem", "zeta_dirichlet:z=2:N=10",
                 "--transforms", "levin_u:zeta=-1"]
@@ -685,6 +704,10 @@ class TestCliRobustness:
          "overflows double precision"),
         (["pade", "--problem", "power_series:name=exp:z=1,2:N=5", "--l", "2", "--m", "2"],
          "wrong kind"),
+        (["run", "--problem", "zeta_dirichlet:z=2:N=5", "--transforms", "levin_u:zeta=abc"],
+         "transform parameter 'zeta=abc' is not numeric"),
+        (["run", "--problem", ":", "--transforms", "aitken"], "empty problem specification"),
+        ([*SMALL, "--path", "order_constant:x"], "bad path parameter"),
     ])
     def test_package_errors_exit_2(self, capsys, argv, reason):
         assert main(argv) == 2
@@ -704,11 +727,21 @@ class TestCliRobustness:
         ([*SMALL, "--output", "{tmp}/missing/report.tsv"], "cannot write {tmp}/missing/report.tsv"),
         (["gen", "--problem", "geometric:s=1:c=1:lam=0.5:N=4", "--output", "{tmp}"],
          "cannot write {tmp}"),
-    ], ids=["input", "stdin", "coeffs", "config", "deep_json", "run_output", "gen_output"])
+        (["run", "--input", "{tmp}/comments.csv", "--transforms", "aitken"],
+         "no data rows found"),
+        (["run", "--input", "{tmp}/array.json", "--input-format", "json", "--transforms", "aitken"],
+         "JSON input must be an object"),
+        (["run", "--input", "{tmp}/truncated.json", "--input-format", "json",
+          "--transforms", "aitken"], "line 1: invalid JSON: Expecting ',' delimiter"),
+    ], ids=["input", "stdin", "coeffs", "config", "deep_json", "run_output", "gen_output",
+            "comments_csv", "json_array", "truncated_json"])
     def test_file_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, reason):
         undecodable = b"1\n\xff\n"
         (tmp_path / "undecodable").write_bytes(undecodable)
         (tmp_path / "deep.json").write_text("[" * 200000)
+        (tmp_path / "comments.csv").write_text("# no data\n# here\n")
+        (tmp_path / "array.json").write_text("[1, 2, 3]")
+        (tmp_path / "truncated.json").write_text('{"values": [1, 2')
         # a strict UTF-8 stdin, as outside Python's UTF-8 mode
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(undecodable), "utf-8"))
         argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import mpmath
 import pytest
@@ -36,7 +36,7 @@ from seqaccel import (
     weighted_ratio_transform,
     wynn_epsilon,
 )
-from seqaccel import core
+from seqaccel import core, levin
 from seqaccel.core import Record, replace
 from seqaccel.reference import power_series_coefficients
 
@@ -264,8 +264,6 @@ class TestGuardPolicy:
 
     def test_divide_trips_a_row_whose_modulus_overflows(self):
         # abs() raises on these finite parts: that row alone trips the guard
-        from itertools import repeat
-
         guard = GuardPolicy()
         wide = 1.7e308 + 1.7e308j
         assert guard.divide([1.0, 1.0, 2.0], [2.0, wide, 4.0]) == [0.5, None, 0.5]
@@ -297,6 +295,18 @@ class TestRecord:
     def test_bad_arguments_raise_type_error(self, args, kwargs):
         with pytest.raises(TypeError):
             SequenceSample(*args, **kwargs)
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (((1.0,),), {}, "PowerSeries() missing required argument 'z'"),
+        (((1.0,), 0.5), {"w": 1}, "PowerSeries() got an unexpected keyword argument 'w'"),
+        (((1.0,), 0.5), {"z": 0.5}, "PowerSeries() got multiple values for argument 'z'"),
+        (((1.0,), 0.5, 2), {}, "PowerSeries() takes 2 positional arguments but 3 were given"),
+    ], ids=["missing", "unknown", "repeated", "too-many"])
+    def test_record_binding_errors_raise_type_error(self, args, kwargs, message):
+        # PowerSeries has no __init__ of its own: Record.__init__ binds and refuses
+        with pytest.raises(TypeError) as info:
+            PowerSeries(*args, **kwargs)
+        assert str(info.value) == message
 
     def test_assignment_and_deletion_are_refused(self):
         from dataclasses import FrozenInstanceError
@@ -379,6 +389,9 @@ class TestPaths:
             extract_path(table, PathSpec.order_constant(5))
         with pytest.raises(PathRangeError):
             extract_path(table, PathSpec.index_constant(7))
+        for k, n in ((3, 0), (2, 1), (0, 3), (0, -1), (-1, 0)):
+            with pytest.raises(PathRangeError, match=rf"has no entry \({k}, {n}\)"):
+                table.entry(k, n)
 
     def test_skips_invalid_but_walk_reports_them(self):
         table = iterated_aitken(SequenceSample((7.0, 7.0, 7.0)))
@@ -553,6 +566,14 @@ class TestEdgeCheck:
     """Every record or parameter that takes scalars from outside admits
     finite ones only, an ``int`` made a ``float``."""
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PowerSeries((), 0.5), "a power series needs at least one coefficient"),
+        (lambda: InterpolationPoints((), "to_infinity"), "interpolation points must be nonempty"),
+    ], ids=["power_series", "interpolation_points"])
+    def test_empty_records_are_refused(self, build, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            build()
+
     @pytest.mark.parametrize(
         "bad",
         (10**400, math.inf, math.nan, 1.7e308 + 1.7e308j, mpmath.mpf("inf"), "a", (1.0, 2.0)),
@@ -594,7 +615,7 @@ class TestEdgeCheck:
 
 class TestColumnPrimitives:
     def test_column_runs_on_usable_rows_only(self):
-        from seqaccel.core import append_column
+        from seqaccel.core import compute_column
 
         calls = []
 
@@ -602,58 +623,51 @@ class TestColumnPrimitives:
             calls.append(list(rows))
             return [{0: 1.0, 2: None, 3: float("inf")}[i] for i in rows]
 
-        columns, valid = [], []
-        assert append_column(columns, valid, 4, [([True, False, True, True], (0,))], column)
+        got = compute_column(4, [([True, False, True, True], (0,))], column)
         assert calls == [[0, 2, 3]]
-        assert columns == [[1.0, None, None, None]]
-        assert valid == [[True, False, False, False]]
+        assert got == ([1.0, None, None, None], [True, False, False, False])
 
     def test_unusable_column_skips_column(self):
-        from seqaccel.core import append_column
+        from seqaccel.core import build_table, compute_column
 
         def column(rows):
             raise AssertionError("column called without a usable row")
 
         flags = [False, False, False]
-        columns, valid = [[1.0]], [[True]]
-        assert append_column(columns, valid, 3, [(flags, (0,))], column) is False
-        assert columns[1] == [None] * 3
-        assert valid[1] == [False] * 3
-        assert valid[1] is not flags
+        assert compute_column(3, [(flags, (0,))], column) is None
+        # build_table makes that column, and every later one, dead
+        table = build_table("probe", [1.0] * 4, repeat(1),
+                            lambda columns, valid: repeat(([(flags, (0,))], column)))
+        assert table.columns[1:] == [[None] * 3, [None] * 2, [None]]
+        assert table.valid[1:] == [[False] * 3, [False] * 2, [False]]
+        assert table.valid[1] is not flags
 
     def test_disjoint_antecedents_skip_column(self):
         # theta's even rule: each antecedent slice holds a valid row, their AND none
-        from seqaccel.core import append_column
+        from seqaccel.core import compute_column
 
         def column(rows):
             raise AssertionError("column called without a usable row")
 
         odd, even = [True, False, True, False], [False, False, True]
-        columns, valid = [], []
-        assert append_column(columns, valid, 2, [(odd, (0, 2)), (even, (1,))], column) is False
-        assert columns == [[None, None]]
-        assert valid == [[False, False]]
+        assert compute_column(2, [(odd, (0, 2)), (even, (1,))], column) is None
 
     def test_finite_float_column_whose_sum_overflows_stays_valid(self):
-        from seqaccel.core import append_column
+        from seqaccel.core import compute_column
 
-        columns, valid = [], []
         entries = [1e308, 1e308, -1e308]
-        assert append_column(columns, valid, 3, (), lambda rows: entries)
-        assert columns == [entries] and valid == [[True] * 3]
+        assert compute_column(3, (), lambda rows: entries) == (entries, [True] * 3)
 
     def test_non_finite_and_tripped_rows_are_invalid(self):
-        from seqaccel.core import append_column
+        from seqaccel.core import compute_column
 
         entries = [1.0, math.inf, 2.0, None, -math.inf, math.nan, 3.0]
-        columns, valid = [], []
-        assert append_column(columns, valid, 7, (), lambda rows: entries)
-        assert valid == [[True, False, True, False, False, False, True]]
-        assert columns == [[1.0, None, 2.0, None, None, None, 3.0]]
+        assert compute_column(7, (), lambda rows: entries) == (
+            [1.0, None, 2.0, None, None, None, 3.0],
+            [True, False, True, False, False, False, True],
+        )
         # the column ran, so a later column may still have a computable row
-        columns, valid = [], []
-        assert append_column(columns, valid, 2, (), lambda rows: [None, math.nan]) is True
-        assert columns == [[None, None]] and valid == [[False, False]]
+        assert compute_column(2, (), lambda rows: [None, math.nan]) == ([None, None], [False, False])
 
     @pytest.mark.parametrize("entries", [
         [1.0, complex(1.7e308, 1.7e308)],
@@ -662,13 +676,21 @@ class TestColumnPrimitives:
     ], ids=["complex_last", "float_last", "mixed"])
     def test_complex_entry_whose_modulus_overflows_is_invalid(self, entries):
         # a float sum would pass these columns; |1e308 + 1e308j| is finite
-        from seqaccel.core import append_column
+        from seqaccel.core import compute_column
 
-        columns, valid = [], []
-        assert append_column(columns, valid, len(entries), (), lambda rows: entries)
         wide = [v == complex(1.7e308, 1.7e308) for v in entries]
-        assert valid == [[not w for w in wide]]
-        assert columns == [[None if w else v for v, w in zip(entries, wide)]]
+        assert compute_column(len(entries), (), lambda rows: entries) == (
+            [None if w else v for v, w in zip(entries, wide)], [not w for w in wide])
+
+    def test_compute_column_mutates_nothing(self):
+        from seqaccel.core import compute_column
+
+        flags, entries = [True, False, True], [1.0, math.inf]
+        antecedents = [(flags, (0,))]
+        got = compute_column(3, antecedents, lambda rows: entries)
+        assert got == ([1.0, None, None], [True, False, False])
+        assert flags == [True, False, True] and entries == [1.0, math.inf]
+        assert antecedents == [(flags, (0,))]
 
     # (build, the call of GuardPolicy.divide that trips every row): each
     # computed column divides once, so that column is the last one computed
@@ -678,33 +700,39 @@ class TestColumnPrimitives:
                 (brezinski_theta, 2), (brezinski_theta, 3), (brezinski_theta, 4)]
 
     @staticmethod
-    def _spy(monkeypatch, kernels, appended, live=None):
-        """Record each column ``build_table`` appends and each that runs its kernel;
-        ``live`` in place of ``append_column``'s answer disables the dead tail."""
+    def _spy(monkeypatch, kernels, computed, live=False):
+        """Record each column ``build_table`` computes and each that runs its kernel;
+        ``live`` turns every ``None`` of ``compute_column``, Weniger's working
+        columns' included, into a dead column, which disables the dead tail."""
         monkeypatch.undo()
-        append = core.append_column
+        compute = core.compute_column
 
-        def spy(columns, valid, length, antecedents, column):
-            k = len(columns)
-            appended.append(k)
-            ran = append(columns, valid, length, antecedents,
-                         lambda rows: (kernels.append(k), column(rows))[1])
-            return ran if live is None else live
+        def forced(length, antecedents, column):
+            pair = compute(length, antecedents, column)
+            return pair if pair or not live else ([None] * length, [False] * length)
 
-        monkeypatch.setattr(core, "append_column", spy)
+        def spy(length, antecedents, column):
+            k = len(computed) + 1  # build_table computes columns 1, 2, ... in order
+            computed.append(k)
+            return forced(length, antecedents, lambda rows: (kernels.append(k), column(rows))[1])
+
+        monkeypatch.setattr(core, "compute_column", spy)
+        monkeypatch.setattr(levin, "compute_column", forced)
 
     @staticmethod
     def _assert_same_table(table, full):
         assert [repr(c) for c in table.columns] == [repr(c) for c in full.columns]
         assert table.valid == full.valid
-        assert table.consumed_first == full.consumed_first
+        assert table.lookahead == full.lookahead
+        assert [table.consumed(k, n) for k, n, _, _ in table.entries()] == [
+            full.consumed(k, n) for k, n, _, _ in full.entries()]
         assert (table.order_step, table.n_start) == (full.order_step, full.n_start)
 
     @pytest.mark.parametrize("build, dead", _DEAD_AT,
                              ids=[f"{b.__name__}-{d}" for b, d in _DEAD_AT])
     def test_dead_tail_ends_the_arithmetic_and_keeps_the_table(self, monkeypatch, build, dead):
         sample = SequenceSample(tuple(2.0 + 0.9 ** n + 0.5 * (-0.7) ** n for n in range(16)))
-        divides, appended, kernels = [], [], []
+        divides, computed, kernels = [], [], []
 
         class Tripping(GuardPolicy):
             def divide(self, nums, dens, bases=None):
@@ -712,20 +740,20 @@ class TestColumnPrimitives:
                 rows = GuardPolicy.divide(self, nums, dens, bases)
                 return [None] * len(rows) if len(divides) == dead else rows
 
-        self._spy(monkeypatch, kernels, appended)
+        self._spy(monkeypatch, kernels, computed)
         table = build(sample, Tripping())
         assert not any(table.valid[dead]) and all(any(table.valid[k]) for k in range(dead))
         assert table.max_order >= dead + 3
         assert divides == list(range(1, dead + 1))
         assert kernels == list(range(1, dead + 1))
-        assert appended == list(range(1, dead + 2))
+        assert computed == list(range(1, dead + 2))
 
-        # the full build: no dead tail, every later column through append_column,
+        # the full build: no dead tail, every later column through compute_column,
         # whose kernel still never runs
-        divides.clear(), appended.clear(), kernels.clear()
-        self._spy(monkeypatch, kernels, appended, live=True)
+        divides.clear(), computed.clear(), kernels.clear()
+        self._spy(monkeypatch, kernels, computed, live=True)
         full = build(sample, Tripping())
-        assert appended == list(range(1, full.max_order + 1))
+        assert computed == list(range(1, full.max_order + 1))
         assert kernels == list(range(1, dead + 1))
         self._assert_same_table(table, full)
 
@@ -734,17 +762,37 @@ class TestColumnPrimitives:
         # N_2 and D_2 overflows, so T_2 is the first column without a computable row
         values = tuple(1.0 + 0.1 * 0.5 ** n for n in range(10))
         omegas = [(-1.0) ** n / 0.7e308 for n in range(10)]
-        appended, kernels = [], []
-        self._spy(monkeypatch, kernels, appended)
+        computed, kernels = [], []
+        self._spy(monkeypatch, kernels, computed)
         table = weighted_ratio_transform(SequenceSample(values), omegas, WENIGER_POCHHAMMER)
         assert all(table.valid[1]) and not any(map(any, table.valid[2:]))
         assert table.max_order == 9
-        assert kernels == [1] and appended == [1, 2]
+        assert kernels == [1] and computed == [1, 2]
 
-        appended.clear(), kernels.clear()
-        self._spy(monkeypatch, kernels, appended, live=True)
+        computed.clear(), kernels.clear()
+        self._spy(monkeypatch, kernels, computed, live=True)
         full = weighted_ratio_transform(SequenceSample(values), omegas, WENIGER_POCHHAMMER)
-        assert kernels == [1] and appended == list(range(1, 10))
+        assert kernels == [1] and computed == list(range(1, 10))
+        self._assert_same_table(table, full)
+
+    def test_weniger_rules_stop_once_a_working_column_has_no_computable_row(self, monkeypatch):
+        # 1/omega_n runs +a, -a, -a, +a, +a, ... near 0.9e308: N_1 and D_1 overflow
+        # at every even row, so T_1 has its odd rows, and no two adjacent rows of
+        # N_1 are valid: N_2 has no computable row, the rules stop, T_2 is dead
+        x = [(-1.0) ** ((n + 1) // 2) * 0.9e308 * (1 + 0.01 * n) for n in range(10)]
+        values = tuple(1.0 + 0.5 ** n for n in range(10))
+        omegas = [1 / v for v in x]
+        computed, kernels = [], []
+        self._spy(monkeypatch, kernels, computed)
+        table = weighted_ratio_transform(SequenceSample(values), omegas, WENIGER_POCHHAMMER)
+        assert table.valid[1] == [n % 2 == 1 for n in range(9)]
+        assert not any(map(any, table.valid[2:])) and table.max_order == 9
+        assert kernels == [1] and computed == [1]
+
+        computed.clear(), kernels.clear()
+        self._spy(monkeypatch, kernels, computed, live=True)
+        full = weighted_ratio_transform(SequenceSample(values), omegas, WENIGER_POCHHAMMER)
+        assert kernels == [1] and computed == list(range(1, 10))
         self._assert_same_table(table, full)
 
     @pytest.mark.parametrize("width", [2, 3, 4])

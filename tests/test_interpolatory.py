@@ -276,6 +276,14 @@ class TestBdgTransform:
         with pytest.raises(InvalidParameterError):
             bdg_transform(SequenceSample((1.0, 2.0, 3.0)), alpha=-1.0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda s: bdg_transform(s, 1.0), "the BDG transformation needs at least 3 elements"),
+        (lambda s: iterated_rho(s, natural_points(2)), "iterated rho needs at least 3 elements"),
+    ], ids=["bdg", "iterated_rho_explicit_points"])
+    def test_needs_three_elements(self, build, message):
+        with pytest.raises(InsufficientDataError, match=message):
+            build(SequenceSample((1.0, 2.0)))
+
 
 class TestExactIdentities:
     """On exact input (ln 2's partial sums in ``Fraction``, N = 12, on the
