@@ -19,7 +19,7 @@ import math
 import operator
 import sys
 from functools import partial
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -54,6 +54,28 @@ def magnitude(value: Scalar):
         return abs(value)
     except OverflowError:
         return math.inf
+
+
+def constant_type(operands: Iterable) -> Callable:
+    """The conversion of a kernel's ``int`` and ``float`` constants where they meet
+    ``operands``: to ``float`` for ``float`` and ``complex`` operands, to their own type
+    where all share one that keeps its type times a float and has real moduli
+    (``mpmath.mpf``, not ``Fraction`` or ``mpc``), and only where exact; any other
+    constant, or column, keeps it as it is: each the conversion the mixed operation makes."""
+    kinds = set(map(type, operands))
+    kind = float if kinds <= {float, complex} else kinds.pop() if len(kinds) == 1 else None
+    try:
+        own = kind is float or type(kind(1) * 1.0) is kind is type(abs(kind(1)))
+    except TypeError:  # no one type, or one not made from an int or without float arithmetic
+        own = False
+    return partial(_lifted, kind if own else None)
+
+
+def _lifted(kind, constant):
+    if kind is None or type(constant) not in (int, float):
+        return constant
+    lifted = kind(constant)
+    return lifted if lifted == constant else constant
 
 
 def finite_entries(values: list) -> list:
@@ -222,27 +244,39 @@ class GuardPolicy(Record):
         if not _in_double_range(self.relative_threshold, zero_ok=True):
             raise InvalidParameterError("guard threshold must be a finite nonnegative number")
 
-    def divide(self, nums: Iterable, dens: Iterable, bases: Optional[Iterable] = None) -> list:
+    def divide(self, nums, dens: Sequence, bases: Optional[Iterable] = None) -> list:
         """Row-wise ``base + num / den`` (``num / den`` without ``bases``).
 
         Every kernel divides through here, so this is the one place the
         guard is evaluated: a row whose denominator trips it is ``None``.
-        A kernel of the form ``a - num / den`` passes ``-num``, since
-        ``a + (-num) / den`` is the same number to the last bit.
-        ``max(1, |num|)`` is spelt out because a call to ``max`` per row
-        costs more than the rest of the row.  A row whose ``abs`` overflows
-        trips the guard too; the arguments, then read again, are lists or
-        ``itertools.repeat`` objects.
+        ``nums`` is a list, or one scalar for every row whose bound ``threshold
+        * max(1, |num|)`` is formed once.  A kernel of the form ``a - num /
+        den`` passes ``-num``, since ``a + (-num) / den`` is the same number
+        to the last bit.  The threshold and the 1 take the operands'
+        ``constant_type``: after a ``float`` or ``complex`` first denominator,
+        unscanned, as written; ``max`` is spelt out, its product skipped when
+        ``|num| <= 1``, because a call per row costs more than the rest of
+        the row.  A row whose ``abs`` overflows trips the guard too; the
+        arguments, then read again, are lists or ``itertools.repeat`` objects.
         """
-        threshold = self.relative_threshold
+        scalar = not hasattr(nums, "__iter__")
+        threshold, one = self.relative_threshold, 1.0
+        if type(next(iter(dens), 0.0)) not in (float, complex):  # else not all one other type
+            lift = constant_type(chain.from_iterable(zip(dens, repeat(nums) if scalar else nums)))
+            threshold, one = lift(threshold), lift(one)
+        bases = repeat(None) if bases is None else bases
         try:
+            if scalar:
+                bound = threshold * m if (m := abs(nums)) > one else threshold
+                return [None if not d or abs(d) < bound else nums / d if b is None else b + nums / d
+                        for d, b in zip(dens, bases)]
             return [
-                None if not d or abs(d) < threshold * (m if (m := abs(n)) > 1.0 else 1.0)
+                None if not d or abs(d) < (threshold * m if (m := abs(n)) > one else threshold)
                 else n / d if b is None else b + n / d
-                for n, d, b in zip(nums, dens, repeat(None) if bases is None else bases)
+                for n, d, b in zip(nums, dens, bases)
             ]
         except OverflowError:  # the modulus of a complex of finite parts
-            rows = list(zip(nums, dens, repeat(None) if bases is None else bases))
+            rows = list(zip(repeat(nums) if scalar else nums, dens, bases))
             if len(rows) == 1:
                 return [None]
             return [q for n, d, b in rows for q in self.divide((n,), (d,), (b,))]
@@ -531,9 +565,9 @@ def lozenge_rule(
     """The ``compute_column`` arguments of column ``k = len(columns)`` of the lozenge rule
     ``T_k^(n) = T_{k-2}^(n+1) + num_k^(n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``.
 
-    ``numerator(k, rows)`` gives ``num_k^(n)`` for the rows ``rows``: a
-    repeated constant (epsilon, Osada) or one value per row (rho on
-    explicit points).  Column -1 is an implicit column of zeros.
+    ``numerator(k, rows)`` gives ``num_k^(n)`` for the rows ``rows``: one
+    constant in the column's ``constant_type`` (epsilon, Osada), or a list
+    (rho on explicit points).  Column -1 is an implicit column of zeros.
     """
     k = len(columns)
     cur = columns[k - 1]

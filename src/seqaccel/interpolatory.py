@@ -11,7 +11,6 @@ the ``O(n**(-alpha-2k))`` error order.  The standard ``rho`` and
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Optional, Sequence
 
 from .core import (
@@ -22,6 +21,7 @@ from .core import (
     TransformTable,
     check_integer,
     check_positive,
+    constant_type,
     cross_rule_table,
     finite_entries,
     finite_scalars,
@@ -124,9 +124,12 @@ def richardson_standard(
     """
     check_positive("beta", beta)
     s = sample.values
+    bases = [beta + n for n in range(len(s))]
+    lift = constant_type(bases)
 
     def kernel(cur, k, rows):
-        return [cur[n + 1] + (beta + n) / k * (cur[n + 1] - cur[n]) for n in rows]
+        order = lift(k)
+        return [cur[n + 1] + bases[n] / order * (cur[n + 1] - cur[n]) for n in rows]
 
     return stencil_table("richardson", s, 2, kernel)
 
@@ -169,7 +172,8 @@ def osada_rho(
     """
     check_positive("alpha", alpha)
     s = sample.values
-    return cross_rule_table("rho_osada", s, lambda k, rows: repeat(k - 1 + alpha), guard)
+    lift = constant_type(s)
+    return cross_rule_table("rho_osada", s, lambda k, rows: lift(k - 1 + alpha), guard)
 
 
 def iterated_rho(

@@ -49,6 +49,7 @@ from .core import (
     build_table,
     check_positive,
     compute_column,
+    constant_type,
     finite_scalars,
 )
 from .errors import InsufficientDataError, InvalidParameterError, ZeroRemainderError
@@ -193,8 +194,9 @@ def _factorial_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
             else [cur[n + 1] - f[n] * cur[n] for n in rows]))
 
     num, num_ok, den, den_ok = ratio, [True] * len(ratio), inv, [True] * len(inv)
+    lift = constant_type(bases)
     for k in count(1):
-        p, q, r, t = k - 1, k - 2, 2 * k - 2, 2 * k - 3
+        p, q, r, t = map(lift, (k - 1, k - 2, 2 * k - 2, 2 * k - 3))
         f = [(b + p) * (b + q) / ((b + r) * (b + t)) for b in bases[:len(num) - 1]] if k > 1 else None
         nums, dens = advance(num, num_ok, f), advance(den, den_ok, f)
         if not (nums and dens):

@@ -3,7 +3,11 @@
 Run against any tree's package, e.g. ``PYTHONPATH=src python tests/repr_sweep.py``;
 two trees whose output lines agree build the same tables, estimate lists
 and exceptions to the last bit (a float's repr is exact, an mpf's repr
-round-trips at its precision).  Pytest does not collect this file.
+round-trips at its precision, a ``Fraction``'s is its exact value).
+``python tests/repr_sweep.py --against ROOT`` runs the sweep on this
+tree's ``src/`` and on ``ROOT/src/``, one subprocess each, prints the lines
+that differ (``-`` ROOT's, ``+`` this tree's) and exits 1 if any do.
+Pytest does not collect this file.
 
 Each line reads ``<name> <outcomes> <md5>``: one line per registered
 transform, then ``omega_sequence:<rule>`` and
@@ -24,6 +28,11 @@ tables end in columns without a valid entry: each real problem in float at
 N = 100, 200 and 400 and in mpf at N = 40, each complex problem at N = 80,
 both guards.
 
+``fraction`` fingerprints every registered transform on exact input: the
+partial sums of ln 2 (with their terms) and ``2 + 0.9^n + 0.5 (-0.7)^n``
+in ``Fraction`` at N = 12, both guards, each parameter also as a
+``Fraction``, so a constant that leaks a float into an exact table shows.
+
 Four more lines fingerprint how samples are built: ``sample_view``, the
 ``(values, terms, limit)`` of every grid sample as the builders see it;
 ``power_series_sample``, the partial sums of ``PowerSeries.sample`` for the
@@ -39,9 +48,36 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
+from fractions import Fraction
 
-import mpmath
+
+def against(root):
+    """Run the sweep on this tree's package and on ``root``'s, print the lines
+    that differ and return 1 if any do."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    runs = [subprocess.Popen([sys.executable, os.path.abspath(__file__)], stdout=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": os.path.join(tree, "src")}, text=True)
+            for tree in (root, here)]
+    theirs, ours = (dict(line.split(" ", 1) for line in run.communicate()[0].splitlines())
+                    for run in runs)
+    if any(run.returncode for run in runs):
+        raise SystemExit("repr_sweep: a sweep failed")
+    differ = [label for label in {**theirs, **ours} if theirs.get(label) != ours.get(label)]
+    for label in differ:
+        print(f"- {label} {theirs.get(label, '(none)')}")
+        print(f"+ {label} {ours.get(label, '(none)')}")
+    return int(bool(differ))
+
+
+# the comparison imports no package of its own: each sweep finds its tree's
+if __name__ == "__main__" and sys.argv[1:]:
+    if sys.argv[1] != "--against" or len(sys.argv) != 3:
+        sys.exit("usage: repr_sweep.py [--against ROOT]")
+    sys.exit(against(sys.argv[2]))
+
+import mpmath  # noqa: E402
 
 sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -55,6 +91,7 @@ from seqaccel import (  # noqa: E402
     SequenceSample,
     TransformTable,
     generate_problem,
+    make_partial_sums,
     omega_sequence,
     weighted_ratio_transform,
 )
@@ -69,6 +106,7 @@ GUARDS = (GuardPolicy(), GuardPolicy(0.0))
 ZETAS = (1.0, 2.5)
 RULES = ("u", "t", "v", "d", "w")  # "w" is no rule
 MPF_DPS = 30
+FRACTION_N = 12
 
 
 def samples():
@@ -105,6 +143,14 @@ def classic_samples():
                 terms = None if sample.terms is None else tuple(map(convert, sample.terms))
                 sample = SequenceSample(tuple(map(convert, sample.values)), terms, sample.limit)
             yield sample
+
+
+def fraction_samples():
+    """The exact samples of the ``fraction`` line."""
+    terms = [Fraction((-1) ** k, k + 1) for k in range(FRACTION_N + 1)]
+    yield make_partial_sums(terms)
+    yield SequenceSample(tuple(2 + Fraction(9, 10) ** n + Fraction(1, 2) * Fraction(-7, 10) ** n
+                               for n in range(FRACTION_N + 1)))
 
 
 def view(sample):
@@ -223,6 +269,13 @@ def main():
             for params in params_of(name):
                 for guard in GUARDS:
                     record("classic_large", lambda: apply_transform(name, sample, guard, params))
+    for sample in fraction_samples():
+        for name in transform_names():
+            for params in params_of(name):
+                exact = {key: Fraction(value) for key, value in params.items()}
+                for given in (params, exact) if params else (params,):
+                    for guard in GUARDS:
+                        record("fraction", lambda: apply_transform(name, sample, guard, given))
     for sample in grid:
         record("sample_view", lambda: view(sample))
     for coefficients, z in power_series():

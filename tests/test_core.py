@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import accumulate, repeat
 
 import mpmath
@@ -245,6 +246,9 @@ class TestGuardPolicy:
             (math.nan, 1.0, False),  # not tripped: the non-finite quotient is rejected later
             (1j, 1.0, False), (mpmath.mpf(1), 1.0, False), (mpmath.mpf(1), mpmath.mpf(2), False),
         ]
+        # a zero denominator trips in every column type, GuardPolicy(0) included
+        cases += [(0j, 1j, True), (mpmath.mpf(0), mpmath.mpf(1), True),
+                  (Fraction(0), Fraction(1), True)]
         if threshold:
             cases += [
                 (threshold, 1.0, False),  # |d| < threshold fails on the boundary
@@ -252,9 +256,64 @@ class TestGuardPolicy:
                 (tiny * 1j, 1.0, True), (mpmath.mpf(tiny), 1.0, True),
                 (2 * threshold, 3.0, True), (2 * threshold, 1.5, False),
             ]
+            # float, complex, mpf and Fraction columns: |num| exactly 1 and one ulp
+            # above it, |d| exactly on the bound threshold * |num| and one ulp below
+            up, on, below = math.nextafter(1.0, 2.0), 2 * threshold, math.nextafter(2 * threshold, 0.0)
+            for kind in (float, lambda x: complex(0.0, x), mpmath.mpf, Fraction):
+                cases += [
+                    (kind(threshold), kind(1.0), False), (kind(threshold), kind(up), True),
+                    (kind(on), kind(2.0), False), (kind(below), kind(2.0), True),
+                ]
+            # a Fraction column's threshold * |num| is a float product, as written:
+            # threshold * 5.0 rounds up, so exactly 5 * threshold trips
+            cases.append((Fraction(threshold) * 5, Fraction(5), True))
         for den, num, tripped in cases:
-            assert (guard.divide([num], [den])[0] is None) is tripped, (den, num)
-            assert (guard.divide([num], [den], [1.0])[0] is None) is tripped, (den, num)
+            for nums in ([num], num):  # one numerator per row, and the scalar form
+                for bases, base in ((None, 0), ([1.0], 1.0)):
+                    got = guard.divide(nums, [den], bases)
+                    want = None if tripped else num / den if bases is None else base + num / den
+                    assert repr(got) == repr([want]), (den, num, nums, bases)
+
+        # a column that mixes mpf and float takes no lift: each row keeps the type
+        # and the guard of its operands, where a threshold lifted into 30 digits
+        # would keep the float row that 5 * threshold (exact) now trips
+        with mpmath.workdps(30):
+            exact = mpmath.mpf(threshold) * 5
+            got = guard.divide([5.0, mpmath.mpf(1)], [exact, mpmath.mpf(4)])  # mpf denominators
+            assert repr(got) == repr([None, mpmath.mpf(1) / 4])  # at threshold 0, exact is 0
+            got = guard.divide([mpmath.mpf(1), 1.0], [mpmath.mpf(4), 4.0])
+            assert repr(got) == repr([mpmath.mpf(1) / 4, 0.25])
+            assert repr(guard.divide(1.0, [mpmath.mpf(4), 4.0])) == repr([mpmath.mpf(1) / 4, 0.25])
+            # an mpf threshold meets a float column as an mpf, even one that is a
+            # double: its product with 3.0 is exact, where 1e-14 * 3.0 rounds down
+            tau = mpmath.mpf(1e-14)
+            assert 1e-14 * 3.0 < tau * 3
+            assert GuardPolicy(tau).divide([3.0], [1e-14 * 3.0]) == [None]
+            assert GuardPolicy(tau).divide(3.0, [1e-14 * 3.0]) == [None]
+
+    def test_constant_type_is_the_conversion_a_mixed_operation_makes(self):
+        # float for float and complex operands; mpf where every operand is one and
+        # the working precision holds the constant; else the constant as written
+        lift = core.constant_type
+        assert repr(lift([0.5, 1.5])(2)) == repr(lift([0.5, 1j])(2)) == repr(lift([])(2)) == "2.0"
+        with mpmath.workdps(30):
+            assert repr(lift([mpmath.mpf(1)])(2)) == repr(mpmath.mpf(2))
+            assert repr(lift([mpmath.mpf(1)])(1e-14)) == repr(mpmath.mpf(1e-14))
+        with mpmath.workprec(30):
+            assert repr(lift([mpmath.mpf(1)])(1e-14)) == "1e-14"
+
+        class Measured(float):  # a number not made from an int alone
+            def __new__(cls, value, error):
+                return super().__new__(cls, value)
+
+        for operands in ([Fraction(1)], [Fraction(1), 0.5], [mpmath.mpf(1), 0.5],
+                         [mpmath.mpc(1)], [1, 2], [Measured(1.0, 0.1)]):
+            assert repr(lift(operands)(2)) == "2", operands
+        # a constant of another type meets a float as it is: an mpf threshold or
+        # alpha makes an mpf product on a float column, a Fraction a float one
+        with mpmath.workdps(30):
+            tau = mpmath.mpf(1) / 3
+            assert lift([0.5])(tau) is tau and repr(lift([0.5])(Fraction(1, 3))) == "Fraction(1, 3)"
 
     def test_divide_adds_bases_in_order(self):
         guard = GuardPolicy()
@@ -270,6 +329,12 @@ class TestGuardPolicy:
         assert guard.divide([wide, 1.0], [1.0, 2.0], [1.0, 1.0]) == [None, 1.5]
         assert guard.divide(repeat(1.0), [2.0, wide, 0.0], repeat(0.0)) == [0.5, None, None]
         assert guard.divide([wide], [1.0]) == [None]
+        # the scalar form: a row whose denominator overflows its modulus, a column
+        # that starts with one, and a numerator whose own modulus overflows
+        assert guard.divide(1.0, [2.0, wide, 4.0]) == [0.5, None, 0.25]
+        assert guard.divide(1.0, [wide, 2.0], [1.0, 1.0]) == [None, 1.5]
+        assert guard.divide(1.0, [2.0, wide, 0.0], repeat(0.0)) == [0.5, None, None]
+        assert guard.divide(wide, [1.0, 2.0]) == [None, None]
         # an infinite part is no overflow: the quotient is left to the finite check
         assert guard.divide([1.0, wide], [complex(math.inf, 0.0), 1.0]) == [0j, None]
 
