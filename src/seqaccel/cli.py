@@ -252,8 +252,7 @@ def run(config: RunConfig) -> ConvergenceReport:
             out.append(TransformReport(name, [], error=str(exc)))
             continue
         entries = [
-            (k, n, value if ok else None,
-             magnitude(value - limit) if ok and limit is not None else None, ok)
+            (k, n, value, magnitude(value - limit) if ok and limit is not None else None, ok)
             for k, n, value, ok in positions
         ]
         valid = [entry for entry in entries if entry[4]]
@@ -379,6 +378,8 @@ def ingest(
             raise IngestError("JSON input needs a 'values' or 'terms' list")
 
         def number_list(raw, key):
+            if not isinstance(raw, list):
+                raise IngestError(f"{key!r} must be a JSON array")
             try:
                 return tuple(parse_finite(v) for v in raw)
             except (TypeError, ValueError, OverflowError) as exc:

@@ -397,9 +397,10 @@ class PowerSeries(Record):
 
 
 class TransformTable(Record):
-    """Triangular array ``T_k^(n)`` stored column-wise with validity flags.
+    """Triangular array ``T_k^(n)`` stored column-wise.
 
-    ``columns[k][n - n_start]`` holds ``T_k^(n)`` (``None`` when invalid).
+    ``columns[k][n - n_start]`` holds ``T_k^(n)``, and an entry is valid
+    exactly when it is not ``None``; ``valid`` is derived from ``columns``.
     ``order_step`` is 2 for algorithms whose odd-order entries are mere
     auxiliary quantities (epsilon, theta, rho families); approximants then
     live in the even columns only.  ``lookahead`` counts the input elements
@@ -410,10 +411,14 @@ class TransformTable(Record):
 
     name: str
     columns: list
-    valid: list
     n_start: int = 0
     order_step: int = 1
     lookahead: int = 0
+
+    @property
+    def valid(self) -> list:
+        """Each column's validity flags, ``entry is not None``."""
+        return [[v is not None for v in col] for col in self.columns]
 
     @property
     def max_order(self) -> int:
@@ -424,9 +429,7 @@ class TransformTable(Record):
         return self.n_start + len(self.columns[0]) - 1
 
     def has_entry(self, k: int, n: int) -> bool:
-        if not 0 <= k <= self.max_order:
-            return False
-        return 0 <= n - self.n_start < len(self.columns[k])
+        return 0 <= k <= self.max_order and 0 <= n - self.n_start < len(self.columns[k])
 
     def entry(self, k: int, n: int) -> Optional[Scalar]:
         check_integer("k", k)
@@ -436,22 +439,25 @@ class TransformTable(Record):
         return self.columns[k][n - self.n_start]
 
     def is_valid(self, k: int, n: int) -> bool:
-        return self.has_entry(k, n) and self.valid[k][n - self.n_start]
+        i = n - self.n_start
+        return self.has_entry(k, n) and self._read((k,), slice(i, i + 1))[0][3]
 
     def approximant_orders(self) -> list:
         return list(range(0, self.max_order + 1, self.order_step))
 
     def column(self, k: int) -> list:
         """Entries of column ``k`` as ``(n, value, valid)`` triples."""
-        return [
-            (self.n_start + i, self.columns[k][i], self.valid[k][i])
-            for i in range(len(self.columns[k]))
-        ]
+        return [entry[1:] for entry in self._read((k,), slice(None))]
 
     def entries(self) -> Iterator[tuple]:
-        for k in range(len(self.columns)):
-            for n, value, ok in self.column(k):
-                yield k, n, value, ok
+        yield from self._read(range(len(self.columns)), slice(None))
+
+    def _read(self, orders: Iterable[int], rows: slice) -> list:
+        """``(k, n, value, valid)`` of the rows ``rows`` (counted from ``n_start``)
+        of each column in ``orders``; the one reader of the table's entries."""
+        start, columns = self.n_start, self.columns
+        return [(k, n, v, v is not None) for k in orders for n, v in zip(
+            range(start, start + len(columns[k]))[rows], columns[k][rows])]
 
     def consumed(self, k: int, n: int) -> int:
         """Number of input elements consumed to compute ``T_k^(n)``."""
@@ -477,7 +483,7 @@ def compute_column(length: int, antecedents: Iterable, column: Callable) -> Opti
     row whose plain ``sum`` is a finite ``float`` is returned as it is: an
     infinity or a NaN would spread to the sum, a guard ``None`` makes it
     raise, a ``complex`` or ``mpf`` entry gives it another type.  Nothing
-    is mutated: ``build_table`` stores the pair, or ends the arithmetic.
+    is mutated: ``build_table`` appends the pair, or ends the arithmetic.
     """
     usable = None
     for flags, shifts in antecedents:
@@ -518,11 +524,11 @@ def build_table(
 
     Column ``k`` is ``next(steps)`` rows shorter than column ``k-1``, and
     the table ends where a column would have no row.  ``rules(columns,
-    valid)`` is a generator over the table's own lists; it yields, column
-    by column, the ``(antecedents, column)`` arguments of
-    ``compute_column``, and only this loop appends to the lists.  A rule's
-    rows read the column before it, or working columns that die with it
-    (Weniger's N and D), so once a column has no computable row, or
+    valid)`` is a generator over the columns and their flags, working state
+    the table does not keep; it yields, column by column, the ``(antecedents,
+    column)`` arguments of ``compute_column``, and only this loop appends.
+    A rule's rows read the column before it, or working columns that die
+    with it (Weniger's N and D), so once a column has no computable row, or
     ``rules`` stops, no later one has: the rest are appended invalid, with
     no arithmetic and without resuming ``rules``.
     """
@@ -537,7 +543,7 @@ def build_table(
         entries, flags = col or ([None] * length, [False] * length)
         columns.append(entries)
         valid.append(flags)
-    return TransformTable(name, columns, valid, n_start, order_step, lookahead)
+    return TransformTable(name, columns, n_start, order_step, lookahead)
 
 
 def stencil_table(
@@ -651,29 +657,17 @@ def walk_path(table: TransformTable, path: PathSpec) -> list:
     Invalid positions are kept (value ``None``) so that reports can mark
     them; ``extract_path`` is the valid-only view.
     """
-    out = []
     if path.kind == "order_constant":
-        k = path.order
-        if not 0 <= k <= table.max_order:
-            raise PathRangeError(
-                f"order {k} outside table orders [0, {table.max_order}]"
-            )
-        for n, value, ok in table.column(k):
-            out.append((k, n, value, ok))
-    elif path.kind == "index_constant":
-        n0 = table.n_start if path.index is None else path.index
-        if not table.n_start <= n0 <= table.max_index:
-            raise PathRangeError(
-                f"index {n0} outside table indices [{table.n_start}, {table.max_index}]"
-            )
-        for k in table.approximant_orders():
-            if table.has_entry(k, n0):
-                out.append((k, n0, table.entry(k, n0), table.is_valid(k, n0)))
-    else:
-        for k in table.approximant_orders():
-            col, ok = table.columns[k], table.valid[k]
-            out += [(k, table.n_start + i, col[i], ok[i]) for i in range(min(2, len(col)))]
-    return out
+        if not 0 <= path.order <= table.max_order:
+            raise PathRangeError(f"order {path.order} outside table orders [0, {table.max_order}]")
+        return table._read((path.order,), slice(None))
+    if path.kind == "staircase":
+        return table._read(table.approximant_orders(), slice(2))
+    n0 = table.n_start if path.index is None else path.index
+    if not table.n_start <= n0 <= table.max_index:
+        raise PathRangeError(f"index {n0} outside table indices [{table.n_start}, {table.max_index}]")
+    i = n0 - table.n_start
+    return table._read(table.approximant_orders(), slice(i, i + 1))
 
 
 def extract_path(table: TransformTable, path: PathSpec) -> list:

@@ -148,8 +148,9 @@ def _table(family: str, name: str, values: Sequence[Scalar], omegas: Sequence[Sc
 def _ratio_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
                  columns: list, valid: list) -> Iterator[tuple]:
     """Levin's columns: every entry its (k+1)-term binomial sum with power weights."""
+    lift = constant_type(bases)
     for k in count(1):
-        p = k - 1
+        top, p = lift(k), lift(k - 1)
 
         def column(rows):
             # One comprehension per j adds term j to every row's (num, den), with
@@ -161,14 +162,14 @@ def _ratio_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
             if math.comb(k, k // 2).bit_length() > 1024:
                 return [None] * hi
             row_bases = bases[:hi]
-            heads = [b + k for b in row_bases]
+            heads = [b + top for b in row_bases]
             acc = [(0.0, 0.0)] * hi
             sign = 1.0
             for j in range(k + 1):
-                c = sign * math.comb(k, j)
+                c, lj = sign * math.comb(k, j), lift(j)
                 acc = [(x + y * r, z + y * u)
                        for (x, z), b, h, r, u in zip(acc, row_bases, heads, ratio[j:hi + j], inv[j:hi + j])
-                       for y in (c * ((b + j) / h) ** p,)]
+                       for y in (c * ((b + lj) / h) ** p,)]
                 sign = -sign
             return guard.divide([x for x, _ in acc], [z for _, z in acc])
 

@@ -165,14 +165,15 @@ def power_series_coefficients(name: str, count: int) -> list:
     return [series["coefficient"](k) for k in range(count)]
 
 
-PROBLEM_FAMILIES = (
-    "zeta_dirichlet",
-    "power_series",
-    "euler_factorial",
-    "decay_model",
-    "geometric",
-    "exponential_sum",
-)
+#: Each family's parameters and their defaults; ``None`` marks a required one.
+PROBLEM_FAMILIES = {
+    "zeta_dirichlet": {"z": None},
+    "power_series": {"name": None, "z": None},
+    "euler_factorial": {"x": None},
+    "decay_model": {"alpha": None, "beta": 1.0, "c0": 1.0, "c1": 0.0, "s": 0.0},
+    "geometric": {"c": None, "lam": None, "s": 0.0},
+    "exponential_sum": {"c": None, "lam": None, "s": 0.0},
+}
 
 
 class ProblemSpec(Record):
@@ -190,6 +191,9 @@ class ProblemSpec(Record):
                 f"choose from {', '.join(PROBLEM_FAMILIES)}"
             )
         check_integer("length N", self.length, 0)
+        unknown = set(self.params) - set(PROBLEM_FAMILIES[self.family])
+        if unknown:
+            raise InvalidParameterError(f"{self.family} does not take parameters {sorted(unknown)}")
 
     def describe(self) -> str:
         inner = ":".join(
@@ -199,12 +203,12 @@ class ProblemSpec(Record):
         return ":".join(p for p in parts if p)
 
 
-def _param(spec: ProblemSpec, name: str, default=None):
-    if name in spec.params:
-        return spec.params[name]
-    if default is not None:
-        return default
-    raise InvalidParameterError(f"{spec.family} needs parameter {name!r}")
+def _param(spec: ProblemSpec, name: str):
+    """The parameter ``name`` of ``spec``, else its family's default."""
+    value = spec.params.get(name, PROBLEM_FAMILIES[spec.family][name])
+    if value is None:
+        raise InvalidParameterError(f"{spec.family} needs parameter {name!r}")
+    return value
 
 
 def _checked(build, spec: ProblemSpec):
@@ -267,12 +271,12 @@ def _generate(spec: ProblemSpec) -> SequenceSample:
         terms = [(nu + 1) ** (-z) for nu in range(count)]
         return make_partial_sums(terms, euler_maclaurin_zeta(z))
 
-    s = _param(spec, "s", 0.0)
+    s = _param(spec, "s")
     if family == "decay_model":
         alpha = _param(spec, "alpha")
-        beta = _param(spec, "beta", 1.0)
-        c0 = _param(spec, "c0", 1.0)
-        c1 = spec.params.get("c1", 0.0)
+        beta = _param(spec, "beta")
+        c0 = _param(spec, "c0")
+        c1 = _param(spec, "c1")
         if not alpha > 0 or not beta > 0:
             raise InvalidParameterError("decay_model needs alpha > 0 and beta > 0")
         values = [

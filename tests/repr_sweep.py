@@ -33,6 +33,13 @@ partial sums of ln 2 (with their terms) and ``2 + 0.9^n + 0.5 (-0.7)^n``
 in ``Fraction`` at N = 12, both guards, each parameter also as a
 ``Fraction``, so a constant that leaks a float into an exact table shows.
 
+``walk`` fingerprints how tables are read: ``walk_path`` and
+``extract_path`` of every registered transform's table (its first
+parameter set, the default guard) on each grid sample of at most 13
+elements, along ``index_constant`` (auto, 1 and the last index),
+``order_constant`` (0, 2 and the last order) and ``staircase``; a path
+beyond the table enters as the exception it raises.
+
 Four more lines fingerprint how samples are built: ``sample_view``, the
 ``(values, terms, limit)`` of every grid sample as the builders see it;
 ``power_series_sample``, the partial sums of ``PowerSeries.sample`` for the
@@ -88,11 +95,14 @@ from seqaccel import (  # noqa: E402
     GuardPolicy,
     PowerSeries,
     ProblemSpec,
+    PathSpec,
     SequenceSample,
     TransformTable,
+    extract_path,
     generate_problem,
     make_partial_sums,
     omega_sequence,
+    walk_path,
     weighted_ratio_transform,
 )
 from seqaccel.cli import apply_transform, ingest, transform_names  # noqa: E402
@@ -107,6 +117,7 @@ ZETAS = (1.0, 2.5)
 RULES = ("u", "t", "v", "d", "w")  # "w" is no rule
 MPF_DPS = 30
 FRACTION_N = 12
+WALK_LENGTH = 13  # the grid samples of at most this many elements are walked
 
 
 def samples():
@@ -200,6 +211,15 @@ def content(result):
             budgets)
 
 
+def walk_paths(table):
+    """The paths of the ``walk`` line: each kind at its first, a middle and its last
+    position, as the table gives them; a path beyond the table raises."""
+    return (PathSpec.index_constant(), PathSpec.index_constant(1),
+            PathSpec.index_constant(table.max_index), PathSpec.order_constant(0),
+            PathSpec.order_constant(2), PathSpec.order_constant(table.max_order),
+            PathSpec.staircase())
+
+
 def outcome(build):
     try:
         return repr(content(build()))
@@ -276,6 +296,17 @@ def main():
                 for given in (params, exact) if params else (params,):
                     for guard in GUARDS:
                         record("fraction", lambda: apply_transform(name, sample, guard, given))
+    for sample in grid:
+        if len(sample) > WALK_LENGTH:
+            continue
+        for name in transform_names():
+            try:
+                table = apply_transform(name, sample, GUARDS[0], params_of(name)[0])
+            except Exception:  # the transform's own line holds the exception
+                continue
+            for path in walk_paths(table):
+                record("walk", lambda: walk_path(table, path))
+                record("walk", lambda: extract_path(table, path))
     for sample in grid:
         record("sample_view", lambda: view(sample))
     for coefficients, z in power_series():

@@ -707,6 +707,12 @@ class TestCliRobustness:
         (["run", "--problem", "zeta_dirichlet:z=2:N=5", "--transforms", "levin_u:zeta=abc"],
          "transform parameter 'zeta=abc' is not numeric"),
         (["run", "--problem", ":", "--transforms", "aitken"], "empty problem specification"),
+        (["run", "--problem", "decay_model:alpha=0.5:bta=2:N=6", "--transforms", "aitken"],
+         "decay_model does not take parameters ['bta']"),
+        (["run", "--problem", "zeta_dirichlet:z=2:lam=3:N=6", "--transforms", "aitken"],
+         "zeta_dirichlet does not take parameters ['lam']"),
+        (["run", "--problem", "power_series:name=exp:z=1:x=9:N=6", "--transforms", "aitken"],
+         "power_series does not take parameters ['x']"),
         ([*SMALL, "--path", "order_constant:x"], "bad path parameter"),
     ])
     def test_package_errors_exit_2(self, capsys, argv, reason):
@@ -733,8 +739,13 @@ class TestCliRobustness:
          "JSON input must be an object"),
         (["run", "--input", "{tmp}/truncated.json", "--input-format", "json",
           "--transforms", "aitken"], "line 1: invalid JSON: Expecting ',' delimiter"),
+        (["run", "--input", "{tmp}/string_values.json", "--input-format", "json",
+          "--transforms", "aitken"], "'values' must be a JSON array"),
+        (["run", "--input", "{tmp}/string_terms.json", "--input-format", "json",
+          "--transforms", "aitken"], "'terms' must be a JSON array"),
     ], ids=["input", "stdin", "coeffs", "config", "deep_json", "run_output", "gen_output",
-            "comments_csv", "json_array", "truncated_json"])
+            "comments_csv", "json_array", "truncated_json", "json_string_values",
+            "json_string_terms"])
     def test_file_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, reason):
         undecodable = b"1\n\xff\n"
         (tmp_path / "undecodable").write_bytes(undecodable)
@@ -742,6 +753,8 @@ class TestCliRobustness:
         (tmp_path / "comments.csv").write_text("# no data\n# here\n")
         (tmp_path / "array.json").write_text("[1, 2, 3]")
         (tmp_path / "truncated.json").write_text('{"values": [1, 2')
+        (tmp_path / "string_values.json").write_text('{"values": "123", "limit": 3}')
+        (tmp_path / "string_terms.json").write_text('{"terms": "123"}')
         # a strict UTF-8 stdin, as outside Python's UTF-8 mode
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(undecodable), "utf-8"))
         argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -428,33 +428,78 @@ class TestRecord:
             "ProblemSpec(family='zeta_dirichlet', length=20, params={'z': 1.1})")
 
 
+#: Tables of every reading geometry: Richardson on three elements; Levin's v
+#: on ln 2's partial sums without terms, which starts at n = 1 and reads one
+#: element ahead (columns of 4, 3, 2, 1 rows); theta, whose columns shorten
+#: by 1 and by 2 in turn (7, 6, 4, 3, 1 rows); epsilon on three elements
+#: and on one.
+LN2_VALUES = tuple(accumulate((-1) ** k / (k + 1) for k in range(7)))
+PATH_TABLES = {
+    "richardson": lambda: richardson_standard(SequenceSample((1.0, 2.0, 3.0))),
+    "levin_v": lambda: levin_variant(SequenceSample(LN2_VALUES[:6]), "v"),
+    "theta": lambda: brezinski_theta(SequenceSample(LN2_VALUES)),
+    "epsilon_exp": lambda: wynn_epsilon(SequenceSample((1.0, 2.0, 2.5))),
+    "epsilon_one": lambda: wynn_epsilon(SequenceSample((1.0,))),
+}
+
+
+def along(table, path):
+    """The ``(k, n)`` of ``extract_path``, each value checked against ``table.entry``."""
+    found = extract_path(table, path)
+    assert all(v == table.entry(k, n) and table.is_valid(k, n) for k, n, v in found)
+    return [(k, n) for k, n, _ in found]
+
+
 class TestPaths:
-    def test_index_constant_collects_orders(self):
-        table = richardson_standard(SequenceSample((1.0, 2.0, 3.0)))
-        assert [(k, n) for k, n, _ in extract_path(table, PathSpec.index_constant(0))] == [
-            (0, 0), (1, 0), (2, 0),
-        ]
+    @pytest.mark.parametrize("name, n0, want", [
+        ("richardson", 0, [(0, 0), (1, 0), (2, 0)]),
+        ("richardson", 2, [(0, 2)]),  # the last index: only column 0 holds it
+        ("levin_v", None, [(0, 1), (1, 1), (2, 1), (3, 1)]),
+        ("levin_v", 3, [(0, 3), (1, 3)]),
+        ("levin_v", 4, [(0, 4)]),
+        ("theta", 2, [(0, 2), (2, 2)]),
+        ("theta", 6, [(0, 6)]),
+        ("epsilon_one", None, [(0, 0)]),
+    ])
+    def test_index_constant_collects_orders(self, name, n0, want):
+        assert along(PATH_TABLES[name](), PathSpec.index_constant(n0)) == want
 
-    def test_order_constant_walks_column(self):
-        table = richardson_standard(SequenceSample((1.0, 2.0, 3.0)))
-        assert [(k, n) for k, n, _ in extract_path(table, PathSpec.order_constant(1))] == [
-            (1, 0), (1, 1),
-        ]
+    @pytest.mark.parametrize("name, k, want", [
+        ("richardson", 1, [(1, 0), (1, 1)]),
+        ("levin_v", 1, [(1, 1), (1, 2), (1, 3)]),
+        ("levin_v", 3, [(3, 1)]),
+        ("theta", 2, [(2, 0), (2, 1), (2, 2), (2, 3)]),
+        ("theta", 3, [(3, 0), (3, 1), (3, 2)]),
+        ("theta", 4, [(4, 0)]),
+    ])
+    def test_order_constant_walks_column(self, name, k, want):
+        assert along(PATH_TABLES[name](), PathSpec.order_constant(k)) == want
 
-    def test_staircase_on_epsilon_table_is_pade_order(self):
+    @pytest.mark.parametrize("name, want, last, rel", [
         # three partial sums of exp(1): [0/0], [1/0], [1/1]
-        table = wynn_epsilon(SequenceSample((1.0, 2.0, 2.5)))
-        path = extract_path(table, PathSpec.staircase())
-        assert [(k, n) for k, n, _ in path] == [(0, 0), (0, 1), (2, 0)]
-        assert path[-1][2] == pytest.approx(3.0)
+        ("epsilon_exp", [(0, 0), (0, 1), (2, 0)], 3.0, 1e-6),
+        ("levin_v", [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1)], math.log(2), 1e-4),
+        ("theta", [(0, 0), (0, 1), (2, 0), (2, 1), (4, 0)], math.log(2), 1e-4),
+        ("epsilon_one", [(0, 0)], 1.0, 1e-6),  # columns of one row
+    ])
+    def test_staircase_on_epsilon_table_is_pade_order(self, name, want, last, rel):
+        table = PATH_TABLES[name]()
+        assert along(table, PathSpec.staircase()) == want
+        assert extract_path(table, PathSpec.staircase())[-1][2] == pytest.approx(last, rel=rel)
 
-    def test_out_of_range(self):
-        table = richardson_standard(SequenceSample((1.0, 2.0, 3.0)))
+    @pytest.mark.parametrize("name, order, index, entries", [
+        ("richardson", 5, 7, ((3, 0), (2, 1), (0, 3), (0, -1), (-1, 0))),
+        ("levin_v", 4, 0, ((0, 0), (0, 5), (1, 4), (3, 2), (4, 1))),
+        ("theta", 5, 7, ((2, 4), (4, 1), (5, 0), (0, 7))),
+    ])
+    def test_out_of_range(self, name, order, index, entries):
+        table = PATH_TABLES[name]()
         with pytest.raises(PathRangeError):
-            extract_path(table, PathSpec.order_constant(5))
+            extract_path(table, PathSpec.order_constant(order))
         with pytest.raises(PathRangeError):
-            extract_path(table, PathSpec.index_constant(7))
-        for k, n in ((3, 0), (2, 1), (0, 3), (0, -1), (-1, 0)):
+            extract_path(table, PathSpec.index_constant(index))
+        for k, n in entries:
+            assert not table.is_valid(k, n)
             with pytest.raises(PathRangeError, match=rf"has no entry \({k}, {n}\)"):
                 table.entry(k, n)
 
