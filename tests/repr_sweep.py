@@ -93,9 +93,9 @@ from seqaccel import (  # noqa: E402
     LEVIN_POWER,
     WENIGER_POCHHAMMER,
     GuardPolicy,
+    PathSpec,
     PowerSeries,
     ProblemSpec,
-    PathSpec,
     SequenceSample,
     TransformTable,
     extract_path,
