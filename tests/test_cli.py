@@ -402,6 +402,9 @@ _REPORTS = {
                             "--transforms", "levin_t,levin_u"],
     "run_nolimit": ["run", "--input", "sums.csv", "--values",
                     "--transforms", "aitken,levin_t"],
+    # one column of each table: columns 0..2 are all the walk reads
+    "run_order_constant": ["run", "--problem", "zeta_dirichlet:z=2:N=30", "--transforms",
+                           "epsilon,theta,levin_u,bdg:alpha=1", "--path", "order_constant:2"],
     "compare_zeta2": ["compare", "--problem", "zeta_dirichlet:z=2:N=12",
                       "--transforms", "levin_u,rho,epsilon"],
     "compare_nolimit": ["compare", "--input", "sums.csv", "--values",
