@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from _thread import allocate_lock
+from contextlib import nullcontext
 from functools import partial
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -225,9 +227,16 @@ class Record:
 
 
 def replace(record: Record, **changes) -> Record:
-    """A copy of ``record`` with ``changes`` applied; ``__post_init__`` runs again."""
-    fields = {name: getattr(record, name) for name in record._fields}
-    return type(record)(**{**fields, **changes})
+    """A copy of ``record`` with ``changes`` applied; ``__post_init__`` runs again.
+    A table being built stays so: the copy shares its columns and their loop."""
+    work = "columns" not in changes and vars(record).get("_work")
+    if work:
+        copy = replace(record, columns=work[1], **changes)
+        del vars(copy)["columns"]
+        vars(copy)["_work"] = work
+        return copy
+    fields = {name: getattr(record, name) for name in record._fields if name not in changes}
+    return type(record)(**fields, **changes)
 
 
 class GuardPolicy(Record):
@@ -407,6 +416,12 @@ class TransformTable(Record):
     an entry reads past its stencil (1 for a forward-difference estimate);
     ``consumed`` forms every budget from it.  Tables are frozen: ``build_table``
     names a table at construction (``core.replace`` makes a renamed copy).
+
+    A table from ``build_table`` builds a column when a read first needs it,
+    so an ``order_constant`` walk of order k builds columns 0..k; a read of
+    the whole table (``columns``, ``valid``, ``entries``, ``==``, ``repr``, a
+    copy) completes it first.  Columns are added under a lock: threads may
+    share a table.
     """
 
     name: str
@@ -415,6 +430,15 @@ class TransformTable(Record):
     order_step: int = 1
     lookahead: int = 0
 
+    def __getattr__(self, name: str):  # only a table being built has no columns yet
+        if name != "columns" or "_work" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self._extend(self.max_order)
+
+    def __getstate__(self) -> dict:  # a copy or a pickle holds the completed table
+        self._extend(self.max_order)
+        return vars(self)
+
     @property
     def valid(self) -> list:
         """Each column's validity flags, ``entry is not None``."""
@@ -422,21 +446,23 @@ class TransformTable(Record):
 
     @property
     def max_order(self) -> int:
-        return len(self.columns) - 1
+        work = vars(self).get("_work")
+        return len(self.columns if work is None else work[0]) - 1
 
     @property
     def max_index(self) -> int:
-        return self.n_start + len(self.columns[0]) - 1
+        return self.n_start + self._length(0) - 1
 
     def has_entry(self, k: int, n: int) -> bool:
-        return 0 <= k <= self.max_order and 0 <= n - self.n_start < len(self.columns[k])
+        return 0 <= k <= self.max_order and 0 <= n - self.n_start < self._length(k)
 
     def entry(self, k: int, n: int) -> Optional[Scalar]:
         check_integer("k", k)
         check_integer("n", n)
         if not self.has_entry(k, n):
             raise PathRangeError(f"table {self.name} has no entry ({k}, {n})")
-        return self.columns[k][n - self.n_start]
+        i = n - self.n_start
+        return self._read((k,), slice(i, i + 1))[0][2]
 
     def is_valid(self, k: int, n: int) -> bool:
         i = n - self.n_start
@@ -450,18 +476,47 @@ class TransformTable(Record):
         return [entry[1:] for entry in self._read((k,), slice(None))]
 
     def entries(self) -> Iterator[tuple]:
-        yield from self._read(range(len(self.columns)), slice(None))
+        yield from self._read(range(self.max_order + 1), slice(None))
 
-    def _read(self, orders: Iterable[int], rows: slice) -> list:
+    def _read(self, orders: Sequence[int], rows: slice) -> list:
         """``(k, n, value, valid)`` of the rows ``rows`` (counted from ``n_start``)
-        of each column in ``orders``; the one reader of the table's entries."""
-        start, columns = self.n_start, self.columns
+        of each column in ``orders``, which ascend; the one reader of the table's
+        entries, which builds the columns through the last order it reads."""
+        start, low, high = self.n_start, orders[0], orders[-1]
+        if low < 0 or high > self.max_order:  # only a single order can lie outside
+            raise PathRangeError(f"order {low} outside table orders [0, {self.max_order}]")
+        columns = self._extend(high)
         return [(k, n, v, v is not None) for k in orders for n, v in zip(
             range(start, start + len(columns[k]))[rows], columns[k][rows])]
 
     def consumed(self, k: int, n: int) -> int:
         """Number of input elements consumed to compute ``T_k^(n)``."""
-        return n + len(self.columns[0]) + 1 + self.lookahead - len(self.columns[k])
+        if not self.has_entry(k, n):
+            raise PathRangeError(f"table {self.name} has no entry ({k}, {n})")
+        return n + self._length(0) + 1 + self.lookahead - self._length(k)
+
+    def _length(self, k: int) -> int:  # known before the column is built
+        work = vars(self).get("_work")
+        return len(self.columns[k]) if work is None else work[0][k]
+
+    def _extend(self, top: int) -> list:
+        """The columns, built through order ``top`` by ``_column_loop`` under the lock,
+        at mpmath's precision of the build; once all are, the loop and flags go."""
+        state = vars(self)
+        work = state.get("_work")  # [lengths, columns, loop, lock, precision] until built
+        if work is None:
+            return state["columns"]
+        lengths, columns, loop, lock, precision = work
+        if len(columns) <= top:
+            with lock, precision:
+                while len(columns) <= top:  # unless another thread built it meanwhile
+                    failure = loop.send(top)
+                    if failure is not None:
+                        raise failure
+        if len(columns) == len(lengths):
+            state["columns"] = columns
+            state.pop("_work", None)
+        return columns
 
 
 def compute_column(length: int, antecedents: Iterable, column: Callable) -> Optional[tuple]:
@@ -530,20 +585,41 @@ def build_table(
     A rule's rows read the column before it, or working columns that die
     with it (Weniger's N and D), so once a column has no computable row, or
     ``rules`` stops, no later one has: the rest are appended invalid, with
-    no arithmetic and without resuming ``rules``.
+    no arithmetic and without resuming ``rules``.  The loop, ``_column_loop``,
+    runs as reads of the table need its columns.
     """
-    columns, valid = [list(values)], [[True] * len(values)]
-    pairs, length, col = rules(columns, valid), len(values), True
-    for step in steps:
-        length -= step
-        if length < 1:
-            break
-        rule = col and next(pairs, None)  # none once a column had no computable row
-        col = rule and compute_column(length, *rule)
-        entries, flags = col or ([None] * length, [False] * length)
-        columns.append(entries)
-        valid.append(flags)
-    return TransformTable(name, columns, n_start, order_step, lookahead)
+    lengths = list(takewhile(partial(operator.lt, 0),  # each column's, while it has a row
+                             accumulate(steps, operator.sub, initial=len(values))))
+    columns = [list(values)]
+    table = TransformTable(name, columns, n_start, order_step, lookahead)
+    if len(lengths) > 1:  # mpf arithmetic reads mpmath's precision: a column takes the build's
+        mp = getattr(sys.modules.get("mpmath"), "mp", None)
+        loop = _column_loop(columns, lengths, rules)
+        next(loop)  # to where it takes the order a read needs
+        del vars(table)["columns"]
+        vars(table)["_work"] = [lengths, columns, loop, allocate_lock(),
+                                mp.workprec(mp.prec) if mp else nullcontext()]
+    return table
+
+
+def _column_loop(columns: list, lengths: list, rules: Callable) -> Iterator:
+    """``build_table``'s column loop: sent an order, it appends the columns through
+    that order, then yields ``None``; once a rule has raised, it yields the exception."""
+    valid = [[True] * lengths[0]]
+    pairs, col = rules(columns, valid), True
+    top = yield
+    try:
+        for length in lengths[1:]:
+            rule = col and next(pairs, None)  # none once a column had no computable row
+            col = rule and compute_column(length, *rule)
+            entries, flags = col or ([None] * length, [False] * length)
+            columns.append(entries)
+            valid.append(flags)
+            if len(columns) > top:
+                top = yield None
+    except Exception as exc:  # the rules are finished, so every later read raises it
+        while True:
+            yield exc
 
 
 def stencil_table(
@@ -658,8 +734,6 @@ def walk_path(table: TransformTable, path: PathSpec) -> list:
     them; ``extract_path`` is the valid-only view.
     """
     if path.kind == "order_constant":
-        if not 0 <= path.order <= table.max_order:
-            raise PathRangeError(f"order {path.order} outside table orders [0, {table.max_order}]")
         return table._read((path.order,), slice(None))
     if path.kind == "staircase":
         return table._read(table.approximant_orders(), slice(2))

@@ -38,7 +38,9 @@ in ``Fraction`` at N = 12, both guards, each parameter also as a
 parameter set, the default guard) on each grid sample of at most 13
 elements, along ``index_constant`` (auto, 1 and the last index),
 ``order_constant`` (0, 2 and the last order) and ``staircase``; a path
-beyond the table enters as the exception it raises.
+beyond the table enters as the exception it raises.  Each path walks a
+fresh table, so a walk of ``order_constant`` reads a table that has built
+no column beyond its order.
 
 Four more lines fingerprint how samples are built: ``sample_view``, the
 ``(values, terms, limit)`` of every grid sample as the builders see it;
@@ -58,6 +60,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 
 def against(root):
@@ -300,11 +303,13 @@ def main():
         if len(sample) > WALK_LENGTH:
             continue
         for name in transform_names():
+            build = partial(apply_transform, name, sample, GUARDS[0], params_of(name)[0])
             try:
-                table = apply_transform(name, sample, GUARDS[0], params_of(name)[0])
+                paths = walk_paths(build())
             except Exception:  # the transform's own line holds the exception
                 continue
-            for path in walk_paths(table):
+            for path in paths:  # each walk reads a fresh table, which it builds as it needs
+                table = build()
                 record("walk", lambda: walk_path(table, path))
                 record("walk", lambda: extract_path(table, path))
     for sample in grid:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seqaccel
-from seqaccel import GuardPolicy, IngestError, PathSpec, SequenceSample
+from seqaccel import GuardPolicy, IngestError, PathSpec, SequenceSample, walk_path
 from seqaccel.cli import (
     CompareError,
     ConfigError,
@@ -210,6 +210,28 @@ class TestRunApi:
         assert budgets == sorted(budgets)
         first = dict(table.rows)[1]
         assert "epsilon" in first  # eps_0^(0) consumes exactly one element
+
+    def test_compare_keeps_the_more_accurate_entry_of_a_repeated_budget(self):
+        # on the staircase, T_k^(1) and T_{k+1}^(0) of these tables consume the
+        # same k + 2 elements: a cell holds the smaller error of the two
+        sample = seqaccel.generate_problem(parse_problem("zeta_dirichlet:z=2:N=12"))
+        names = ("levin_u", "weniger_y", "richardson")
+        config = RunConfig(sample=sample, transforms=tuple((name, {}) for name in names),
+                           path=PathSpec.staircase())
+        cells = {(name, budget): cell for budget, row in compare(config).rows
+                 for name, cell in row.items()}
+        kept_a_later_entry = False
+        for name in names:
+            table = apply_transform(name, sample, GuardPolicy(), {})
+            seen = {}
+            for k, n, value, ok in walk_path(table, PathSpec.staircase()):
+                if ok:
+                    seen.setdefault(table.consumed(k, n), []).append(abs(value - sample.limit))
+            assert {budget for n, budget in cells if n == name} == set(seen)
+            for budget, errors in seen.items():
+                assert cells[name, budget][1] == min(errors)
+                kept_a_later_entry |= min(errors) < errors[0]
+        assert kept_a_later_entry
 
 
 class TestCliEndToEnd:

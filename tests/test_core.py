@@ -1,7 +1,8 @@
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate, repeat
+from functools import partial
+from itertools import accumulate, count, repeat
 
 import mpmath
 import pytest
@@ -503,6 +504,20 @@ class TestPaths:
             with pytest.raises(PathRangeError, match=rf"has no entry \({k}, {n}\)"):
                 table.entry(k, n)
 
+    @pytest.mark.parametrize("k", [-1, -4, 4, 9])
+    def test_column_refuses_an_order_outside_the_table(self, k):
+        table = PATH_TABLES["levin_v"]()  # orders 0..3, rows from n = 1
+        with pytest.raises(PathRangeError, match=rf"^order {k} outside table orders \[0, 3\]$"):
+            table.column(k)
+        assert table.column(3) == [(1, table.entry(3, 1), True)]
+
+    @pytest.mark.parametrize("k, n", [(-1, 1), (9, 1), (4, 1), (0, 0), (0, 6), (3, 2), (-1, 0)])
+    def test_consumed_refuses_an_entry_outside_the_table(self, k, n):
+        table = PATH_TABLES["levin_v"]()  # column k holds n = 1 .. 5 - k
+        with pytest.raises(PathRangeError, match=rf"has no entry \({k}, {n}\)"):
+            table.consumed(k, n)
+        assert [table.consumed(j, 1) for j in range(4)] == [3, 4, 5, 6]  # lookahead 1
+
     def test_skips_invalid_but_walk_reports_them(self):
         table = iterated_aitken(SequenceSample((7.0, 7.0, 7.0)))
         assert extract_path(table, PathSpec.index_constant(0)) == [(0, 0, 7.0)]
@@ -863,9 +878,9 @@ class TestColumnPrimitives:
         divides.clear(), computed.clear(), kernels.clear()
         self._spy(monkeypatch, kernels, computed, live=True)
         full = build(sample, Tripping())
+        self._assert_same_table(table, full)  # a read of the whole table builds it
         assert computed == list(range(1, full.max_order + 1))
         assert kernels == list(range(1, dead + 1))
-        self._assert_same_table(table, full)
 
     def test_weniger_dead_tail_once_numerator_and_denominator_die(self, monkeypatch):
         # 1/omega_n alternates at 0.7e308: N_1 and D_1 stay finite, every row of
@@ -882,8 +897,8 @@ class TestColumnPrimitives:
         computed.clear(), kernels.clear()
         self._spy(monkeypatch, kernels, computed, live=True)
         full = weighted_ratio_transform(SequenceSample(values), omegas, WENIGER_POCHHAMMER)
-        assert kernels == [1] and computed == list(range(1, 10))
         self._assert_same_table(table, full)
+        assert kernels == [1] and computed == list(range(1, 10))
 
     def test_weniger_rules_stop_once_a_working_column_has_no_computable_row(self, monkeypatch):
         # 1/omega_n runs +a, -a, -a, +a, +a, ... near 0.9e308: N_1 and D_1 overflow
@@ -902,8 +917,8 @@ class TestColumnPrimitives:
         computed.clear(), kernels.clear()
         self._spy(monkeypatch, kernels, computed, live=True)
         full = weighted_ratio_transform(SequenceSample(values), omegas, WENIGER_POCHHAMMER)
-        assert kernels == [1] and computed == list(range(1, 10))
         self._assert_same_table(table, full)
+        assert kernels == [1] and computed == list(range(1, 10))
 
     @pytest.mark.parametrize("width", [2, 3, 4])
     def test_stencil_table_propagates_invalidity(self, width):
@@ -958,9 +973,9 @@ class TestColumnPrimitives:
             return [None if k == 2 else cur[n] + cur[n + 1] for n in rows]
 
         table = stencil_table("probe", [1.0] * 9, 2, kernel)
-        assert calls == [1, 2]
         assert table.max_order == 8
         assert all(v is None for k in range(2, 9) for v in table.columns[k])
+        assert calls == [1, 2]
         assert [table.consumed(k, 0) for k in range(9)] == list(range(1, 10))
 
     def test_tables_are_frozen(self):
@@ -982,6 +997,140 @@ class TestColumnPrimitives:
             assert apply_transform(name, sample, GuardPolicy(), params).name == name
         assert rho_standard(sample).name == "rho"
         assert pade_via_epsilon(PowerSeries((1.0, 1.0, 0.5), 1.0)).name == "pade_epsilon"
+
+
+def _lazy_samples():
+    """The inputs of ``TestLazyColumns``: ζ(2)'s partial sums in float, complex
+    (at z = 2 + 0.5i) and 30-digit mpf, and ln 2's in ``Fraction``, N = 12."""
+    zeta = make_partial_sums([(k + 1.0) ** -2 for k in range(13)])
+    with mpmath.workdps(30):
+        mpf = make_partial_sums([mpmath.mpf(k + 1) ** -2 for k in range(13)])
+    return {
+        "float": zeta,
+        "complex": make_partial_sums([(k + 1.0) ** -(2 + 0.5j) for k in range(13)]),
+        "mpf": mpf,
+        "fraction": make_partial_sums([Fraction((-1) ** k, k + 1) for k in range(13)]),
+    }
+
+
+def _lazy_params(name):
+    return {"alpha": 1.0} if name in ("rho_osada", "bdg") else {}
+
+
+class TestLazyColumns:
+    """A table builds a column when a read first needs it, and every read sees
+    the table a build of every column gives."""
+
+    @pytest.mark.parametrize("scalars", ["float", "complex", "mpf", "fraction"])
+    def test_order_constant_walk_first_reads_the_eager_table(self, scalars):
+        from seqaccel.cli import apply_transform, transform_names
+
+        sample = _lazy_samples()[scalars]
+        with mpmath.workdps(30):
+            for name in transform_names():
+                build = partial(apply_transform, name, sample, GuardPolicy(), _lazy_params(name))
+                eager = build()
+                eager.columns  # every column built before any walk
+                for k in sorted({0, 2, eager.max_order} & set(range(eager.max_order + 1))):
+                    path, lazy = PathSpec.order_constant(k), build()
+                    assert repr(walk_path(lazy, path)) == repr(walk_path(eager, path)), (name, k)
+                    assert lazy == eager and repr(lazy) == repr(eager), (name, k)
+
+    def test_an_order_constant_walk_builds_the_columns_through_its_order(self):
+        from seqaccel.core import stencil_table
+
+        calls = []
+
+        def kernel(cur, k, rows):
+            calls.append(k)
+            return [cur[n] + cur[n + 1] for n in rows]
+
+        table = stencil_table("probe", [1.0] * 9, 2, kernel)
+        assert (table.max_order, table.max_index, table.consumed(8, 0), calls) == (8, 8, 9, [])
+        assert table.has_entry(8, 0) and not table.has_entry(8, 1)
+        assert [v for _, _, v in extract_path(table, PathSpec.order_constant(2))] == [4.0] * 7
+        renamed = replace(table, name="renamed")  # shares the columns as they are built
+        assert calls == [1, 2] and table.column(1) == [(n, 2.0, True) for n in range(8)]
+        assert renamed.entry(3, 0) == 8.0 and calls == [1, 2, 3]
+        assert table.entry(3, 5) == 8.0 and calls == [1, 2, 3]
+        assert len(list(table.entries())) == 45 and calls == list(range(1, 9))
+        assert vars(table).keys() == {"name", "columns", "n_start", "order_step", "lookahead"}
+        assert renamed.columns == table.columns and renamed.name == "renamed"
+        assert vars(renamed).keys() == vars(table).keys()
+
+    @pytest.mark.parametrize("where", ["kernel", "rules"])
+    def test_a_rule_that_raised_raises_again_at_every_read_of_its_column(self, where):
+        from seqaccel.core import build_table
+
+        def rules(columns, valid):
+            for k in count(1):
+                if where == "rules" and k == 3:
+                    raise ArithmeticError("no rule for column 3")
+                cur = columns[-1]
+                yield [(valid[-1], (0, 1))], lambda rows, k=k, cur=cur: (
+                    [cur[n] + cur[n + 1] for n in rows] if where != "kernel" or k != 3
+                    else 1 / 0)
+
+        table = build_table("probe", [1.0] * 9, repeat(1), rules)
+        error = ArithmeticError  # ZeroDivisionError is one
+        for _ in range(2):
+            with pytest.raises(error):
+                walk_path(table, PathSpec.order_constant(5))
+            with pytest.raises(error):
+                table.column(3)
+            with pytest.raises(error):
+                table.columns
+            assert [v for _, v, _ in table.column(2)] == [4.0] * 7
+            assert table.max_order == 8 and table.consumed(8, 0) == 9
+
+    def test_threads_walking_one_table_agree_with_the_eager_table(self):
+        import sys
+        import threading
+
+        sample = make_partial_sums([(k + 1.0) ** -2 for k in range(61)])
+        eager = wynn_epsilon(sample)
+        orders = list(range(eager.max_order + 1))
+        want = {k: walk_path(eager, PathSpec.order_constant(k)) for k in orders}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                table, got, start = wynn_epsilon(sample), {}, threading.Barrier(8)
+
+                def walk(mine):
+                    start.wait()
+                    for k in mine:
+                        got[k] = walk_path(table, PathSpec.order_constant(k))
+
+                threads = [threading.Thread(target=walk, args=(orders[i::8][::-1],)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert got == want and table == eager
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_column_takes_the_mpmath_precision_of_the_build(self):
+        with mpmath.workdps(30):
+            sample = make_partial_sums([mpmath.mpf(k + 1) ** -2 for k in range(13)])
+            lazy = wynn_epsilon(sample)
+            eager = wynn_epsilon(sample)
+            eager.columns
+        prec = mpmath.mp.prec
+        assert repr(lazy.column(4)) == repr(eager.column(4))
+        assert lazy == eager and mpmath.mp.prec == prec
+
+    def test_copies_hold_the_completed_table(self):
+        import copy
+        import pickle
+
+        sample = make_partial_sums([(k + 1.0) ** -2 for k in range(13)])
+        eager = wynn_epsilon(sample)
+        eager.columns
+        for lazy in (copy.copy(wynn_epsilon(sample)), copy.deepcopy(wynn_epsilon(sample)),
+                     pickle.loads(pickle.dumps(wynn_epsilon(sample)))):
+            assert vars(lazy).keys() == vars(eager).keys() and lazy == eager
 
 
 def test_no_unused_imports():
