@@ -1095,7 +1095,7 @@ class TestLazyColumns:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                table, got, start = wynn_epsilon(sample), {}, threading.Barrier(8)
+                table, got, start = wynn_epsilon(sample), {}, threading.Barrier(8, timeout=30)
 
                 def walk(mine):
                     start.wait()
@@ -1106,7 +1106,8 @@ class TestLazyColumns:
                 for thread in threads:
                     thread.start()
                 for thread in threads:
-                    thread.join()
+                    thread.join(30)
+                    assert not thread.is_alive()
                 assert got == want and table == eager
         finally:
             sys.setswitchinterval(interval)
