@@ -592,8 +592,8 @@ def build_table(
                              accumulate(steps, operator.sub, initial=len(values))))
     columns = [list(values)]
     table = TransformTable(name, columns, n_start, order_step, lookahead)
-    if len(lengths) > 1:  # mpf arithmetic reads mpmath's precision: a column takes the build's
-        mp = getattr(sys.modules.get("mpmath"), "mp", None)
+    if len(lengths) > 1:
+        mp = getattr(sys.modules.get("mpmath"), "mp", None)  # whose precision mpf arithmetic reads
         loop = _column_loop(columns, lengths, rules)
         next(loop)  # to where it takes the order a read needs
         del vars(table)["columns"]
