@@ -5,12 +5,12 @@ s_N`` to a doubly indexed triangular array ``T_k^(n)``.  The subscript ``k``
 is the transformation order, the superscript ``n`` is the smallest sequence
 index entering the entry, and column 0 always repeats the input (``T_0^(n) =
 s_n``).  ``build_table`` is the one column loop every table is built by, and
-``compute_column``, which returns a column, the one place an entry turns
-invalid; a table's ``lookahead`` gives every entry's data budget.  Scalars
-from outside pass one edge check, ``finite_scalars``.  Entries whose
-defining recursion ran into a near-zero denominator, or a non-finite value,
-are flagged invalid instead of carrying an unreliable number, and invalidity
-propagates to every dependent entry.
+``compute_column``, which returns a column and its mask (a ``bytes``, 1 where
+valid), the one place an entry turns invalid; a table's ``lookahead`` gives
+every entry's data budget.  Scalars from outside pass one edge check,
+``finite_scalars``.  Entries whose defining recursion ran into a near-zero
+denominator, or a non-finite value, are flagged invalid instead of carrying
+an unreliable number, and invalidity propagates to every dependent entry.
 """
 
 from __future__ import annotations
@@ -85,17 +85,21 @@ def finite_entries(values: list) -> list:
 
     One pass over the nonzero entries (``None`` is skipped) clears the
     common case.  For ``float`` it is a sum, finite only when every entry
-    is; a column that holds a ``complex`` sums the ``magnitude`` of each
-    entry instead, as a complex of finite parts can overflow its modulus;
-    for other types, such as ``mpmath.mpf``, whose additions cost more
-    than a product with zero, it looks for an ``x * 0`` that is not zero.
-    A column that fails the pass (a sum of finite entries can overflow)
-    has each entry checked on its own.
+    is; a column that holds a ``complex`` sums the ``abs`` of each entry
+    instead, as a complex of finite parts can overflow its modulus (then
+    ``abs`` raises); for other types, such as ``mpmath.mpf``, whose
+    additions cost more than a product with zero, it looks for an ``x * 0``
+    that is not zero.  A column that fails the pass (a sum of finite
+    entries can overflow) has each entry checked on its own.  A mask of the
+    result tests ``v is not None``: ``None in`` calls ``mpf.__eq__`` per entry.
     """
     present = filter(None, values)
     if type(next(filter(None, reversed(values)), 0.0)) in (float, complex):
         total = sum(present)
-        clear = is_finite(total if type(total) is float else sum(map(magnitude, filter(None, values))))
+        try:
+            clear = is_finite(total if type(total) is float else sum(map(abs, filter(None, values))))
+        except OverflowError:  # the modulus of a complex of finite parts
+            clear = False
     else:
         clear = not any(map(operator.mul, present, repeat(0)))
     if clear:
@@ -161,8 +165,10 @@ class Record:
     Construction binds positional and keyword arguments to the fields,
     then runs ``__post_init__`` (which may normalise a field with
     ``object.__setattr__``).  Records compare equal when their types are
-    the same and their fields are equal, hash by their fields, and refuse
-    attribute assignment and deletion with
+    the same and their fields are equal, hash by their fields when each
+    field hashes (a ``TransformTable``, ``reference.ProblemSpec`` or
+    ``cli.RunConfig`` holds a list or a dict, and ``hash`` raises
+    ``TypeError``), and refuse attribute assignment and deletion with
     ``dataclasses.FrozenInstanceError``.  Unlike ``dataclasses``, whose
     import and per-class code generation cost a cold CLI call more than
     its arithmetic, the base is plain Python.
@@ -501,7 +507,7 @@ class TransformTable(Record):
 
     def _extend(self, top: int) -> list:
         """The columns, built through order ``top`` by ``_column_loop`` under the lock,
-        at mpmath's precision of the build; once all are, the loop and flags go."""
+        at mpmath's precision of the build; once all are, the loop and masks go."""
         state = vars(self)
         work = state.get("_work")  # [lengths, columns, loop, lock, precision] until built
         if work is None:
@@ -520,12 +526,13 @@ class TransformTable(Record):
 
 
 def compute_column(length: int, antecedents: Iterable, column: Callable) -> Optional[tuple]:
-    """Column ``(entries, flags)`` of ``length`` rows; the one place an entry turns invalid.
+    """Column ``(entries, mask)`` of ``length`` rows; the one place an entry turns invalid.
 
-    Each antecedent is a ``(flags, shifts)`` pair, one per antecedent
-    column: row ``i`` depends on ``flags[i + shift]`` for every shift.
-    ``column(rows)`` returns the entries of the rows ``rows``, in order,
-    and runs only on rows whose antecedents are all valid; a column
+    A column's mask is a ``bytes`` of one byte per row, 1 where the entry
+    is valid.  Each antecedent is a ``(mask, shifts)`` pair, one per
+    antecedent column: row ``i`` depends on ``mask[i + shift]`` for every
+    shift.  ``column(rows)`` returns the entries of the rows ``rows``, in
+    order, and runs only on rows whose antecedents are all valid; a column
     without such a row never calls it and is ``None``.  An entry is
     invalid for one of three causes:
 
@@ -533,19 +540,20 @@ def compute_column(length: int, antecedents: Iterable, column: Callable) -> Opti
     - a guard trip: ``column`` gave ``None`` (``GuardPolicy.divide``);
     - a non-finite value, checked once for the whole column.
 
-    A fully valid antecedent column is skipped without slicing it, the
-    others are ANDed a machine word at a time.  A column computed at every
-    row whose plain ``sum`` is a finite ``float`` is returned as it is: an
-    infinity or a NaN would spread to the sum, a guard ``None`` makes it
-    raise, a ``complex`` or ``mpf`` entry gives it another type.  Nothing
-    is mutated: ``build_table`` appends the pair, or ends the arithmetic.
+    A fully valid antecedent mask (no 0 byte) is skipped without slicing
+    it, each shifted slice of the others is ANDed as one integer.  A column
+    computed at every row whose plain ``sum`` is a finite ``float`` is
+    returned as it is: an infinity or a NaN would spread to the sum, a
+    guard ``None`` makes it raise, a ``complex`` or ``mpf`` entry gives it
+    another type.  Nothing is mutated: ``build_table`` appends the pair, or
+    ends the arithmetic.
     """
     usable = None
-    for flags, shifts in antecedents:
-        if all(flags):
+    for mask, shifts in antecedents:
+        if 0 not in mask:
             continue
         for shift in shifts:
-            part = int.from_bytes(bytes(flags[shift:shift + length]), "big")
+            part = int.from_bytes(mask[shift:shift + length], "big")
             usable = part if usable is None else usable & part
             if not usable:
                 return None
@@ -557,13 +565,17 @@ def compute_column(length: int, antecedents: Iterable, column: Callable) -> Opti
         except TypeError:  # a guard None
             total = None
         if type(total) is float and is_finite(total):
-            return entries, [True] * length
+            return entries, b"\x01" * length
         col = finite_entries(entries)
-    else:
-        col = [None] * length  # the rows not computed stay None
-        for i, value in zip(rows, finite_entries(entries)):
+        return col, bytes([v is not None for v in col])
+    col = [None] * length  # the rows not computed stay None
+    mask = bytearray(usable.to_bytes(length, "big"))
+    for i, value in zip(rows, finite_entries(entries)):
+        if value is None:
+            mask[i] = 0
+        else:
             col[i] = value
-    return col, [v is not None for v in col]
+    return col, bytes(mask)
 
 
 def build_table(
@@ -579,9 +591,10 @@ def build_table(
 
     Column ``k`` is ``next(steps)`` rows shorter than column ``k-1``, and
     the table ends where a column would have no row.  ``rules(columns,
-    valid)`` is a generator over the columns and their flags, working state
-    the table does not keep; it yields, column by column, the ``(antecedents,
-    column)`` arguments of ``compute_column``, and only this loop appends.
+    valid)`` is a generator over the columns and their masks (as
+    ``compute_column`` returns them), working state the table does not
+    keep; it yields, column by column, the ``(antecedents, column)``
+    arguments of ``compute_column``, and only this loop appends.
     A rule's rows read the column before it, or working columns that die
     with it (Weniger's N and D), so once a column has no computable row, or
     ``rules`` stops, no later one has: the rest are appended invalid, with
@@ -605,16 +618,16 @@ def build_table(
 def _column_loop(columns: list, lengths: list, rules: Callable) -> Iterator:
     """``build_table``'s column loop: sent an order, it appends the columns through
     that order, then yields ``None``; once a rule has raised, it yields the exception."""
-    valid = [[True] * lengths[0]]
-    pairs, col = rules(columns, valid), True
+    masks = [b"\x01" * lengths[0]]
+    pairs, col = rules(columns, masks), True
     top = yield
     try:
         for length in lengths[1:]:
             rule = col and next(pairs, None)  # none once a column had no computable row
             col = rule and compute_column(length, *rule)
-            entries, flags = col or ([None] * length, [False] * length)
+            entries, mask = col or ([None] * length, bytes(length))
             columns.append(entries)
-            valid.append(flags)
+            masks.append(mask)
             if len(columns) > top:
                 top = yield None
     except Exception as exc:  # the rules are finished, so every later read raises it

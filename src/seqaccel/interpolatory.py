@@ -227,8 +227,10 @@ def bdg_transform(
     if len(s) < 3:
         raise InsufficientDataError("the BDG transformation needs at least 3 elements")
 
+    lift = constant_type(s)  # an mpf factor: the same products as the float's, at mpf x mpf speed
+
     def kernel(cur, k, rows):
-        factor = (2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha)
+        factor = lift((2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha))
         # cur[n+1] - num / den
         d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
         return guard.divide(

@@ -189,12 +189,12 @@ def _factorial_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
     guard trip on ``T`` stays in its entry; only a non-finite N or D spreads.
     """
 
-    def advance(cur, ok, f):  # X_k and its flags from X_{k-1}, or None
+    def advance(cur, ok, f):  # X_k and its mask from X_{k-1}, or None
         return compute_column(len(cur) - 1, [(ok, (0, 1))], lambda rows: (
             [cur[n + 1] - cur[n] for n in rows] if f is None
             else [cur[n + 1] - f[n] * cur[n] for n in rows]))
 
-    num, num_ok, den, den_ok = ratio, [True] * len(ratio), inv, [True] * len(inv)
+    num, num_ok, den, den_ok = ratio, b"\x01" * len(ratio), inv, b"\x01" * len(inv)
     lift = constant_type(bases)
     for k in count(1):
         p, q, r, t = map(lift, (k - 1, k - 2, 2 * k - 2, 2 * k - 3))

@@ -408,6 +408,19 @@ class TestRecord:
         assert GuardPolicy(1e-3) == GuardPolicy(1e-3)
         assert hash(GuardPolicy(1e-3)) == hash(GuardPolicy(1e-3))
 
+    def test_records_of_hashable_fields_hash_and_tables_do_not(self):
+        for one, other in [
+            (SequenceSample((1.0, 2.0), limit=3.0), SequenceSample([1.0, 2.0], None, 3.0)),
+            (GuardPolicy(1e-3), GuardPolicy(relative_threshold=1e-3)),
+            (PathSpec.order_constant(2), PathSpec("order_constant", 2)),
+        ]:
+            assert one == other and one is not other and hash(one) == hash(other)
+        # a list or dict field: the record compares equal, but does not hash
+        for unhashable in (wynn_epsilon(SequenceSample((1.0, 2.0, 2.5))),
+                           ProblemSpec("geometric", 5, {"c": 1.0, "lam": 0.5})):
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(unhashable)
+
     def test_subclass_fields_follow_the_base_fields(self):
         class Base(Record):
             x: int
@@ -738,6 +751,45 @@ class TestEdgeCheck:
         assert iterated_aitken(sample).columns[1] == [0.0, -2.0, -5.0, -9.0, -14.0]
 
 
+#: (finite entries, entries that are not) of each scalar kind a kernel returns;
+#: None is a guard trip, and the wide complex has finite parts but no finite modulus
+_KIND_ENTRIES = {
+    "float": ((1.5, -2.0, 0.0, 1e308, -1e308), (math.inf, -math.inf, math.nan, None)),
+    "complex": ((1.5 + 2j, -2j, 0j, 1e308 + 1e308j),
+                (complex(1.7e308, 1.7e308), complex(math.inf, 0.0), complex(0.0, math.nan), None)),
+    "mpf": (tuple(map(mpmath.mpf, (1.5, -2, 0, "1e400"))), (mpmath.inf, -mpmath.inf, mpmath.nan, None)),
+}
+
+
+def _finite_modulus(v) -> bool:
+    if v is None:
+        return False
+    try:
+        m = abs(v)
+    except OverflowError:
+        return False
+    return bool(mpmath.isfinite(m)) if isinstance(m, mpmath.mpf) else math.isfinite(m)
+
+
+@st.composite
+def _column_cases(draw):
+    """``(length, antecedents, value)``: one to three antecedent masks, each with
+    shifts up to 3 and mostly valid, all valid or sparse; ``value(i)`` is row ``i``'s
+    entry, of one kind per column, now and then one that is invalid."""
+    length = draw(st.sampled_from((1, 7, 8, 9, 63, 64, 65, 400)) | st.integers(1, 80))
+    rng = draw(st.randoms(use_true_random=False))
+    antecedents = []
+    for _ in range(draw(st.integers(1, 3))):
+        shifts = tuple(sorted(draw(st.sets(st.integers(0, 3), min_size=1))))
+        p = draw(st.sampled_from((1.0, 0.98, 0.8, 0.5, 0.0)))
+        size = length + shifts[-1] + draw(st.integers(0, 1))
+        antecedents.append((bytes(rng.random() < p for _ in range(size)), shifts))
+    good, bad = _KIND_ENTRIES[draw(st.sampled_from(sorted(_KIND_ENTRIES)))]
+    noise = draw(st.sampled_from((0.0, 0.02, 0.3)))
+    picks = [rng.choice(bad) if rng.random() < noise else rng.choice(good) for _ in range(length)]
+    return length, antecedents, picks.__getitem__
+
+
 class TestColumnPrimitives:
     def test_column_runs_on_usable_rows_only(self):
         from seqaccel.core import compute_column
@@ -748,9 +800,9 @@ class TestColumnPrimitives:
             calls.append(list(rows))
             return [{0: 1.0, 2: None, 3: float("inf")}[i] for i in rows]
 
-        got = compute_column(4, [([True, False, True, True], (0,))], column)
+        got = compute_column(4, [(bytes([1, 0, 1, 1]), (0,))], column)
         assert calls == [[0, 2, 3]]
-        assert got == ([1.0, None, None, None], [True, False, False, False])
+        assert got == ([1.0, None, None, None], bytes([1, 0, 0, 0]))
 
     def test_unusable_column_skips_column(self):
         from seqaccel.core import build_table, compute_column
@@ -758,7 +810,7 @@ class TestColumnPrimitives:
         def column(rows):
             raise AssertionError("column called without a usable row")
 
-        flags = [False, False, False]
+        flags = bytes(3)
         assert compute_column(3, [(flags, (0,))], column) is None
         # build_table makes that column, and every later one, dead
         table = build_table("probe", [1.0] * 4, repeat(1),
@@ -774,14 +826,14 @@ class TestColumnPrimitives:
         def column(rows):
             raise AssertionError("column called without a usable row")
 
-        odd, even = [True, False, True, False], [False, False, True]
+        odd, even = bytes([1, 0, 1, 0]), bytes([0, 0, 1])
         assert compute_column(2, [(odd, (0, 2)), (even, (1,))], column) is None
 
     def test_finite_float_column_whose_sum_overflows_stays_valid(self):
         from seqaccel.core import compute_column
 
         entries = [1e308, 1e308, -1e308]
-        assert compute_column(3, (), lambda rows: entries) == (entries, [True] * 3)
+        assert compute_column(3, (), lambda rows: entries) == (entries, bytes([1, 1, 1]))
 
     def test_non_finite_and_tripped_rows_are_invalid(self):
         from seqaccel.core import compute_column
@@ -789,10 +841,10 @@ class TestColumnPrimitives:
         entries = [1.0, math.inf, 2.0, None, -math.inf, math.nan, 3.0]
         assert compute_column(7, (), lambda rows: entries) == (
             [1.0, None, 2.0, None, None, None, 3.0],
-            [True, False, True, False, False, False, True],
+            bytes([1, 0, 1, 0, 0, 0, 1]),
         )
         # the column ran, so a later column may still have a computable row
-        assert compute_column(2, (), lambda rows: [None, math.nan]) == ([None, None], [False, False])
+        assert compute_column(2, (), lambda rows: [None, math.nan]) == ([None, None], bytes([0, 0]))
 
     @pytest.mark.parametrize("entries", [
         [1.0, complex(1.7e308, 1.7e308)],
@@ -805,16 +857,59 @@ class TestColumnPrimitives:
 
         wide = [v == complex(1.7e308, 1.7e308) for v in entries]
         assert compute_column(len(entries), (), lambda rows: entries) == (
-            [None if w else v for v, w in zip(entries, wide)], [not w for w in wide])
+            [None if w else v for v, w in zip(entries, wide)], bytes([not w for w in wide]))
+
+    @given(_column_cases())
+    def test_usable_rows_match_a_row_by_row_oracle(self, case):
+        from seqaccel.core import compute_column
+
+        length, antecedents, value = case
+        usable = [i for i in range(length)
+                  if all(mask[i + shift] for mask, shifts in antecedents for shift in shifts)]
+        calls = []
+
+        def column(rows):
+            calls.append(list(rows))
+            return [value(i) for i in rows]
+
+        got = compute_column(length, antecedents, column)
+        if not usable:
+            assert got is None and calls == []
+            return
+        assert calls == [usable]
+        kept = {i: v for i in usable if _finite_modulus(v := value(i))}
+        entries, mask = got
+        assert [i for i, v in enumerate(entries) if v is not None] == sorted(kept)
+        assert all(entries[i] is v for i, v in kept.items())
+        assert type(mask) is bytes and mask == bytes(i in kept for i in range(length))
+
+    def test_masks_test_entries_by_identity(self):
+        # list.__contains__ and list.count call __eq__ per entry, at Python speed for mpf
+        from seqaccel.core import compute_column
+
+        compared = []
+
+        class Spy(mpmath.mpf):
+            def __eq__(self, other):
+                compared.append(other)
+                return mpmath.mpf.__eq__(self, other)
+
+            __hash__ = mpmath.mpf.__hash__
+
+        entries = [Spy(1), None, Spy(mpmath.inf), Spy(2)]
+        for antecedents in ((), [(bytes([1, 0, 1, 1]), (0,))]):
+            got = compute_column(4, antecedents, lambda rows: [entries[i] for i in rows])
+            assert got == ([entries[0], None, None, entries[3]], bytes([1, 0, 0, 1]))
+        assert None not in compared
 
     def test_compute_column_mutates_nothing(self):
         from seqaccel.core import compute_column
 
-        flags, entries = [True, False, True], [1.0, math.inf]
+        flags, entries = bytearray([1, 0, 1]), [1.0, math.inf]
         antecedents = [(flags, (0,))]
         got = compute_column(3, antecedents, lambda rows: entries)
-        assert got == ([1.0, None, None], [True, False, False])
-        assert flags == [True, False, True] and entries == [1.0, math.inf]
+        assert got == ([1.0, None, None], bytes([1, 0, 0]))
+        assert flags == bytes([1, 0, 1]) and entries == [1.0, math.inf]
         assert antecedents == [(flags, (0,))]
 
     # (build, the call of GuardPolicy.divide that trips every row): each
@@ -834,7 +929,7 @@ class TestColumnPrimitives:
 
         def forced(length, antecedents, column):
             pair = compute(length, antecedents, column)
-            return pair if pair or not live else ([None] * length, [False] * length)
+            return pair if pair or not live else ([None] * length, bytes(length))
 
         def spy(length, antecedents, column):
             k = len(computed) + 1  # build_table computes columns 1, 2, ... in order
