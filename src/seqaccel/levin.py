@@ -30,8 +30,8 @@ Weniger's numerator and denominator follow the three-term recursion
 ``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` of Weniger (Comput. Phys.
 Rep. 10 (1989) 189), one pass per column keeping only the current N and D:
 O(N^2) operations and little memory beyond the table.  A Levin entry is
-still its (k+1)-term binomial sum, built column by column with the binomial
-index outside and the rows inside: O(N^3) operations until it has its own.
+still its (k+1)-term binomial sum, which each row sums in a loop of its
+own: O(N^3) operations until it has its own recursion.
 """
 
 from __future__ import annotations
@@ -153,25 +153,26 @@ def _ratio_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
         top, p = lift(k), lift(k - 1)
 
         def column(rows):
-            # One comprehension per j adds term j to every row's (num, den), with
-            # the per-entry sums' operations in their order, so no bit changes.
-            # w_k(n+j)/w_k(n+k) (1.0 at k=1) keeps the terms of moderate size.
+            # Each entry sums its k+1 terms in a row loop of its own, in the order of
+            # the per-entry binomial sums, so no bit changes; the signed weights and
+            # lifted j are formed once per column.  w_k(n+j)/w_k(n+k) (1.0 at k=1)
+            # keeps the terms of moderate size.
             # rows are the whole column; from k = 1030 on, the weight comb(k, k // 2)
             # is 2**1024 or more, beyond the double range, and no row has an entry.
             hi = len(rows)
             if math.comb(k, k // 2).bit_length() > 1024:
                 return [None] * hi
-            row_bases = bases[:hi]
-            heads = [b + top for b in row_bases]
-            acc = [(0.0, 0.0)] * hi
-            sign = 1.0
-            for j in range(k + 1):
-                c, lj = sign * math.comb(k, j), lift(j)
-                acc = [(x + y * r, z + y * u)
-                       for (x, z), b, h, r, u in zip(acc, row_bases, heads, ratio[j:hi + j], inv[j:hi + j])
-                       for y in (c * ((b + lj) / h) ** p,)]
-                sign = -sign
-            return guard.divide([x for x, _ in acc], [z for _, z in acc])
+            terms = [((-1.0) ** j * math.comb(k, j), lift(j)) for j in range(k + 1)]
+            nums, dens = [], []
+            for n, b in enumerate(bases[:hi]):
+                h, x, z = b + top, 0.0, 0.0
+                for (c, lj), r, u in zip(terms, ratio[n:n + k + 1], inv[n:n + k + 1]):
+                    y = c * ((b + lj) / h) ** p
+                    x += y * r
+                    z += y * u
+                nums.append(x)
+                dens.append(z)
+            return guard.divide(nums, dens)
 
         yield (), column
 

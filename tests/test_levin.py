@@ -435,13 +435,16 @@ class TestColumnKernelBitIdentity:
             else:
                 _assert_as_accurate(table, values, omegas, zeta, oracle)
 
-    def test_columns_beyond_the_binomial_range_have_no_entry(self, monkeypatch):
+    # 1022: comb(5, 2) << 1022 has 1026 bits, just past the 1024-bit cutoff, and
+    # its float conversion overflows if the cutoff lets that column through
+    @pytest.mark.parametrize("shift", (1100, 1022))
+    def test_columns_beyond_the_binomial_range_have_no_entry(self, monkeypatch, shift):
         # comb(k, k // 2) leaves the double range from k = 1030 on; scaled by
-        # 2**1100 from k = 5 on, a short table meets the same columns
+        # 2**shift from k = 5 on, a short table meets the same columns
         sample = _BIT_IDENTITY_SAMPLES["float"]()
         weniger = weniger_variant(sample, "t")
         comb = math.comb
-        monkeypatch.setattr(math, "comb", lambda k, j: comb(k, j) << (1100 if k >= 5 else 0))
+        monkeypatch.setattr(math, "comb", lambda k, j: comb(k, j) << (shift if k >= 5 else 0))
         table = levin_variant(sample, "t")
         omegas = omega_sequence(sample, "t")
         oracle = _per_entry_ratio_table(sample.values, omegas, LEVIN_POWER, 1.0, GuardPolicy(), 0)
