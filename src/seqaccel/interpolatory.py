@@ -265,7 +265,7 @@ def estimate_decay(
         [dd[n] * dd[n + 1] for n in rows],
         [d[n + 1] * dd[n + 1] - d[n + 2] * dd[n] for n in rows],
     )
-    return finite_entries([None if t is None else t - 1.0 for t in ratios])
+    return finite_entries([None if t is None else t - 1 for t in ratios])
 
 
 def median_last_quartile(estimates: Sequence[Optional[Scalar]]) -> Scalar:

@@ -34,7 +34,7 @@ def solve_dense(matrix: Sequence[Sequence], rhs: Sequence) -> list:
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             b[col], b[pivot_row] = b[pivot_row], b[col]
-        inv = 1.0 / a[col][col]
+        inv = 1 / a[col][col]
         for r in range(col + 1, n):
             factor = a[r][col] * inv
             if factor == 0:
@@ -43,7 +43,7 @@ def solve_dense(matrix: Sequence[Sequence], rhs: Sequence) -> list:
                 a[r][c] = a[r][c] - factor * a[col][c]
             b[r] = b[r] - factor * b[col]
 
-    x = [0.0] * n
+    x = [0] * n
     for r in range(n - 1, -1, -1):
         acc = b[r]
         for c in range(r + 1, n):

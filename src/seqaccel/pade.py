@@ -21,6 +21,7 @@ from .core import (
     SequenceSample,
     TransformTable,
     check_integer,
+    constant_type,
     replace,
     walk_path,
 )
@@ -29,7 +30,7 @@ from .linalg import solve_dense
 
 
 def _polyval(coeffs, z):
-    acc = 0.0
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
@@ -63,10 +64,11 @@ def pade_direct(series: PowerSeries, l: int, m: int) -> PadeApproximant:
         )
 
     def gamma(i: int) -> Scalar:
-        return g[i] if i >= 0 else 0.0
+        return g[i] if i >= 0 else 0
 
+    one = constant_type(g)(1)  # Q(0): 1.0 on float and complex series
     if m == 0:
-        q = (1.0,)
+        q = (one,)
     else:
         matrix = [[gamma(l + 1 + r - c) for c in range(1, m + 1)] for r in range(m)]
         rhs = [-gamma(l + 1 + r) for r in range(m)]
@@ -76,7 +78,7 @@ def pade_direct(series: PowerSeries, l: int, m: int) -> PadeApproximant:
             raise DegeneratePadeError(
                 f"[{l}/{m}] order conditions are singular: {exc}"
             ) from exc
-        q = (1.0, *solution)
+        q = (one, *solution)
     p = tuple(
         sum(q[i] * gamma(j - i) for i in range(min(j, m) + 1))
         for j in range(l + 1)

@@ -1,10 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from seqaccel import (
     DegeneratePadeError,
+    GuardPolicy,
     InvalidParameterError,
     PowerSeries,
     pade_direct,
@@ -96,6 +98,28 @@ class TestPadeViaEpsilon:
                 except DegeneratePadeError:
                     continue
                 assert rel_diff(value, direct) < 1e-10
+
+    @pytest.mark.parametrize("z, entries", (
+        (Fraction(1), 36), (Fraction(1, 2), 36), (Fraction(-3, 2), 25),
+    ))
+    def test_exact_series_agrees_with_direct_solver_exactly(self, z, entries):
+        # ln(1+z) through z^10: no float constant may enter either route
+        coeffs = (Fraction(0), *(Fraction((-1) ** (j + 1), j) for j in range(1, 11)))
+        series = PowerSeries(coeffs, z)
+        table = pade_via_epsilon(series, GuardPolicy(0))
+        checked = 0
+        for k in table.approximant_orders():
+            for n, value, ok in table.column(k):
+                if ok:
+                    direct = pade_direct(series, *pade_label(k, n))(z)
+                    assert type(value) is Fraction and value == direct, (k, n)
+                    checked += 1
+        assert checked == entries
+
+    @pytest.mark.parametrize("z", (0.5, 0.5 + 0.25j))
+    def test_denominator_leads_with_a_float_one(self, z):
+        approximant = pade_direct(PowerSeries((1.0, 0.5, 0.25, 0.125), z), 1, 1)
+        assert repr(approximant.denominator[0]) == "1.0"
 
 
 class TestStaircase:
