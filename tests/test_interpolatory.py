@@ -358,6 +358,11 @@ class TestEstimateDecay:
         estimates = estimate_decay(SequenceSample(vals))
         assert estimates[50] == pytest.approx(0.5, abs=1e-3)
 
+    def test_exact_on_fraction_input(self):
+        # s_n = 3 + 2/(n+1) decays with alpha = 1 exactly, and no float may enter
+        estimates = estimate_decay(SequenceSample(tuple(3 + Fraction(2, n + 1) for n in range(8))))
+        assert [(type(t), t) for t in estimates] == [(Fraction, 1)] * 5
+
     def test_constant_sequence_all_invalid(self):
         estimates = estimate_decay(SequenceSample((4.0,) * 8))
         assert estimates == [None] * 5
