@@ -232,19 +232,6 @@ class Record:
     __delattr__ = __setattr__
 
 
-def replace(record: Record, **changes) -> Record:
-    """A copy of ``record`` with ``changes`` applied; ``__post_init__`` runs again.
-    A table being built stays so: the copy shares its columns and their loop."""
-    work = "columns" not in changes and vars(record).get("_work")
-    if work:
-        copy = replace(record, columns=work[1], **changes)
-        del vars(copy)["columns"]
-        vars(copy)["_work"] = work
-        return copy
-    fields = {name: getattr(record, name) for name in record._fields if name not in changes}
-    return type(record)(**fields, **changes)
-
-
 class GuardPolicy(Record):
     """Near-zero denominator detection for transform recursions.
 
@@ -420,12 +407,12 @@ class TransformTable(Record):
     auxiliary quantities (epsilon, theta, rho families); approximants then
     live in the even columns only.  ``lookahead`` counts the input elements
     an entry reads past its stencil (1 for a forward-difference estimate);
-    ``consumed`` forms every budget from it.  Tables are frozen: ``build_table``
-    names a table at construction (``core.replace`` makes a renamed copy).
+    ``consumed`` forms every budget from it.  Tables are frozen, and
+    ``build_table`` alone makes them, each under its own name.
 
-    A table from ``build_table`` builds a column when a read first needs it,
-    so an ``order_constant`` walk of order k builds columns 0..k; a read of
-    the whole table (``columns``, ``valid``, ``entries``, ``==``, ``repr``, a
+    A table builds a column when a read first needs it, so an
+    ``order_constant`` walk of order k builds columns 0..k; a read of the
+    whole table (``columns``, ``valid``, ``entries``, ``==``, ``repr``, a
     copy) completes it first.  Columns are added under a lock: threads may
     share a table.
     """

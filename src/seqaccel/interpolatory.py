@@ -25,7 +25,6 @@ from .core import (
     cross_rule_table,
     finite_entries,
     finite_scalars,
-    replace,
     stencil_table,
 )
 from .errors import InsufficientDataError, InvalidParameterError
@@ -156,7 +155,7 @@ def wynn_rho(
 def rho_standard(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Wynn's rho on ``x_n = n + 1``: its numerator ``x_(n+k) - x_n`` is exactly k,
     Osada's ``k - 1 + alpha`` at alpha = 1, so it is Osada's table to the last bit."""
-    return replace(osada_rho(sample, 1, guard), name="rho")
+    return _osada_table("rho", sample.values, 1, guard)
 
 
 def osada_rho(
@@ -171,9 +170,13 @@ def osada_rho(
     ``n**(-alpha-2k)`` for any alpha > 0 (Osada 1990).
     """
     check_positive("alpha", alpha)
-    s = sample.values
+    return _osada_table("rho_osada", sample.values, alpha, guard)
+
+
+def _osada_table(name: str, s: Sequence[Scalar], alpha: float,
+                 guard: GuardPolicy) -> TransformTable:
     lift = constant_type(s)
-    return cross_rule_table("rho_osada", s, lambda k, rows: lift(k - 1 + alpha), guard)
+    return cross_rule_table(name, s, lambda k, rows: lift(k - 1 + alpha), guard)
 
 
 def iterated_rho(
@@ -209,7 +212,7 @@ def iterated_rho_standard(
     """Iterated rho_2 on ``x_n = n + 1``, which is BDG at alpha = 1: both scale by 2k/(2k-1)."""
     if len(sample.values) < 3:
         raise InsufficientDataError("iterated rho needs at least 3 elements")
-    return replace(bdg_transform(sample, 1, guard), name="rho_iterated")
+    return _bdg_table("rho_iterated", sample.values, 1, guard)
 
 
 def bdg_transform(
@@ -223,10 +226,13 @@ def bdg_transform(
     per level; the column-k error falls like ``n**(-alpha-2k)``.
     """
     check_positive("alpha", alpha)
-    s = sample.values
-    if len(s) < 3:
+    if len(sample.values) < 3:
         raise InsufficientDataError("the BDG transformation needs at least 3 elements")
+    return _bdg_table("bdg", sample.values, alpha, guard)
 
+
+def _bdg_table(name: str, s: Sequence[Scalar], alpha: float,
+               guard: GuardPolicy) -> TransformTable:
     lift = constant_type(s)  # an mpf factor: the same products as the float's, at mpf x mpf speed
 
     def kernel(cur, k, rows):
@@ -239,7 +245,7 @@ def bdg_transform(
             [cur[n + 1] for n in rows],
         )
 
-    return stencil_table("bdg", s, 3, kernel)
+    return stencil_table(name, s, 3, kernel)
 
 
 def estimate_decay(

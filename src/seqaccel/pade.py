@@ -11,7 +11,6 @@ highest approximant order available.
 
 from __future__ import annotations
 
-from .classic import wynn_epsilon
 from .core import (
     GuardPolicy,
     PathSpec,
@@ -22,7 +21,7 @@ from .core import (
     TransformTable,
     check_integer,
     constant_type,
-    replace,
+    cross_rule_table,
     walk_path,
 )
 from .errors import DegeneratePadeError, InvalidParameterError, SingularMatrixError
@@ -87,8 +86,9 @@ def pade_direct(series: PowerSeries, l: int, m: int) -> PadeApproximant:
 
 
 def pade_epsilon(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
-    """Wynn's epsilon table of ``sample``, named ``pade_epsilon``."""
-    return replace(wynn_epsilon(sample, guard), name="pade_epsilon")
+    """Wynn's epsilon table of ``sample``, named ``pade_epsilon``: its numerator is 1."""
+    one = constant_type(sample.values)(1)
+    return cross_rule_table("pade_epsilon", sample.values, lambda k, rows: one, guard)
 
 
 def pade_via_epsilon(series: PowerSeries, guard: GuardPolicy = GuardPolicy()) -> TransformTable:

@@ -39,7 +39,7 @@ from seqaccel import (
     wynn_epsilon,
 )
 from seqaccel import core, levin
-from seqaccel.core import Record, replace
+from seqaccel.core import Record
 from seqaccel.reference import power_series_coefficients
 
 
@@ -341,7 +341,7 @@ class TestGuardPolicy:
 
 
 class TestRecord:
-    """The value-type base: binding, immutability, equality, repr, replace."""
+    """The value-type base: binding, immutability, equality, repr."""
 
     def test_positional_keyword_and_default_binding(self):
         sample = SequenceSample([1.0, 2.0], None, limit=3.0)
@@ -385,15 +385,6 @@ class TestRecord:
         with pytest.raises(FrozenInstanceError):
             del guard.relative_threshold
         assert guard.relative_threshold == 1e-14
-
-    def test_replace_reruns_validation(self):
-        sample = SequenceSample((1.0, 2.0), start_offset=1)
-        assert replace(sample, limit=2.5) == SequenceSample((1.0, 2.0), None, 2.5, 1)
-        assert replace(sample, values=[3.0, 4.0]).values == (3.0, 4.0)
-        with pytest.raises(EmptyInputError):
-            replace(sample, values=())
-        with pytest.raises(TypeError):
-            replace(sample, unknown=1)
 
     def test_equality_needs_the_same_type(self):
         class Left(Record):
@@ -1144,14 +1135,11 @@ class TestLazyColumns:
         assert (table.max_order, table.max_index, table.consumed(8, 0), calls) == (8, 8, 9, [])
         assert table.has_entry(8, 0) and not table.has_entry(8, 1)
         assert [v for _, _, v in extract_path(table, PathSpec.order_constant(2))] == [4.0] * 7
-        renamed = replace(table, name="renamed")  # shares the columns as they are built
         assert calls == [1, 2] and table.column(1) == [(n, 2.0, True) for n in range(8)]
-        assert renamed.entry(3, 0) == 8.0 and calls == [1, 2, 3]
+        assert table.entry(3, 0) == 8.0 and calls == [1, 2, 3]
         assert table.entry(3, 5) == 8.0 and calls == [1, 2, 3]
         assert len(list(table.entries())) == 45 and calls == list(range(1, 9))
         assert vars(table).keys() == {"name", "columns", "n_start", "order_step", "lookahead"}
-        assert renamed.columns == table.columns and renamed.name == "renamed"
-        assert vars(renamed).keys() == vars(table).keys()
 
     @pytest.mark.parametrize("where", ["kernel", "rules"])
     def test_a_rule_that_raised_raises_again_at_every_read_of_its_column(self, where):

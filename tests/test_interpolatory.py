@@ -24,7 +24,6 @@ from seqaccel import (
     rho_standard,
     wynn_rho,
 )
-from seqaccel.core import replace
 from seqaccel.interpolatory import TO_INFINITY
 from _helpers import error_slope, rel_diff, table_rel_spread
 from oracles import richardson_binomial
@@ -144,7 +143,8 @@ class TestWynnRho:
             }[kind]
             sample = SequenceSample(vals)
             general = wynn_rho(sample, natural_points(len(vals)))
-            assert repr(rho_standard(sample)) == repr(replace(general, name="rho"))
+            standard = rho_standard(sample)
+            assert repr(standard.columns) == repr(general.columns) and standard.name == "rho"
 
     def test_does_not_accelerate_linear_convergence(self):
         vals = tuple(1.0 + 2.0 ** -n for n in range(12))
@@ -211,7 +211,7 @@ class TestIteratedRho:
 
     @pytest.mark.parametrize("kind", ("float", "complex", "mpf"))
     def test_standard_form_is_bdg_at_alpha_one(self, kind):
-        # both scale column k by 2k/(2k-1); the standard form is BDG's table renamed
+        # both scale column k by 2k/(2k-1); the standard form is BDG's table by another name
         reals, imags = random_values(5, 60), random_values(6, 60)
         with mpmath.workdps(30):
             vals = {
@@ -221,7 +221,8 @@ class TestIteratedRho:
             }[kind]
             sample = SequenceSample(vals)
             bdg = bdg_transform(sample, 1.0)
-            assert repr(iterated_rho_standard(sample)) == repr(replace(bdg, name="rho_iterated"))
+            standard = iterated_rho_standard(sample)
+            assert repr(standard.columns) == repr(bdg.columns) and standard.name == "rho_iterated"
 
     def test_standard_form_needs_three_elements(self):
         with pytest.raises(InsufficientDataError, match="iterated rho needs at least 3 elements"):
