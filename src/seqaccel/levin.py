@@ -147,25 +147,25 @@ def _table(family: str, name: str, values: Sequence[Scalar], omegas: Sequence[Sc
 
 def _ratio_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
                  columns: list, valid: list) -> Iterator[tuple]:
-    """Levin's columns: every entry its (k+1)-term binomial sum with power weights."""
+    """Levin's columns: every entry its (k+1)-term binomial sum with power weights, in
+    the bases' ``constant_type`` (exact on ``Fraction`` bases).  The rules stop at
+    k = 1030, whose weight ``comb(k, k // 2)`` is beyond the double range, and
+    ``build_table`` makes the rest dead."""
     lift = constant_type(bases)
+    one, zero = lift(1), lift(0)
     for k in count(1):
+        if math.comb(k, k // 2).bit_length() > 1024:
+            return
         top, p = lift(k), lift(k - 1)
 
-        def column(rows):
+        def column(rows):  # rows are the whole column
             # Each entry sums its k+1 terms in a row loop of its own, in the order of
-            # the per-entry binomial sums, so no bit changes; the signed weights and
-            # lifted j are formed once per column.  w_k(n+j)/w_k(n+k) (1.0 at k=1)
-            # keeps the terms of moderate size.
-            # rows are the whole column; from k = 1030 on, the weight comb(k, k // 2)
-            # is 2**1024 or more, beyond the double range, and no row has an entry.
-            hi = len(rows)
-            if math.comb(k, k // 2).bit_length() > 1024:
-                return [None] * hi
-            terms = [((-1.0) ** j * math.comb(k, j), lift(j)) for j in range(k + 1)]
+            # the per-entry binomial sums; the signed weights and lifted j are formed
+            # once per column.  w_k(n+j)/w_k(n+k) (1 at k=1) keeps the terms moderate.
+            terms = [((-one) ** j * math.comb(k, j), lift(j)) for j in range(k + 1)]
             nums, dens = [], []
-            for n, b in enumerate(bases[:hi]):
-                h, x, z = b + top, 0.0, 0.0
+            for n, b in zip(rows, bases):
+                h, x, z = b + top, zero, zero
                 for (c, lj), r, u in zip(terms, ratio[n:n + k + 1], inv[n:n + k + 1]):
                     y = c * ((b + lj) / h) ** p
                     x += y * r

@@ -485,10 +485,14 @@ class TestDataBudget:
             n + k + 1 for k in range(8) for n in range(8 - k)]
 
 
+#: ln 2's partial sums through N = 12, exact
+LN2_EXACT = make_partial_sums([Fraction((-1) ** j, j + 1) for j in range(13)])
+
+
 def test_weniger_recursion_is_the_exact_pochhammer_sum():
     # on exact input the recursion is the binomial sum of the Pochhammer weights
     # to the last digit, at every one of the 91 entries of ln 2 at N = 12
-    sample = make_partial_sums([Fraction((-1) ** j, j + 1) for j in range(13)])
+    sample = LN2_EXACT
     table = weniger_variant(sample, "u", zeta=Fraction(1))
     omegas = omega_sequence(sample, "u", Fraction(1))
     s = sample.values
@@ -499,6 +503,35 @@ def test_weniger_recursion_is_the_exact_pochhammer_sum():
     assert table.columns == columns
     assert table.valid == [[True] * len(c) for c in columns]
     assert sum(map(len, columns)) == 91
+
+
+@pytest.mark.parametrize("kind, entries", (("u", 91), ("t", 91), ("d", 78)))
+def test_levin_is_the_exact_power_weight_sum(kind, entries):
+    # with an exact zeta the binomial sums take no float constant: every entry is
+    # the exact ratio of the power-weight sums
+    table = levin_variant(LN2_EXACT, kind, zeta=Fraction(1))
+    omegas = omega_sequence(LN2_EXACT, kind, Fraction(1))
+    s, size = LN2_EXACT.values, len(omegas)
+    columns = [[sum(c * s[n + j] / omegas[n + j] for j, c in enumerate(w))
+                / sum(c / omegas[n + j] for j, c in enumerate(w))
+                for n in range(size - k) for w in (power_weights(1, n, k),)]
+               for k in range(size)]
+    assert table.columns == columns
+    assert {type(v) for column in table.columns for v in column} == {Fraction}
+    assert sum(map(len, columns)) == entries
+
+
+@pytest.mark.parametrize("kind", ("u", "d"))
+def test_levin_moves_exactly_with_its_sample(kind):
+    # T[a s + c] = a T[s] + c to the last digit on exact input, where only an
+    # exactly zero denominator trips the guard
+    guard, values = GuardPolicy(0), LN2_EXACT.values
+    base = levin_variant(SequenceSample(values), kind, Fraction(1), guard)
+    assert all(map(all, base.valid))
+    for scale, shift in ((1, Fraction(3, 7)), (Fraction(-5, 2), 0), (Fraction(2, 3), -4)):
+        moved = levin_variant(SequenceSample(tuple(scale * v + shift for v in values)),
+                              kind, Fraction(1), guard)
+        assert moved.columns == [[scale * v + shift for v in column] for column in base.columns]
 
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
