@@ -9,6 +9,7 @@ ill-conditioned solution.
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 from .errors import SingularMatrixError
@@ -29,8 +30,11 @@ def solve_dense(matrix: Sequence[Sequence], rhs: Sequence) -> list:
 
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot_row][col]) < threshold:
-            raise SingularMatrixError(f"pivot {abs(a[pivot_row][col]):.3e} below threshold")
+        pivot = abs(a[pivot_row][col])
+        if pivot < threshold:  # as a float: an mpf, or a Fraction before 3.12, has no "e" format
+            big = pivot > sys.float_info.max  # mpf and Fraction may lie beyond the double range
+            shown = "beyond the double range" if big else f"{float(pivot):.3e}"
+            raise SingularMatrixError(f"pivot {shown} below threshold")
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             b[col], b[pivot_row] = b[pivot_row], b[col]

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from seqaccel import (
@@ -16,6 +17,10 @@ from seqaccel import (
 )
 from _helpers import rel_diff
 from oracles import order_condition_residuals
+
+
+#: ln(1+z) through z^10, exact
+LN1P_COEFFICIENTS = (Fraction(0), *(Fraction((-1) ** (j + 1), j) for j in range(1, 11)))
 
 
 def exp_series(count, z=1.0):
@@ -44,6 +49,36 @@ class TestPadeDirect:
         # geometric coefficients make the [1/2] system singular
         with pytest.raises(DegeneratePadeError):
             pade_direct(PowerSeries((1.0, 1.0, 1.0, 1.0), 0.5), 1, 2)
+
+    @pytest.mark.parametrize("kind", ("float", "fraction", "mpf"))
+    def test_singular_system_raises_degenerate_for_every_scalar_type(self, kind):
+        # gamma_0 = 0 makes [0/1]'s one pivot zero; the message is the float's
+        convert = {"float": float, "fraction": Fraction, "mpf": mpmath.mpf}[kind]
+        series = PowerSeries(tuple(map(convert, (0, 1, -0.5))), convert(1))
+        with pytest.raises(DegeneratePadeError) as info:
+            pade_direct(series, 0, 1)
+        assert str(info.value) == (
+            "[0/1] order conditions are singular: pivot 0.000e+00 below threshold")
+
+    @pytest.mark.parametrize("z", (Fraction(1), Fraction(1, 2), Fraction(-3, 2)))
+    def test_exact_series_below_the_diagonal(self, z):
+        # every [l/m] with l < m and l + m <= 10 of ln(1+z) reads gamma at negative
+        # indices, which must be exact zeros; with gamma_0 = 0 each [0/m] is singular
+        series = PowerSeries(LN1P_COEFFICIENTS, z)
+        solved = 0
+        for m in range(1, 11):
+            for l in range(min(m, 11 - m)):
+                if l == 0:
+                    with pytest.raises(DegeneratePadeError):
+                        pade_direct(series, l, m)
+                    continue
+                approximant = pade_direct(series, l, m)
+                coefficients = approximant.numerator + approximant.denominator[1:]
+                assert all(type(c) is Fraction for c in coefficients), (l, m)
+                assert type(approximant(z)) is Fraction, (l, m)
+                assert order_condition_residuals(approximant, series) == [0] * (l + m + 1)
+                solved += 1
+        assert solved == 20
 
     def test_needs_enough_coefficients(self):
         with pytest.raises(InvalidParameterError):
@@ -104,8 +139,7 @@ class TestPadeViaEpsilon:
     ))
     def test_exact_series_agrees_with_direct_solver_exactly(self, z, entries):
         # ln(1+z) through z^10: no float constant may enter either route
-        coeffs = (Fraction(0), *(Fraction((-1) ** (j + 1), j) for j in range(1, 11)))
-        series = PowerSeries(coeffs, z)
+        series = PowerSeries(LN1P_COEFFICIENTS, z)
         table = pade_via_epsilon(series, GuardPolicy(0))
         checked = 0
         for k in table.approximant_orders():
