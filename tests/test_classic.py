@@ -1,20 +1,32 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqaccel import (
+    LEVIN_POWER,
+    WENIGER_POCHHAMMER,
+    InterpolationPoints,
     SequenceSample,
     InsufficientDataError,
+    bdg_transform,
     brezinski_theta,
     iterated_aitken,
+    iterated_rho,
     iterated_theta,
     make_partial_sums,
+    neville_richardson,
+    osada_rho,
+    richardson_standard,
     rho_standard,
+    weighted_ratio_transform,
     wynn_epsilon,
+    wynn_rho,
 )
+from seqaccel.interpolatory import TO_INFINITY, TO_ZERO
 from _helpers import rel_diff
 
 
@@ -169,18 +181,83 @@ class TestIteratedTheta:
             iterated_theta(SequenceSample((1.0, 2.0, 3.0)))
 
 
+_EXACT_N = 13
+_ONE = Fraction(1)  # zeta, alpha and beta, exact
+_NATURAL = InterpolationPoints(tuple(Fraction(n + 1) for n in range(_EXACT_N)), TO_INFINITY)
+_RECIPROCAL = InterpolationPoints(tuple(Fraction(1, n + 1) for n in range(_EXACT_N)), TO_ZERO)
+#: remainder estimates of both signs for the weighted-ratio kernels
+_OMEGAS = [Fraction((-1) ** n * (n + 2), (n + 1) ** 2 + 3) for n in range(_EXACT_N)]
+
+
+def _exact(term):
+    """The sample ``2 + term(n)``, n = 0..12, in ``Fraction``: every kernel's limit is 2."""
+    return SequenceSample(tuple(2 + term(n) for n in range(_EXACT_N)))
+
+
+def _exponentials(k):
+    pairs = ((Fraction(9, 10), 1), (Fraction(-7, 10), Fraction(1, 2)), (Fraction(1, 3), -2))[:k]
+    return _exact(lambda n: sum(c * lam ** n for lam, c in pairs))
+
+
+def _rational(k):
+    """2 plus a rational function of x_n = n + 1, degree k - 1 over degree k."""
+    def term(n):
+        x = n + 1
+        return Fraction(sum(c * x ** i for i, c in enumerate((3, -1, 2)[:k])),
+                        x ** k + sum(c * x ** i for i, c in enumerate((5, 3, 7)[:k])))
+    return _exact(term)
+
+
+def _remainder_model(family, k):
+    """2 plus omega_n times a polynomial of degree k - 1 in 1/(n + zeta) (power
+    weights) or a factorial series of that degree (Pochhammer weights)."""
+    def scale(n, j):
+        b = n + _ONE
+        return b ** j if family == LEVIN_POWER else math.prod(b + i for i in range(j))
+    coefficients = (Fraction(3), Fraction(-2), Fraction(5, 2))[:k]
+    return _exact(lambda n: _OMEGAS[n] * sum(c / scale(n, j) for j, c in enumerate(coefficients)))
+
+
+_GEOMETRIC = _exact(lambda n: Fraction(3, 2) * Fraction(-3, 5) ** n)
+_CUBIC = _exact(lambda n: sum(c * Fraction(1, n + 1) ** j for j, c in ((1, 1), (2, -3), (3, 5))))
+
+#: id: (builder, kernel sample, column).  ``iterated_rho_standard`` is left out:
+#: its int alpha makes BDG's factor a float, so its tables are not exact.
+_KERNEL_CASES = {
+    "aitken": (iterated_aitken, _GEOMETRIC, 1),
+    "theta_iterated": (iterated_theta, _GEOMETRIC, 1),
+    "theta": (brezinski_theta, _GEOMETRIC, 2),
+    **{f"epsilon-{k}": (wynn_epsilon, _exponentials(k), 2 * k) for k in (1, 2, 3)},
+    **{f"rho-{k}": (rho_standard, _rational(k), 2 * k) for k in (1, 2, 3)},
+    **{f"rho_general-{k}": (partial(wynn_rho, points=_NATURAL), _rational(k), 2 * k)
+       for k in (1, 2, 3)},
+    **{f"rho_osada-{k}": (partial(osada_rho, alpha=_ONE), _rational(k), 2 * k) for k in (1, 2, 3)},
+    "bdg": (partial(bdg_transform, alpha=_ONE), _rational(1), 1),
+    "rho_iterated_general": (partial(iterated_rho, points=_NATURAL), _rational(1), 1),
+    "richardson": (partial(richardson_standard, beta=_ONE), _CUBIC, 3),
+    "richardson_general": (partial(neville_richardson, points=_RECIPROCAL), _CUBIC, 3),
+    **{f"{family}-{k}": (
+        partial(weighted_ratio_transform, omegas=_OMEGAS, family=family, zeta=_ONE),
+        _remainder_model(family, k), k)
+       for family in (LEVIN_POWER, WENIGER_POCHHAMMER) for k in (1, 2, 3)},
+}
+
+
 class TestExactArithmetic:
-    """On ``Fraction`` samples the lozenge and iterated tables are exact: no
-    float literal in a recursion turns an entry into a float."""
+    """On ``Fraction`` samples (and parameters) the tables are exact: no float
+    literal in a recursion turns an entry into a float, and each transform
+    gives its limit exactly on its kernel."""
 
     # s + two exponential terms, exact; N = 12 keeps the fractions small
     SAMPLE = SequenceSample(tuple(
         2 + Fraction(9, 10) ** n + Fraction(1, 2) * Fraction(-7, 10) ** n for n in range(13)))
 
-    def test_epsilon_4_is_the_limit_on_two_exponentials(self):
-        table = wynn_epsilon(self.SAMPLE)
-        assert table.valid[4] == [True] * 9
-        assert table.columns[4] == [2] * 9
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_limit_at_the_documented_column_of_its_kernel(self, case):
+        # every entry of column k is the limit 2 as a Fraction: exact on its kernel
+        build, sample, k = _KERNEL_CASES[case]
+        column = [(type(v), v, ok) for _, v, ok in build(sample).column(k)]
+        assert len(column) >= 7 and column == [(Fraction, 2, True)] * len(column)
 
     @pytest.mark.parametrize("build", [iterated_aitken, wynn_epsilon, brezinski_theta,
                                        rho_standard])
