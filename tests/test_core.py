@@ -6,7 +6,7 @@ from itertools import accumulate, count, repeat
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqaccel import (
     EmptyInputError,
@@ -14,6 +14,7 @@ from seqaccel import (
     GuardPolicy,
     InterpolationPoints,
     InvalidParameterError,
+    LEVIN_POWER,
     PathRangeError,
     PathSpec,
     PowerSeries,
@@ -39,7 +40,7 @@ from seqaccel import (
     wynn_epsilon,
 )
 from seqaccel import core, levin
-from seqaccel.core import Record
+from seqaccel.core import Record, is_finite, magnitude
 from seqaccel.reference import power_series_coefficients
 
 
@@ -559,54 +560,63 @@ class TestGaugeCondition:
             assert tuple(v for _, v, _ in table.column(0)) == values[2:]
 
 
-class TestGuardSoundness:
-    """No transform may emit NaN or infinity; bad entries are flagged instead."""
+#: any finite double, or a complex with parts up to 1.79e308 whose modulus is
+#: a double (a sample refuses any other)
+_WIDE_PART = st.floats(-1.79e308, 1.79e308)
+_WIDE_VALUES = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=10),
+    st.lists(st.builds(complex, _WIDE_PART, _WIDE_PART).filter(
+        lambda c: is_finite(magnitude(c))), min_size=5, max_size=10),
+)
 
-    @given(
-        st.lists(
-            st.floats(
-                allow_nan=False, allow_infinity=False,
-                min_value=-1e150, max_value=1e150,
-            ),
-            min_size=5, max_size=10,
-        )
-    )
+
+def _assert_sound(rows):
+    """Each ``(..., value, valid)`` row is valid with a finite value, or invalid with ``None``."""
+    for *_, value, ok in rows:
+        assert (value is not None and is_finite(magnitude(value))) if ok else value is None
+
+
+class TestGuardSoundness:
+    """No transform may emit NaN or infinity, on any input in the double range;
+    bad entries are flagged instead."""
+
+    @given(_WIDE_VALUES)
+    @settings(deadline=None)
     def test_every_valid_entry_is_finite(self, values):
-        from seqaccel import (
-            ZeroRemainderError,
-            bdg_transform,
-            brezinski_theta,
-            iterated_rho_standard,
-            iterated_theta,
-            levin_variant,
-            osada_rho,
-            rho_standard,
-        )
-        from seqaccel.core import is_finite
+        from seqaccel import ZeroRemainderError, estimate_decay
+        from seqaccel.cli import apply_transform, transform_names
 
         sample = SequenceSample(tuple(values))
-        builders = [
-            wynn_epsilon,
-            iterated_aitken,
-            brezinski_theta,
-            iterated_theta,
-            richardson_standard,
-            rho_standard,
-            iterated_rho_standard,
-            lambda s: osada_rho(s, 0.7),
-            lambda s: bdg_transform(s, 0.7),
-            lambda s: levin_variant(s, "d"),
-        ]
-        for build in builders:
+        for name in transform_names():
+            params = {"alpha": 0.7} if name in ("rho_osada", "bdg") else {}
+            build = partial(apply_transform, name, sample, GuardPolicy(), params)
             try:
-                table = build(sample)
+                _assert_sound(build().entries())
             except ZeroRemainderError:
                 continue  # repeated adjacent values: documented estimate failure
-            for _, _, value, ok in table.entries():
-                if ok:
-                    assert value is not None and is_finite(value)
-                else:
-                    assert value is None
+            for path in (PathSpec.order_constant(2), PathSpec.index_constant(),
+                         PathSpec.staircase()):
+                table = build()  # each path reads a fresh table
+                try:
+                    _assert_sound(walk_path(table, path))
+                except PathRangeError:
+                    assert path.kind == "order_constant" and table.max_order < 2
+                    continue
+                if path.kind == "order_constant":  # built through column 2, no further
+                    assert ("columns" in vars(table)) == (table.max_order == 2), name
+        omegas = values[::-1]
+        for family in (LEVIN_POWER, WENIGER_POCHHAMMER):
+            try:
+                _assert_sound(weighted_ratio_transform(sample, omegas, family).entries())
+            except ZeroRemainderError:
+                pass  # a zero estimate
+        _assert_sound((t, t is not None) for t in estimate_decay(sample))
+        for z in (-0.5, values[1]):
+            try:
+                staircase = staircase_sequence(PowerSeries(tuple(values), z))
+            except InvalidParameterError:
+                continue  # a term or partial sum beyond the double range
+            _assert_sound((v, v is not None) for *_, v in staircase)
 
 
 class TestNonFiniteScalars:
