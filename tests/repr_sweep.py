@@ -38,6 +38,12 @@ partial sums of ln 2 (with their terms) and ``2 + 0.9^n + 0.5 (-0.7)^n``
 in ``Fraction`` at N = 12, both guards, each parameter also as a
 ``Fraction``, so a constant that leaks a float into an exact table shows.
 
+``entry_points`` fingerprints the entry points that return no table, on
+every grid sample and both ``fraction`` samples: ``estimate_decay`` under
+both guards, and, for the power series whose coefficients are the sample's
+values at z = 0.5 and -1.5 in their scalar type, ``staircase_sequence``
+under both guards and ``pade_direct`` for every [l/m] with l + m <= 6.
+
 ``walk`` fingerprints how tables are read: ``walk_path`` and
 ``extract_path`` of every registered transform's table (its first
 parameter set, the default guard) on each grid sample of at most 13
@@ -106,10 +112,13 @@ from seqaccel import (  # noqa: E402
     ProblemSpec,
     SequenceSample,
     TransformTable,
+    estimate_decay,
     extract_path,
     generate_problem,
     make_partial_sums,
     omega_sequence,
+    pade_direct,
+    staircase_sequence,
     walk_path,
     weighted_ratio_transform,
 )
@@ -126,6 +135,8 @@ RULES = ("u", "t", "v", "d", "w")  # "w" is no rule
 MPF_DPS = 30
 FRACTION_N = 12
 WALK_LENGTH = 13  # the grid samples of at most this many elements are walked
+SERIES_POINTS = (0.5, -1.5)  # z of the entry_points line's power series
+PADE_DEGREE = 6  # its [l/m] for l + m up to this
 
 
 def samples():
@@ -305,6 +316,17 @@ def main():
                 for given in (params, exact) if params else (params,):
                     for guard in GUARDS:
                         record("fraction", lambda: apply_transform(name, sample, guard, given))
+    for sample in grid + list(fraction_samples()):
+        values = view(sample)[0]
+        for guard in GUARDS:
+            record("entry_points", lambda: estimate_decay(sample, guard))
+        for z in map(type(values[0]), SERIES_POINTS):  # a series of the sample's scalar type
+            series = partial(PowerSeries, values, z)
+            for guard in GUARDS:
+                record("entry_points", lambda: staircase_sequence(series(), guard))
+            for d in range(min(len(values), PADE_DEGREE + 1)):
+                for l in range(d + 1):
+                    record("entry_points", lambda: pade_direct(series(), l, d - l))
     for sample in grid:
         if len(sample) > WALK_LENGTH:
             continue
