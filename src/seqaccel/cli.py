@@ -38,7 +38,6 @@ from .core import (
     Scalar,
     SequenceSample,
     TransformTable,
-    finite_entries,
     is_finite,
     magnitude,
     make_partial_sums,
@@ -694,6 +693,7 @@ def _resolve_series(args: argparse.Namespace) -> tuple:
 
 
 def cmd_pade(args: argparse.Namespace) -> int:
+    """Report [l/m](z), checked here, or the staircase: epsilon entries, checked when built."""
     series, limit, label = _resolve_series(args)
     if args.staircase:
         approximants = staircase_sequence(series, GuardPolicy(args.guard_threshold))
@@ -701,20 +701,17 @@ def cmd_pade(args: argparse.Namespace) -> int:
         if args.l is None or args.m is None:
             raise ConfigError("pade needs --staircase or both --l and --m")
         try:
-            approximant = pade_direct(series, args.l, args.m)
+            value = pade_direct(series, args.l, args.m)(series.z)
         except DegeneratePadeError as exc:
             return _outcome(False, str(exc))
-        try:
-            value = approximant(series.z)
-        except ZeroDivisionError:  # z is a pole of [l/m]
-            value = None
-        approximants = [(args.l, args.m, value)]
-    values = finite_entries([value for _, _, value in approximants])
+        except ZeroDivisionError:  # z is a pole of [l/m], where it is infinite
+            value = float("inf")
+        approximants = [(args.l, args.m, value if is_finite(magnitude(value)) else None)]
     header = ["l", "m", "value", "abs_error", "valid"]
     rows = [
         [l, m, value, None if value is None or limit is None else magnitude(value - limit),
          value is not None]
-        for (l, m, _), value in zip(approximants, values)
+        for l, m, value in approximants
     ]
     meta = {"problem": label, "z": series.z, "limit": limit,
             "approximants": [dict(zip(header, row)) for row in rows]}

@@ -92,6 +92,7 @@ def finite_entries(values: list) -> list:
     that is not zero.  A column that fails the pass (a sum of finite
     entries can overflow) has each entry checked on its own.  A mask of the
     result tests ``v is not None``: ``None in`` calls ``mpf.__eq__`` per entry.
+    Only ``core`` calls it: ``compute_column``, ``finite_scalars`` and ``make_partial_sums``.
     """
     present = filter(None, values)
     if type(next(filter(None, reversed(values)), 0.0)) in (float, complex):
@@ -515,13 +516,14 @@ class TransformTable(Record):
 def compute_column(length: int, antecedents: Iterable, column: Callable) -> Optional[tuple]:
     """Column ``(entries, mask)`` of ``length`` rows; the one place an entry turns invalid.
 
-    A column's mask is a ``bytes`` of one byte per row, 1 where the entry
-    is valid.  Each antecedent is a ``(mask, shifts)`` pair, one per
-    antecedent column: row ``i`` depends on ``mask[i + shift]`` for every
-    shift.  ``column(rows)`` returns the entries of the rows ``rows``, in
-    order, and runs only on rows whose antecedents are all valid; a column
-    without such a row never calls it and is ``None``.  An entry is
-    invalid for one of three causes:
+    Every table column and ``estimate_decay``'s list come from here; a zero
+    remainder estimate alone fails elsewhere: a whole Levin or Weniger build.
+    A mask is a ``bytes`` of one byte per row, 1 where the entry is valid.
+    Each antecedent is a ``(mask, shifts)`` pair, one per antecedent column:
+    row ``i`` depends on ``mask[i + shift]`` for every shift.  ``column(rows)``
+    returns the entries of the rows ``rows``, in order, and runs only on rows
+    whose antecedents are all valid; a column without such a row never calls it
+    and is ``None``.  An entry is invalid for one of three causes:
 
     - an invalid antecedent: the row is not computed;
     - a guard trip: ``column`` gave ``None`` (``GuardPolicy.divide``);

@@ -21,9 +21,9 @@ from .core import (
     TransformTable,
     check_integer,
     check_positive,
+    compute_column,
     constant_type,
     cross_rule_table,
-    finite_entries,
     finite_scalars,
     stencil_table,
 )
@@ -255,9 +255,10 @@ def estimate_decay(
 
     For remainders ``(n+beta)**(-alpha) * (c0 + c1/(n+beta) + ...)`` the
     returned ``T_n`` satisfy ``alpha = T_n + O(1/n**2)``.  A third-
-    difference ratio is potentially very unstable, so the full list is
-    returned (``None`` marks guard trips) and any aggregation is left to
-    the caller; the CLI summarizes with the median of the last quartile.
+    difference ratio is potentially very unstable, so the full list, one
+    ``compute_column`` column whose ``None`` marks a guard trip or a
+    non-finite estimate, is returned and any aggregation is left to the
+    caller; the CLI summarizes with the median of the last quartile.
     """
     s = sample.values
     if len(s) < 4:
@@ -266,12 +267,12 @@ def estimate_decay(
     # d_n = s_{n+1} - s_n and dd_n = d_{n+1} - d_n
     d = [b - a for a, b in zip(s, s[1:])]
     dd = [b - a for a, b in zip(d, d[1:])]
-    rows = range(len(s) - 3)
-    ratios = guard.divide(
-        [dd[n] * dd[n + 1] for n in rows],
-        [d[n + 1] * dd[n + 1] - d[n + 2] * dd[n] for n in rows],
-    )
-    return finite_entries([None if t is None else t - 1 for t in ratios])
+
+    def column(rows):  # t - 1, not the guard's base -1: -1 + t turns a -0.0 imaginary part +0.0
+        ratios = guard.divide([dd[n] * dd[n + 1] for n in rows],
+                              [d[n + 1] * dd[n + 1] - d[n + 2] * dd[n] for n in rows])
+        return [None if t is None else t - 1 for t in ratios]
+    return compute_column(len(s) - 3, (), column)[0]
 
 
 def median_last_quartile(estimates: Sequence[Optional[Scalar]]) -> Scalar:

@@ -1255,6 +1255,27 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def test_only_core_names_finite_entries():
+    """``core.compute_column`` is the one place an entry turns invalid: no other
+    module runs a finiteness pass of its own."""
+    import ast
+    import pathlib
+
+    import seqaccel
+
+    package = pathlib.Path(seqaccel.__file__).parent
+    naming = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if "finite_entries" in names:
+            naming.append(path.name)
+    assert naming == ["core.py"]
+
+
 def test_public_surface():
     """The names ``seqaccel`` exports; a change to them is a change to this list."""
     import seqaccel

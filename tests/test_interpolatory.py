@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from seqaccel import (
+    GuardPolicy,
     InsufficientDataError,
     InterpolationPoints,
     InvalidParameterError,
@@ -363,6 +364,35 @@ class TestEstimateDecay:
         # s_n = 3 + 2/(n+1) decays with alpha = 1 exactly, and no float may enter
         estimates = estimate_decay(SequenceSample(tuple(3 + Fraction(2, n + 1) for n in range(8))))
         assert [(type(t), t) for t in estimates] == [(Fraction, 1)] * 5
+
+    @pytest.mark.parametrize("threshold", (1e-14, 0.0))
+    def test_none_exactly_where_the_guard_trips_or_the_estimate_overflows(self, threshold):
+        # row 0's ratio, -1e290 / -1e-20, overflows unless the guard trips first;
+        # rows 11-14 read differences beyond the double range, rows 1, 2 and 8-10
+        # a zero denominator
+        s = (1e300, 0.0, 1e-10, 1e-10, 1e-10, 1.0, 3.0, 4.0, 6.0, 7.0, 7.0, 7.0, 7.0,
+             1.7e308, -1.7e308, 2.0, 5.0, 6.0, 1.0)
+        d = [b - a for a, b in zip(s, s[1:])]
+        dd = [b - a for a, b in zip(d, d[1:])]
+        causes, expected = [], []
+        for n in range(len(s) - 3):
+            num, den = dd[n] * dd[n + 1], d[n + 1] * dd[n + 1] - d[n + 2] * dd[n]
+            if den == 0 or abs(den) < threshold * max(1.0, abs(num)):
+                causes.append("trip")
+            elif not math.isfinite(num / den - 1):
+                causes.append("overflow")
+            else:
+                causes.append("valid")
+            expected.append(num / den - 1 if causes[-1] == "valid" else None)
+        assert estimate_decay(SequenceSample(s), GuardPolicy(threshold)) == expected
+        assert causes[0] == ("trip" if threshold else "overflow")
+        assert {"trip", "overflow", "valid"} <= set(causes)
+
+    def test_complex_estimates_keep_a_negative_zero_imaginary_part(self):
+        # t - 1 keeps the -0.0 of complex(x, -0.0); the guard's base, -1 + t, makes it +0.0
+        sample = SequenceSample(tuple(complex(v) for v in (-1.6, 0.3, -0.8, 0.6, 0.8, -2.6)))
+        estimates = estimate_decay(sample)
+        assert [repr(t) for t in estimates[1:]] == ["(0.37614678899082543-0j)", "(-1.9-0j)"]
 
     def test_constant_sequence_all_invalid(self):
         estimates = estimate_decay(SequenceSample((4.0,) * 8))
