@@ -1,10 +1,10 @@
 """A small dense linear solver for the direct Pade construction.
 
 Gaussian elimination with partial pivoting, written against generic
-scalars so that complex (or exact) coefficient types survive the solve.
-A pivot below ``_PIVOT_RTOL`` (1e-13) times the magnitude scale of the
-original matrix raises ``SingularMatrixError`` rather than returning an
-ill-conditioned solution.
+scalars so that complex (or exact) coefficient types survive the solve,
+its pivot threshold included: a pivot below ``_PIVOT_RTOL`` (1e-13) times
+the largest entry modulus of the matrix, or below 1e-13 when none exceeds
+1, raises ``SingularMatrixError`` rather than an ill-conditioned solution.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def solve_dense(matrix: Sequence[Sequence], rhs: Sequence) -> list:
         raise ValueError("solve_dense needs a square system")
     b = list(rhs)
     scale = max((abs(x) for row in a for x in row), default=0.0)
-    threshold = _PIVOT_RTOL * max(1.0, scale)
+    threshold = type(scale)(_PIVOT_RTOL) * scale if scale > 1 else _PIVOT_RTOL
 
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))

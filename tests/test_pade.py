@@ -80,6 +80,21 @@ class TestPadeDirect:
                 solved += 1
         assert solved == 20
 
+    @pytest.mark.parametrize("exponent", (4, 400))
+    def test_exact_series_beyond_the_double_range(self, exponent):
+        # the pivot threshold of a Fraction matrix is a Fraction: 1e-13 times a scale
+        # past the double range has no float
+        big = Fraction(10**exponent)
+        approximant = pade_direct(PowerSeries((Fraction(1), big, 10 * big), Fraction(1)), 1, 1)
+        assert approximant.numerator == (1, big - 10)
+        assert approximant.denominator == (1, -10)
+        assert all(type(c) is Fraction for c in approximant.numerator + approximant.denominator[1:])
+
+    def test_pivot_threshold_is_absolute_below_a_scale_of_one(self):
+        series = PowerSeries((Fraction(1), Fraction(1, 10**400), Fraction(1)), Fraction(1))
+        with pytest.raises(DegeneratePadeError, match="pivot 0.000e.00 below threshold"):
+            pade_direct(series, 1, 1)
+
     def test_needs_enough_coefficients(self):
         with pytest.raises(InvalidParameterError):
             pade_direct(exp_series(3), 2, 2)
