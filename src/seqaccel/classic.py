@@ -78,10 +78,10 @@ def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
             yield lozenge_rule(columns, valid, lambda k, rows: one, guard)
             # even rule: theta_{2j+2}^(n) = theta_{2j}^(n+1)
             #   + (D theta_{2j}^(n+1)) (D theta_{2j+1}^(n+1)) / (D^2 theta_{2j+1}^(n));
-            # the odd column first: once the table saturates it is the one
-            # without a valid entry, and build_table stops there
+            # the even reads are implied: a valid theta_{2j+1}^(m) was computed
+            # from theta_{2j}^(m) and theta_{2j}^(m+1), m = n+1 and n+2 among them
             even, odd = columns[-2], columns[-1]
-            yield [(valid[-1], (0, 1, 2)), (valid[-2], (1, 2))], lambda rows: guard.divide(
+            yield [(valid[-1], (0, 1, 2))], lambda rows: guard.divide(
                 [(even[n + 2] - even[n + 1]) * (odd[n + 2] - odd[n + 1]) for n in rows],
                 [odd[n + 2] - two * odd[n + 1] + odd[n] for n in rows],
                 [even[n + 1] for n in rows],

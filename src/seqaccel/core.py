@@ -520,10 +520,11 @@ def compute_column(length: int, antecedents: Iterable, column: Callable) -> Opti
     remainder estimate alone fails elsewhere: a whole Levin or Weniger build.
     A mask is a ``bytes`` of one byte per row, 1 where the entry is valid.
     Each antecedent is a ``(mask, shifts)`` pair, one per antecedent column:
-    row ``i`` depends on ``mask[i + shift]`` for every shift.  ``column(rows)``
-    returns the entries of the rows ``rows``, in order, and runs only on rows
-    whose antecedents are all valid; a column without such a row never calls it
-    and is ``None``.  An entry is invalid for one of three causes:
+    row ``i`` depends on ``mask[i + shift]`` for every shift.  A rule declares
+    each read that no other declared read implies.  ``column(rows)`` returns
+    the entries of the rows ``rows``, in order, and runs only on rows whose
+    antecedents are all valid; a column without such a row never calls it and
+    is ``None``.  An entry is invalid for one of three causes:
 
     - an invalid antecedent: the row is not computed;
     - a guard trip: ``column`` gave ``None`` (``GuardPolicy.divide``);
@@ -652,19 +653,17 @@ def lozenge_rule(
     ``numerator(k, rows)`` gives ``num_k^(n)`` for the rows ``rows``: one
     constant in the column's ``constant_type`` (epsilon, Osada), or a list
     (rho on explicit points).  Column -1 is an implicit column of zeros.
+    It declares one antecedent: column ``k-1`` at rows n and n+1.
     """
     k = len(columns)
-    cur = columns[k - 1]
-    antecedents = [(valid[k - 1], (0, 1))]
-    if k >= 2:
-        base = columns[k - 2]
-        antecedents.append((valid[k - 2], (1,)))
+    cur, base = columns[k - 1], columns[k - 2]  # base is unread at k = 1
 
     def column(rows):
         bases = repeat(0) if k == 1 else [base[n + 1] for n in rows]
         return guard.divide(numerator(k, rows), [cur[n + 1] - cur[n] for n in rows], bases)
 
-    return antecedents, column
+    # T_{k-2}^(n+1) is implied: a valid T_{k-1}^(n) was computed from it
+    return [(valid[k - 1], (0, 1))], column
 
 
 def cross_rule_table(

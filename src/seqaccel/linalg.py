@@ -19,8 +19,6 @@ _PIVOT_RTOL = 1e-13
 
 def solve_dense(matrix: Sequence[Sequence], rhs: Sequence) -> list:
     n = len(matrix)
-    if n == 0:
-        return []
     a = [list(row) for row in matrix]
     if any(len(row) != n for row in a) or len(rhs) != n:
         raise ValueError("solve_dense needs a square system")

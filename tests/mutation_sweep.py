@@ -8,16 +8,17 @@ Each entry of ``MUTANTS`` replaces one source snippet, which must occur
 exactly once in its module.  For each, the sweep copies ``src/`` and
 ``tests/`` into a temporary directory, applies the replacement and runs
 tier-1 there with ``-x`` and one Hypothesis seed (so every run draws the
-same examples, and the known rounding example of ``TestCovariance`` cannot
-kill a mutant by chance; its database stays in the copy).  It prints one
-line per mutant: ``killed``, ``SURVIVED`` or ``equivalent`` (a survivor
-the list marks as such, with its reason).  An unmutated copy runs first
-and must pass.  Exits 1 when a mutant survives that the list does not mark
-equivalent, or when one so marked is killed; exits 2 when the unmutated
-copy fails or a snippet is not found exactly once.  It runs the mutants
-one after another, 2-13 s each and about 90 s in all (2 vCPU, Python
-3.11).  Its name does not start with ``test_``, so pytest does not collect
-it, and it is not part of tier-1.
+same examples, and no verdict depends on the draw; Hypothesis's database
+stays in the copy).  It prints one line per mutant: ``killed``,
+``SURVIVED`` or ``equivalent`` (a survivor the list marks as such, with
+its reason).  An unmutated copy runs first and must pass.  Exits 1 when a
+mutant survives that the list does not mark equivalent, or when one so
+marked is killed; exits 2 when the unmutated copy fails or a snippet is
+not found exactly once.  It runs the mutants one after another, 2-10 s
+each and about 2 min in all (2 vCPU, Python 3.11).  Its name does not
+start with ``test_``, so pytest does not collect it, and it is not part
+of tier-1; CI runs it on one Python version.  A change to a kernel, the
+guard, a budget, a path or a CLI choice adds its mutants here.
 """
 
 from __future__ import annotations
@@ -82,6 +83,43 @@ MUTANTS = [
     Mutant("linalg.py", "type(scale)(_PIVOT_RTOL) * scale if scale > 1 else _PIVOT_RTOL",
            "_PIVOT_RTOL * max(1.0, scale)",
            "a Fraction matrix beyond the double range raises OverflowError"),
+    Mutant("pade.py", "one = constant_type(g)(1)", "one = 1.0",
+           "Q(0) is a float on every series, exact and mpf ones included"),
+    # the kernels
+    Mutant("classic.py", "[cur[n] for n in rows],", "[cur[n + 1] for n in rows],",
+           "Aitken's step adds its correction to s_{n+1}, not s_n"),
+    Mutant("classic.py", "[even[n + 1] for n in rows],", "[even[n + 2] for n in rows],",
+           "theta's even rule takes its base one row down"),
+    Mutant("classic.py", "[-(d0 * d1 * (d2 - d1))", "[-(d1 * d1 * (d2 - d1))",
+           "iterated theta's numerator reads d1 d1 for d0 d1"),
+    Mutant("interpolatory.py", "bases[n] / order", "bases[n + 1] / order",
+           "Richardson's x_n is taken one row down"),
+    Mutant("interpolatory.py", "lift(k - 1 + alpha)", "lift(k + alpha)",
+           "Osada's numerator is k + alpha, standard rho's at alpha = 1 off by one"),
+    Mutant("interpolatory.py", "lift((2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha))",
+           "lift((2 * k + alpha + 1) / (2 * k + alpha))",
+           "BDG's factor is taken from the next level"),
+    Mutant("levin.py", "(b + p) * (b + q) /", "(b + p) * (b + p) /",
+           "Weniger's factor reads (b+k-1)^2 for (b+k-1)(b+k-2)"),
+    Mutant("levin.py", "omegas = [(zeta + n) * b", "omegas = [(zeta + n + 1) * b",
+           "the u estimate is (zeta + n + 1) a_n"),
+    Mutant("core.py", "[base[n + 1] for n in rows]", "[base[n] for n in rows]",
+           "the lozenge takes its base T_{k-2} at row n, not n + 1"),
+    Mutant("core.py", "return [(valid[k - 1], (0, 1))], column",
+           "return [(valid[k - 1], (0,))], column",
+           "the lozenge computes a row whose T_{k-1}^(n+1) is invalid"),
+    Mutant("classic.py", "yield [(valid[-1], (0, 1, 2))]", "yield [(valid[-1], (0, 1))]",
+           "theta's even rule computes a row whose theta_{2j+1}^(n+2) is invalid"),
+    Mutant("core.py", "[(valid[-1], range(width))]", "[(valid[-1], range(width - 1))]",
+           "a stencil computes a row whose last operand is invalid"),
+    Mutant("core.py", "or abs(d) < (threshold * m", "or abs(d) <= (threshold * m",
+           "the guard trips at |d| equal to its bound, not only below it"),
+    # budgets and paths
+    Mutant("core.py", "+ 1 + self.lookahead - self._length(k)", "+ 1 - self._length(k)",
+           "budgets leave out the element a forward-difference estimate reads ahead"),
+    Mutant("core.py", "table.approximant_orders(), slice(2))",
+           "table.approximant_orders(), slice(1))",
+           "a staircase visits one row per order, not two"),
 ]
 
 

@@ -76,6 +76,10 @@ class TestIngest:
         monkeypatch.setattr(sys, "stdin", io.StringIO("1\n0.5\n"))
         assert ingest("-").values == (1.0, 1.5)
 
+    def test_stream_of_an_unknown_format(self):
+        with pytest.raises(ConfigError, match="unknown input format 'xml'"):
+            ingest(io.StringIO("1"), fmt="xml")
+
 
 class TestParsers:
     def test_problem_string(self):

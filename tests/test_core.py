@@ -124,6 +124,12 @@ class TestSequenceSample:
         with pytest.raises(ConsistencyError):
             SequenceSample((1.0, 2.0), terms=(1.0,))
 
+    def test_empty_or_non_number_values_are_refused(self):
+        with pytest.raises(EmptyInputError, match="needs at least one element"):
+            SequenceSample(())
+        with pytest.raises(InvalidParameterError, match="a sequence value is not a finite number"):
+            SequenceSample((None,))  # None * 0 raises TypeError, which the edge check takes
+
     def test_offset_bounds(self):
         with pytest.raises(InvalidParameterError):
             SequenceSample((1.0, 2.0), start_offset=2)
@@ -576,9 +582,20 @@ def _assert_sound(rows):
         assert (value is not None and is_finite(magnitude(value))) if ok else value is None
 
 
+class _StrictBases(GuardPolicy):
+    """The default guard, failing on a ``None`` in a list of bases: ``divide`` would
+    read it as no base, so a kernel whose declared antecedents do not imply the
+    validity of each base it reads would give a wrong value and no error."""
+
+    def divide(self, nums, dens, bases=None):
+        assert not isinstance(bases, list) or all(b is not None for b in bases)
+        return super().divide(nums, dens, bases)
+
+
 class TestGuardSoundness:
     """No transform may emit NaN or infinity, on any input in the double range;
-    bad entries are flagged instead."""
+    bad entries are flagged instead.  The builds run under ``_StrictBases``, so
+    every base a kernel reads is valid too."""
 
     @given(_WIDE_VALUES)
     @settings(deadline=None)
@@ -586,10 +603,10 @@ class TestGuardSoundness:
         from seqaccel import ZeroRemainderError, estimate_decay
         from seqaccel.cli import apply_transform, transform_names
 
-        sample = SequenceSample(tuple(values))
+        sample, guard = SequenceSample(tuple(values)), _StrictBases()
         for name in transform_names():
             params = {"alpha": 0.7} if name in ("rho_osada", "bdg") else {}
-            build = partial(apply_transform, name, sample, GuardPolicy(), params)
+            build = partial(apply_transform, name, sample, guard, params)
             try:
                 _assert_sound(build().entries())
             except ZeroRemainderError:
@@ -607,13 +624,14 @@ class TestGuardSoundness:
         omegas = values[::-1]
         for family in (LEVIN_POWER, WENIGER_POCHHAMMER):
             try:
-                _assert_sound(weighted_ratio_transform(sample, omegas, family).entries())
+                _assert_sound(
+                    weighted_ratio_transform(sample, omegas, family, guard=guard).entries())
             except ZeroRemainderError:
                 pass  # a zero estimate
-        _assert_sound((t, t is not None) for t in estimate_decay(sample))
+        _assert_sound((t, t is not None) for t in estimate_decay(sample, guard))
         for z in (-0.5, values[1]):
             try:
-                staircase = staircase_sequence(PowerSeries(tuple(values), z))
+                staircase = staircase_sequence(PowerSeries(tuple(values), z), guard)
             except InvalidParameterError:
                 continue  # a term or partial sum beyond the double range
             _assert_sound((v, v is not None) for *_, v in staircase)

@@ -95,6 +95,14 @@ class TestPadeDirect:
         with pytest.raises(DegeneratePadeError, match="pivot 0.000e.00 below threshold"):
             pade_direct(series, 1, 1)
 
+    def test_solve_dense_of_an_empty_or_a_non_square_system(self):
+        from seqaccel.linalg import solve_dense
+
+        assert solve_dense([], []) == []
+        for matrix, rhs in (([[1.0, 2.0]], [1.0]), ([[1.0]], [1.0, 2.0])):
+            with pytest.raises(ValueError, match="square system"):
+                solve_dense(matrix, rhs)
+
     def test_needs_enough_coefficients(self):
         with pytest.raises(InvalidParameterError):
             pade_direct(exp_series(3), 2, 2)
