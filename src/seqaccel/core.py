@@ -4,10 +4,10 @@ Every transformation in this package maps a finite sequence prefix ``s_0 ..
 s_N`` to a doubly indexed triangular array ``T_k^(n)``.  The subscript ``k``
 is the transformation order, the superscript ``n`` is the smallest sequence
 index entering the entry, and column 0 always repeats the input (``T_0^(n) =
-s_n``).  ``build_table`` is the one column loop every table is built by, and
-``compute_column``, which returns a column and its mask (a ``bytes``, 1 where
-valid), the one place an entry turns invalid; a table's ``lookahead`` gives
-every entry's data budget.  Scalars from outside pass one edge check,
+s_n``).  ``build_table`` makes every table, whose columns one loop builds on
+demand; ``compute_column`` (a column and its ``bytes`` mask, 1 where valid)
+is the one place an entry turns invalid; a table's ``lookahead`` gives every
+entry's data budget.  Scalars from outside pass one edge check,
 ``finite_scalars``.  Entries whose defining recursion ran into a near-zero
 denominator, or a non-finite value, are flagged invalid instead of carrying
 an unreliable number, and invalidity propagates to every dependent entry.
@@ -494,19 +494,31 @@ class TransformTable(Record):
         return len(self.columns[k]) if work is None else work[0][k]
 
     def _extend(self, top: int) -> list:
-        """The columns, built through order ``top`` by ``_column_loop`` under the lock,
-        at mpmath's precision of the build; once all are, the loop and masks go."""
+        """The columns, built through order ``top`` one per pass under the lock, at
+        mpmath's precision of the build; once all are, the rules and masks go.  The
+        rules slot turns ``None`` once a column has no computable row, or a rule's
+        exception, which every later read of a column not yet built raises."""
         state = vars(self)
-        work = state.get("_work")  # [lengths, columns, loop, lock, precision] until built
+        work = state.get("_work")  # [lengths, columns, masks, rules, lock, precision] until built
         if work is None:
             return state["columns"]
-        lengths, columns, loop, lock, precision = work
+        lengths, columns, masks, _, lock, precision = work
         if len(columns) <= top:
             with lock, precision:
                 while len(columns) <= top:  # unless another thread built it meanwhile
-                    failure = loop.send(top)
-                    if failure is not None:
-                        raise failure
+                    rules, length = work[3], lengths[len(columns)]
+                    if isinstance(rules, Exception):
+                        raise rules
+                    try:
+                        rule = rules and next(rules, None)
+                        col = rule and compute_column(length, *rule)
+                    except Exception as exc:  # no rule runs again: every later read raises it
+                        work[3] = exc
+                        raise
+                    entries, mask = col or ([None] * length, bytes(length))
+                    columns.append(entries)
+                    masks.append(mask)
+                    work[3] = col and rules  # None once a column has no computable row
         if len(columns) == len(lengths):
             state["columns"] = columns
             state.pop("_work", None)
@@ -577,19 +589,19 @@ def build_table(
     order_step: int = 1,
     lookahead: int = 0,
 ) -> TransformTable:
-    """The one column loop: the table ``name`` with column 0 ``values`` (at ``n_start``).
+    """The table ``name`` with column 0 ``values`` (at ``n_start``).
 
     Column ``k`` is ``next(steps)`` rows shorter than column ``k-1``, and
     the table ends where a column would have no row.  ``rules(columns,
     valid)`` is a generator over the columns and their masks (as
     ``compute_column`` returns them), working state the table does not
     keep; it yields, column by column, the ``(antecedents, column)``
-    arguments of ``compute_column``, and only this loop appends.
+    arguments of ``compute_column``.  Only ``TransformTable._extend``'s
+    loop appends, as reads of the table need its columns.
     A rule's rows read the column before it, or working columns that die
     with it (Weniger's N and D), so once a column has no computable row, or
     ``rules`` stops, no later one has: the rest are appended invalid, with
-    no arithmetic and without resuming ``rules``.  The loop, ``_column_loop``,
-    runs as reads of the table need its columns.
+    no arithmetic and without resuming ``rules``.
     """
     lengths = list(takewhile(partial(operator.lt, 0),  # each column's, while it has a row
                              accumulate(steps, operator.sub, initial=len(values))))
@@ -597,32 +609,11 @@ def build_table(
     table = TransformTable(name, columns, n_start, order_step, lookahead)
     if len(lengths) > 1:
         mp = getattr(sys.modules.get("mpmath"), "mp", None)  # whose precision mpf arithmetic reads
-        loop = _column_loop(columns, lengths, rules)
-        next(loop)  # to where it takes the order a read needs
+        masks = [b"\x01" * lengths[0]]
         del vars(table)["columns"]
-        vars(table)["_work"] = [lengths, columns, loop, allocate_lock(),
+        vars(table)["_work"] = [lengths, columns, masks, rules(columns, masks), allocate_lock(),
                                 mp.workprec(mp.prec) if mp else nullcontext()]
     return table
-
-
-def _column_loop(columns: list, lengths: list, rules: Callable) -> Iterator:
-    """``build_table``'s column loop: sent an order, it appends the columns through
-    that order, then yields ``None``; once a rule has raised, it yields the exception."""
-    masks = [b"\x01" * lengths[0]]
-    pairs, col = rules(columns, masks), True
-    top = yield
-    try:
-        for length in lengths[1:]:
-            rule = col and next(pairs, None)  # none once a column had no computable row
-            col = rule and compute_column(length, *rule)
-            entries, mask = col or ([None] * length, bytes(length))
-            columns.append(entries)
-            masks.append(mask)
-            if len(columns) > top:
-                top = yield None
-    except Exception as exc:  # the rules are finished, so every later read raises it
-        while True:
-            yield exc
 
 
 def stencil_table(

@@ -66,18 +66,15 @@ def pade_direct(series: PowerSeries, l: int, m: int) -> PadeApproximant:
         return g[i] if i >= 0 else 0
 
     one = constant_type(g)(1)  # Q(0): 1.0 on float and complex series
-    if m == 0:
-        q = (one,)
-    else:
-        matrix = [[gamma(l + 1 + r - c) for c in range(1, m + 1)] for r in range(m)]
-        rhs = [-gamma(l + 1 + r) for r in range(m)]
-        try:
-            solution = solve_dense(matrix, rhs)
-        except SingularMatrixError as exc:
-            raise DegeneratePadeError(
-                f"[{l}/{m}] order conditions are singular: {exc}"
-            ) from exc
-        q = (one, *solution)
+    matrix = [[gamma(l + 1 + r - c) for c in range(1, m + 1)] for r in range(m)]
+    rhs = [-gamma(l + 1 + r) for r in range(m)]
+    try:
+        solution = solve_dense(matrix, rhs)  # [] at m = 0
+    except SingularMatrixError as exc:
+        raise DegeneratePadeError(
+            f"[{l}/{m}] order conditions are singular: {exc}"
+        ) from exc
+    q = (one, *solution)
     p = tuple(
         sum(q[i] * gamma(j - i) for i in range(min(j, m) + 1))
         for j in range(l + 1)

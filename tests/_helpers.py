@@ -1,6 +1,10 @@
 """Shared test utilities."""
 
 import math
+from itertools import accumulate
+
+import mpmath
+from hypothesis import strategies as st
 
 
 def rel_diff(a, b):
@@ -51,3 +55,45 @@ def error_slope(table, order, limit, n_lo, n_hi, shift=0.0, step=1):
             if err != 0:
                 points.append((math.log(n + shift), math.log(float(err))))
     return lsq_slope(points)
+
+
+@st.composite
+def mpf_samples(draw):
+    """A 40-50-digit sample of 3-14 elements and its precision: a rational function
+    of n, the partial sums of an alternating or a logarithmically convergent
+    series, or random values."""
+    dps, size = draw(st.integers(40, 50)), draw(st.integers(3, 14))
+    kind = draw(st.sampled_from(("rational", "alternating", "logarithmic", "random")))
+    with mpmath.workdps(dps):
+        if kind == "random":
+            floats = draw(st.lists(st.floats(-10, 10), min_size=size, max_size=size))
+            values = list(map(mpmath.mpf, floats))
+        elif kind == "rational":
+            a, b, c, d = draw(st.lists(st.integers(1, 9), min_size=4, max_size=4))
+            values = [mpmath.mpf(a * n + b) / (c * n + d) for n in range(size)]
+        else:
+            p, sign = mpmath.mpf(draw(st.integers(3, 8))) / 2, -1 if kind == "alternating" else 1
+            values = list(accumulate(sign ** j / mpmath.mpf(j + 1) ** p for j in range(size)))
+    return dps, tuple(values)
+
+
+def assert_agrees_with_mpmath(dps, build):
+    """Assert that ``build()``'s two lists, seqaccel's values and an mpmath oracle's,
+    agree on a ``dps``-digit draw; a ``None`` from ``build()`` at either precision
+    (a case left out) passes.
+
+    Both are built at 20 and at 40 digits past the draw.  At the higher precision
+    each pair must agree within how far its two values moved between the two (an
+    ill-conditioned draw moves them far, while their gap shrinks with the
+    rounding), plus ``10**-dps`` of ``max(1, |oracle|)`` for a pair that did not move.
+    """
+    builds = []
+    for digits in (dps + 20, dps + 40):
+        with mpmath.workdps(digits):
+            builds.append(build())
+    if None in builds:
+        return
+    (got_lo, want_lo), (got, want) = builds
+    assert len(got) == len(want)
+    for g0, w0, g, w in zip(got_lo, want_lo, got, want):
+        assert abs(g - w) <= abs(g - g0) + abs(w - w0) + max(1, abs(w)) / mpmath.mpf(10) ** dps

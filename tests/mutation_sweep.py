@@ -14,8 +14,8 @@ stays in the copy).  It prints one line per mutant: ``killed``,
 its reason).  An unmutated copy runs first and must pass.  Exits 1 when a
 mutant survives that the list does not mark equivalent, or when one so
 marked is killed; exits 2 when the unmutated copy fails or a snippet is
-not found exactly once.  It runs the mutants one after another, 2-10 s
-each and about 2 min in all (2 vCPU, Python 3.11).  Its name does not
+not found exactly once.  It runs the mutants one after another, 2-20 s
+each and 2-4 min in all (2 vCPU, Python 3.11).  Its name does not
 start with ``test_``, so pytest does not collect it, and it is not part
 of tier-1; CI runs it on one Python version.  A change to a kernel, the
 guard, a budget, a path or a CLI choice adds its mutants here.
@@ -52,13 +52,13 @@ MUTANTS = [
            "threads sharing a table build its columns without the lock"),
     Mutant("core.py", "with lock, precision:", "with lock:",
            "columns build at mpmath's precision of the read, not of the build"),
-    Mutant("core.py", "        while True:\n            yield exc", "        yield exc",
+    Mutant("core.py", "work[3] = exc", "pass",
            "a rule's exception is raised on the first read only"),
     Mutant("core.py", "def __getstate__(self)", "def _getstate(self)",
            "a copy or a pickle of a partly built table holds no columns"),
     Mutant("core.py", "columns = self._extend(high)", "columns = self._extend(self.max_order)",
            "a read builds every column, not those through its order"),
-    Mutant("core.py", "rule = col and next(pairs, None)", "rule = next(pairs, None)",
+    Mutant("core.py", "work[3] = col and rules", "work[3] = rules",
            "rules resume after a column without a computable row"),
     # the one place an entry turns invalid
     Mutant("core.py", "usable = part if usable is None else usable & part",
@@ -79,6 +79,10 @@ MUTANTS = [
            "compare keeps the first entry of a repeated budget, not the more accurate"),
     Mutant("cli.py", "value if is_finite(magnitude(value)) else None", "value",
            "pade reports a non-finite [l/m](z) as valid"),
+    Mutant("cli.py", "if limit is not None:", "if False:",
+           "--limit is ignored for a --problem"),
+    Mutant("interpolatory.py", "if len(tail) % 2 == 1:", "if False:",
+           "the median of an odd last quartile averages two entries"),
     # the direct Pade solve
     Mutant("linalg.py", "type(scale)(_PIVOT_RTOL) * scale if scale > 1 else _PIVOT_RTOL",
            "_PIVOT_RTOL * max(1.0, scale)",

@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 
 import mpmath
 import pytest
@@ -30,7 +29,7 @@ from seqaccel import (
     wynn_rho,
 )
 from seqaccel.interpolatory import TO_INFINITY, TO_ZERO
-from _helpers import rel_diff
+from _helpers import mpf_samples, rel_diff
 
 
 def theta2_closed_form(s, n):
@@ -92,26 +91,6 @@ class TestIteratedAitken:
         table = iterated_aitken(SequenceSample(random_values(0, 9)))
         assert [len(c) for c in table.columns] == [9, 7, 5, 3, 1]
         assert table.consumed(2, 0) == 5
-
-
-@st.composite
-def mpf_samples(draw):
-    """A 40-50-digit sample of 3-14 elements and its precision: a rational function
-    of n, the partial sums of an alternating or a logarithmically convergent
-    series, or random values."""
-    dps, size = draw(st.integers(40, 50)), draw(st.integers(3, 14))
-    kind = draw(st.sampled_from(("rational", "alternating", "logarithmic", "random")))
-    with mpmath.workdps(dps):
-        if kind == "random":
-            floats = draw(st.lists(st.floats(-10, 10), min_size=size, max_size=size))
-            values = list(map(mpmath.mpf, floats))
-        elif kind == "rational":
-            a, b, c, d = draw(st.lists(st.integers(1, 9), min_size=4, max_size=4))
-            values = [mpmath.mpf(a * n + b) / (c * n + d) for n in range(size)]
-        else:
-            p, sign = mpmath.mpf(draw(st.integers(3, 8))) / 2, -1 if kind == "alternating" else 1
-            values = list(accumulate(sign ** j / mpmath.mpf(j + 1) ** p for j in range(size)))
-    return dps, tuple(values)
 
 
 class TestWynnEpsilon:

@@ -283,6 +283,15 @@ class TestCliEndToEnd:
         assert main([*problem, "--config", write(tmp_path / "o.cfg", "start_offset=2\n")]) == 0
         assert capsys.readouterr().out == cut_report
 
+    def test_limit_replaces_a_problems_own(self, capsys):
+        # the geometric problem's own limit is s = 5
+        argv = ["run", "--problem", "geometric:s=5:c=-5:lam=0.5:N=4", "--limit", "7",
+                "--transforms", "aitken"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["aitken\t0\t0\t0\t7\t1", "aitken\t1\t0\t5\t2\t1"]
+        assert lines[-1] == "# summary\taitken\tbest_k=1\tbest_n=0\tvalue=5\tabs_error=2"
+
     def test_ingest_error_exit_code(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.csv", "1\noops\n")
         assert main(["run", "--input", bad, "--transforms", "aitken"]) == 2
@@ -742,7 +751,12 @@ class TestCliRobustness:
          "zeta_dirichlet does not take parameters ['lam']"),
         (["run", "--problem", "power_series:name=exp:z=1:x=9:N=6", "--transforms", "aitken"],
          "power_series does not take parameters ['x']"),
+        (["run", "--problem", "zeta_dirichlet:N=5", "--transforms", "aitken"],
+         "zeta_dirichlet needs parameter 'z'"),
+        (["run", "--problem", "zeta_dirichlet:z:N=5", "--transforms", "aitken"],
+         "problem parameter 'z' is not key=value"),
         ([*SMALL, "--path", "order_constant:x"], "bad path parameter"),
+        ([*SMALL, "--path", "order_constant"], "order_constant path needs :k"),
     ])
     def test_package_errors_exit_2(self, capsys, argv, reason):
         assert main(argv) == 2
@@ -772,9 +786,12 @@ class TestCliRobustness:
           "--transforms", "aitken"], "'values' must be a JSON array"),
         (["run", "--input", "{tmp}/string_terms.json", "--input-format", "json",
           "--transforms", "aitken"], "'terms' must be a JSON array"),
+        (["run", "--input", "{tmp}/bad.csv", "--transforms", "aitken"],
+         "line 2: not a number: 'abc'"),
+        ([*SMALL, "--config", "{tmp}/colour.cfg"], "config line 1: unknown setting 'colour=red'"),
     ], ids=["input", "stdin", "coeffs", "config", "deep_json", "run_output", "gen_output",
             "comments_csv", "json_array", "truncated_json", "json_string_values",
-            "json_string_terms"])
+            "json_string_terms", "csv_line", "config_setting"])
     def test_file_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, reason):
         undecodable = b"1\n\xff\n"
         (tmp_path / "undecodable").write_bytes(undecodable)
@@ -784,6 +801,8 @@ class TestCliRobustness:
         (tmp_path / "truncated.json").write_text('{"values": [1, 2')
         (tmp_path / "string_values.json").write_text('{"values": "123", "limit": 3}')
         (tmp_path / "string_terms.json").write_text('{"terms": "123"}')
+        (tmp_path / "bad.csv").write_text("1\nabc\n")
+        (tmp_path / "colour.cfg").write_text("colour=red\n")
         # a strict UTF-8 stdin, as outside Python's UTF-8 mode
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(undecodable), "utf-8"))
         argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -910,6 +929,21 @@ def test_argv_never_escapes_as_traceback(argv):
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("seqaccel: "), (argv, lines)
+
+
+def test_module_run_as_a_script_exits_with_mains_code(monkeypatch, capsys):
+    """``python -m seqaccel.cli`` exits with ``main()``'s return code."""
+    import runpy
+    import warnings
+
+    argv = ["seqaccel", "gen", "--problem", "geometric:s=1:c=1:lam=0.5:N=2"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as info:
+        # the package, already imported, holds the module runpy executes again
+        warnings.filterwarnings("ignore", "'seqaccel.cli' found in sys.modules", RuntimeWarning)
+        runpy.run_module("seqaccel.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [2.0, 1.5, 1.25]
 
 
 def test_cli_import_loads_neither_scipy_nor_mpmath():

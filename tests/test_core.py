@@ -63,7 +63,7 @@ class TestMakePartialSums:
         )
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(EmptyInputError, match="cannot form partial sums of an empty series"):
             make_partial_sums([])
 
     def test_limit_and_the_first_overflowing_sum(self):
@@ -1222,6 +1222,32 @@ class TestLazyColumns:
                 assert got == want and table == eager
         finally:
             sys.setswitchinterval(interval)
+
+    def test_threads_reading_one_column_build_each_column_once(self):
+        import threading
+        import time
+        from seqaccel.core import stencil_table
+
+        calls = []
+
+        def kernel(cur, k, rows):
+            calls.append(k)
+            time.sleep(0.02)  # the other readers reach the build meanwhile
+            return [cur[n] + cur[n + 1] for n in rows]
+
+        table, start = stencil_table("probe", [1.0] * 6, 2, kernel), threading.Barrier(4, timeout=30)
+
+        def read():
+            start.wait()
+            table.column(3)
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert calls == [1, 2, 3] and table.column(3) == [(n, 8.0, True) for n in range(3)]
 
     def test_a_column_takes_the_mpmath_precision_of_the_build(self):
         with mpmath.workdps(30):

@@ -406,5 +406,7 @@ class TestEstimateDecay:
         # last quartile of 12 entries is the final 3
         estimates = [float(i) for i in range(9)] + [4.0, None, 8.0]
         assert median_last_quartile(estimates) == 6.0
+        # an odd tail: the final 3 of 9, sorted 1, 2, 3
+        assert median_last_quartile([None] * 6 + [3.0, 1.0, 2.0]) == 2.0
         with pytest.raises(InsufficientDataError):
             median_last_quartile([1.0, None, None, None])

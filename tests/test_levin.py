@@ -2,11 +2,13 @@ import math
 import pathlib
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
+from operator import sub
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqaccel import (
     GuardPolicy,
@@ -30,10 +32,13 @@ from seqaccel import (
 from seqaccel.cli import ingest
 from seqaccel.core import is_finite
 from seqaccel.levin import WENIGER_NAMES
-from _helpers import rel_diff
+from _helpers import assert_agrees_with_mpmath, mpf_samples, rel_diff
 from oracles import closed_form, e_oracle, pochhammer_weights, power_weights
 
 LN2_SUMS = (1.0, 0.5, 0.5 + 1.0 / 3.0)
+
+with mpmath.workdps(50):  # zeta(2)'s first 14 partial sums, to 50 digits
+    ZETA2_SUMS = tuple(accumulate(1 / mpmath.mpf(j + 1) ** 2 for j in range(14)))
 
 
 class TestOmegaSequence:
@@ -207,6 +212,34 @@ class TestLevinVariants:
     def test_single_element_insufficient_for_t(self):
         with pytest.raises(InsufficientDataError):
             levin_variant(SequenceSample((1.0,)), "t")
+
+    @given(mpf_samples())
+    @example((50, ZETA2_SUMS))
+    @settings(max_examples=50, deadline=None)
+    def test_last_entry_is_mpmath_levin(self, drawn):
+        # mpmath's Levin and Sidi (Weniger) transforms run a backward recursion of
+        # their own over the partial sums; at zeta = 1 their value is T_{N-1}^(0) for
+        # u and t and T_{N-2}^(0) for v.  Built 20 or more digits past the draw, a
+        # denominator that cancels to rounding trips the 1e-45 guard.
+        dps, values = drawn
+        for method, variant in (("levin", levin_variant), ("sidi", weniger_variant)):
+            for kind in "utv":
+                assert_agrees_with_mpmath(dps, partial(_levin_pair, method, variant, kind, values))
+
+
+def _levin_pair(method, variant, kind, values):
+    """``[T]`` and ``[mpmath.levin's value]`` at zeta = 1 under ``GuardPolicy(1e-45)``,
+    T the last entry of row 0; None where the guard trips or a zero estimate stops both."""
+    oracle = mpmath.levin(method=method, variant=kind)
+    sample = SequenceSample(values, (values[0], *map(sub, values[1:], values)))
+    try:
+        table = variant(sample, kind, mpmath.mpf(1), GuardPolicy(1e-45))
+    except ZeroRemainderError:
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            oracle.update_psum(values)
+        return None
+    got = table.entry(table.max_order, 0)
+    return None if got is None else ([got], [oracle.update_psum(values)[0]])
 
 
 class TestWenigerVariants:

@@ -1,9 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from seqaccel import (
     DegeneratePadeError,
@@ -15,7 +17,7 @@ from seqaccel import (
     pade_via_epsilon,
     staircase_sequence,
 )
-from _helpers import rel_diff
+from _helpers import assert_agrees_with_mpmath, mpf_samples, rel_diff
 from oracles import order_condition_residuals
 
 
@@ -25,6 +27,31 @@ LN1P_COEFFICIENTS = (Fraction(0), *(Fraction((-1) ** (j + 1), j) for j in range(
 
 def exp_series(count, z=1.0):
     return PowerSeries(tuple(1.0 / math.factorial(k) for k in range(count)), z)
+
+
+@st.composite
+def pade_problems(draw):
+    """A 40-50-digit series from ``mpf_samples``, its precision and a degree pair
+    [l/m] it has the coefficients for; not [0/0], where ``mpmath.pade`` gives 1 for a_0."""
+    dps, coefficients = draw(mpf_samples())
+    l = draw(st.integers(0, len(coefficients) - 1))
+    m = draw(st.integers(0 if l else 1, len(coefficients) - 1 - l))
+    return dps, coefficients, l, m
+
+
+with mpmath.workdps(50):  # ln(1+z)/z through z^7, to 50 digits
+    LN1P_OVER_Z = tuple(mpmath.mpf(c.numerator) / c.denominator for c in LN1P_COEFFICIENTS[1:9])
+
+
+def _pade_pair(coefficients, l, m):
+    """``pade_direct``'s and ``mpmath.pade``'s [l/m] coefficients, P's then Q's; None
+    for a system singular to ``pade_direct``'s pivot threshold, which mpmath may solve."""
+    try:
+        approximant = pade_direct(PowerSeries(coefficients, 1), l, m)
+    except DegeneratePadeError:
+        return None
+    p, q = mpmath.pade(list(coefficients), l, m)
+    return [*approximant.numerator, *approximant.denominator], [*p, *q]
 
 
 class TestPadeDirect:
@@ -49,6 +76,14 @@ class TestPadeDirect:
         # geometric coefficients make the [1/2] system singular
         with pytest.raises(DegeneratePadeError):
             pade_direct(PowerSeries((1.0, 1.0, 1.0, 1.0), 0.5), 1, 2)
+
+    @given(pade_problems())
+    @example((50, LN1P_OVER_Z, 3, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_coefficients_are_mpmath_pade(self, drawn):
+        # mpmath.pade solves the same order conditions by an LU solve of its own
+        dps, coefficients, l, m = drawn
+        assert_agrees_with_mpmath(dps, partial(_pade_pair, coefficients, l, m))
 
     @pytest.mark.parametrize("kind", ("float", "fraction", "mpf"))
     def test_singular_system_raises_degenerate_for_every_scalar_type(self, kind):
