@@ -16,7 +16,6 @@ from .core import (
     SequenceSample,
     TransformTable,
     build_table,
-    constant_type,
     cross_rule_table,
     lozenge_rule,
     stencil_table,
@@ -36,14 +35,13 @@ def iterated_aitken(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
     s = sample.values
     if len(s) < 3:
         raise InsufficientDataError("iterated Aitken needs at least 3 elements")
-    two = constant_type(s)(2)
 
     def kernel(cur, k, rows):
         # cur[n] - d^2 / dd
         d = [cur[n + 1] - cur[n] for n in rows]
         return guard.divide(
             [-(x * x) for x in d],
-            [cur[n + 2] - two * cur[n + 1] + cur[n] for n in rows],
+            [cur[n + 2] - 2 * cur[n + 1] + cur[n] for n in rows],
             [cur[n] for n in rows],
         )
 
@@ -58,9 +56,7 @@ def wynn_epsilon(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> 
     a power series it produces the [n+k/k] Pade approximants.  Odd
     columns are auxiliary quantities only.
     """
-    s = sample.values
-    one = constant_type(s)(1)
-    return cross_rule_table("epsilon", s, lambda k, rows: one, guard)
+    return cross_rule_table("epsilon", sample.values, lambda k, rows: 1, guard)
 
 
 def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
@@ -70,12 +66,10 @@ def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
     logarithmically convergent sequences.  Even columns are approximants;
     theta_{2k} consumes 3k+1 elements.
     """
-    one, two = map(constant_type(sample.values), (1, 2))
-
     def rules(columns, valid):
         while True:
             # odd rule: theta_{2j+1}^(n) = theta_{2j-1}^(n+1) + 1 / (theta_{2j}^(n+1) - theta_{2j}^(n))
-            yield lozenge_rule(columns, valid, lambda k, rows: one, guard)
+            yield lozenge_rule(columns, valid, lambda k, rows: 1, guard)
             # even rule: theta_{2j+2}^(n) = theta_{2j}^(n+1)
             #   + (D theta_{2j}^(n+1)) (D theta_{2j+1}^(n+1)) / (D^2 theta_{2j+1}^(n));
             # the even reads are implied: a valid theta_{2j+1}^(m) was computed
@@ -83,7 +77,7 @@ def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
             even, odd = columns[-2], columns[-1]
             yield [(valid[-1], (0, 1, 2))], lambda rows: guard.divide(
                 [(even[n + 2] - even[n + 1]) * (odd[n + 2] - odd[n + 1]) for n in rows],
-                [odd[n + 2] - two * odd[n + 1] + odd[n] for n in rows],
+                [odd[n + 2] - 2 * odd[n + 1] + odd[n] for n in rows],
                 [even[n + 1] for n in rows],
             )
 

@@ -63,8 +63,11 @@ def constant_type(operands: Iterable) -> Callable:
     ``operands``: to ``float`` for ``float`` and ``complex`` operands, to their own type
     where all share one that keeps its type times a float and has real moduli
     (``mpmath.mpf``, not ``Fraction`` or ``mpc``), and only where exact; any other
-    constant, or column, keeps it as it is: each the conversion the mixed operation makes."""
+    constant, or column, keeps it as it is: each the conversion the mixed operation makes.
+    An ``int`` operand, a kernel's constant such as the lozenge's 1, takes the others' type."""
     kinds = set(map(type, operands))
+    if len(kinds) > 1:
+        kinds.discard(int)
     kind = float if kinds <= {float, complex} else kinds.pop() if len(kinds) == 1 else None
     try:
         own = kind is float or type(kind(1) * 1.0) is kind is type(abs(kind(1)))
@@ -642,8 +645,8 @@ def lozenge_rule(
     ``T_k^(n) = T_{k-2}^(n+1) + num_k^(n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``.
 
     ``numerator(k, rows)`` gives ``num_k^(n)`` for the rows ``rows``: one
-    constant in the column's ``constant_type`` (epsilon, Osada), or a list
-    (rho on explicit points).  Column -1 is an implicit column of zeros.
+    constant (epsilon's plain 1, Osada's ``k - 1 + alpha`` in the lifted alpha's
+    type), or a list (rho on explicit points).  Column -1 is an implicit column of zeros.
     It declares one antecedent: column ``k-1`` at rows n and n+1.
     """
     k = len(columns)

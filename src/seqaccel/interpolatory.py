@@ -123,12 +123,11 @@ def richardson_standard(
     """
     check_positive("beta", beta)
     s = sample.values
+    beta = constant_type(s)(beta)
     bases = [beta + n for n in range(len(s))]
-    lift = constant_type(bases)
 
     def kernel(cur, k, rows):
-        order = lift(k)
-        return [cur[n + 1] + bases[n] / order * (cur[n + 1] - cur[n]) for n in rows]
+        return [cur[n + 1] + bases[n] / k * (cur[n + 1] - cur[n]) for n in rows]
 
     return stencil_table("richardson", s, 2, kernel)
 
@@ -175,8 +174,8 @@ def osada_rho(
 
 def _osada_table(name: str, s: Sequence[Scalar], alpha: float,
                  guard: GuardPolicy) -> TransformTable:
-    lift = constant_type(s)
-    return cross_rule_table(name, s, lambda k, rows: lift(k - 1 + alpha), guard)
+    alpha = constant_type(s)(alpha)
+    return cross_rule_table(name, s, lambda k, rows: k - 1 + alpha, guard)
 
 
 def iterated_rho(
@@ -233,10 +232,10 @@ def bdg_transform(
 
 def _bdg_table(name: str, s: Sequence[Scalar], alpha: float,
                guard: GuardPolicy) -> TransformTable:
-    lift = constant_type(s)  # an mpf factor: the same products as the float's, at mpf x mpf speed
+    alpha = constant_type(s)(alpha)  # on an mpf column, an mpf factor at the working precision
 
     def kernel(cur, k, rows):
-        factor = lift((2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha))
+        factor = (2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha)
         # cur[n+1] - num / den
         d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
         return guard.divide(

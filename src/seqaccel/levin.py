@@ -64,9 +64,10 @@ WENIGER_NAMES = {"u": "y", "t": "tau", "v": "phi", "d": "delta"}
 
 
 def _omega_with_start(sample: SequenceSample, kind: str, zeta: float) -> tuple:
-    """Remainder estimates and the first sequence index they cover."""
+    """Start index, remainder estimates and ``zeta`` in the sample's ``constant_type``."""
     check_positive("zeta", zeta)
     values, terms = sample.values, sample.terms
+    zeta = constant_type(values)(zeta)
     if kind not in _ESTIMATE_RULES:
         raise InvalidParameterError(f"unknown remainder estimate kind {kind!r}")
     forward = [values[i + 1] - values[i] for i in range(len(values) - 1)]  # s_{n+1} - s_n
@@ -89,7 +90,7 @@ def _omega_with_start(sample: SequenceSample, kind: str, zeta: float) -> tuple:
             raise ZeroRemainderError(n, f"v estimate undefined at n={n}: equal differences")
         omegas = [b * f / den for b, f, den in zip(backward, forward[start:], dens)]
     _reject_zero(omegas, start)
-    return start, omegas
+    return start, omegas, zeta
 
 
 def _reject_zero(omegas: Sequence[Scalar], start: int) -> None:
@@ -124,6 +125,7 @@ def weighted_ratio_transform(
         raise InvalidParameterError(f"unknown weight family {family!r}")
     check_positive("zeta", zeta)
     values = sample.values
+    zeta = constant_type(values)(zeta)
     omegas = finite_scalars(omegas, "a remainder estimate")
     if len(omegas) != len(values):
         raise InvalidParameterError(
@@ -147,10 +149,10 @@ def _table(family: str, name: str, values: Sequence[Scalar], omegas: Sequence[Sc
 
 def _ratio_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
                  columns: list, valid: list) -> Iterator[tuple]:
-    """Levin's columns: every entry its (k+1)-term binomial sum with power weights, in
-    the bases' ``constant_type`` (exact on ``Fraction`` bases).  The rules stop at
-    k = 1030, whose weight ``comb(k, k // 2)`` is beyond the double range, and
-    ``build_table`` makes the rest dead."""
+    """Levin's columns: every entry its (k+1)-term binomial sum with power weights, its
+    constants typed as the bases, the lifted ``zeta``'s (plain ints slow the row loop;
+    exact on ``Fraction`` bases).  The rules stop at k = 1030, whose weight ``comb(k, k
+    // 2)`` is beyond the double range, and ``build_table`` makes the rest dead."""
     lift = constant_type(bases)
     one, zero = lift(1), lift(0)
     for k in count(1):
@@ -213,7 +215,7 @@ _BUILDERS = {LEVIN_POWER: _ratio_table, WENIGER_POCHHAMMER: _factorial_table}
 
 def _variant(sample: SequenceSample, kind: str, zeta: float, guard: GuardPolicy,
              family: str) -> TransformTable:
-    start, omegas = _omega_with_start(sample, kind, zeta)
+    start, omegas, zeta = _omega_with_start(sample, kind, zeta)
     values = sample.values[start:start + len(omegas)]
     name = "levin_" + kind if family == LEVIN_POWER else "weniger_" + WENIGER_NAMES[kind]
     return _table(family, name, values, omegas, zeta, guard, start, int(kind in ("v", "d")))

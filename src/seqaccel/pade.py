@@ -84,8 +84,7 @@ def pade_direct(series: PowerSeries, l: int, m: int) -> PadeApproximant:
 
 def pade_epsilon(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
     """Wynn's epsilon table of ``sample``, named ``pade_epsilon``: its numerator is 1."""
-    one = constant_type(sample.values)(1)
-    return cross_rule_table("pade_epsilon", sample.values, lambda k, rows: one, guard)
+    return cross_rule_table("pade_epsilon", sample.values, lambda k, rows: 1, guard)
 
 
 def pade_via_epsilon(series: PowerSeries, guard: GuardPolicy = GuardPolicy()) -> TransformTable:

@@ -234,8 +234,8 @@ def generate_problem(spec: ProblemSpec) -> SequenceSample:
 
 
 def problem_series(spec: ProblemSpec) -> tuple:
-    """The ``(PowerSeries, limit)`` of a power_series or euler_factorial problem;
-    the limit is ``None`` at a pole or branch point."""
+    """The ``(PowerSeries, limit)`` of a power_series or euler_factorial problem; the
+    limit is ``None`` at a pole or branch point, or where it overflows double precision."""
     return _checked(_series, spec)
 
 
@@ -245,8 +245,8 @@ def _series(spec: ProblemSpec) -> tuple:
         coefficients = power_series_coefficients(name, spec.length + 1)
         try:
             limit = _POWER_SERIES[name]["limit"](z)
-        except (ValueError, ZeroDivisionError):
-            limit = None  # pole or branch point: no limit attached
+        except (ValueError, ZeroDivisionError, OverflowError):
+            limit = None  # pole, branch point or a limit beyond the double range: none attached
     elif spec.family == "euler_factorial":  # sum_k k! (-x)^k
         z = _param(spec, "x")
         if not z > 0:

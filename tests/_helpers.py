@@ -6,6 +6,8 @@ from itertools import accumulate
 import mpmath
 from hypothesis import strategies as st
 
+from seqaccel import make_partial_sums
+
 
 def rel_diff(a, b):
     """Relative difference normalized to guard against tiny denominators."""
@@ -97,3 +99,12 @@ def assert_agrees_with_mpmath(dps, build):
     assert len(got) == len(want)
     for g0, w0, g, w in zip(got_lo, want_lo, got, want):
         assert abs(g - w) <= abs(g - g0) + abs(w - w0) + max(1, abs(w)) / mpmath.mpf(10) ** dps
+
+
+def zeta2_mpf_error(build, count):
+    """The error of the best entry of ``build(sample)``'s whole table on the first
+    ``count`` partial sums of zeta(2) at 40 digits: the measure of an mpf table whose
+    default or ``int`` parameters must enter in mpf, not as doubles."""
+    with mpmath.workdps(40):
+        table = build(make_partial_sums([1 / mpmath.mpf(k + 1) ** 2 for k in range(count)]))
+        return min(abs(v - mpmath.pi ** 2 / 6) for col in table.columns for v in col if v is not None)

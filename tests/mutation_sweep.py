@@ -96,13 +96,28 @@ MUTANTS = [
            "theta's even rule takes its base one row down"),
     Mutant("classic.py", "[-(d0 * d1 * (d2 - d1))", "[-(d1 * d1 * (d2 - d1))",
            "iterated theta's numerator reads d1 d1 for d0 d1"),
-    Mutant("interpolatory.py", "bases[n] / order", "bases[n + 1] / order",
+    Mutant("interpolatory.py", "bases[n] / k", "bases[n + 1] / k",
            "Richardson's x_n is taken one row down"),
-    Mutant("interpolatory.py", "lift(k - 1 + alpha)", "lift(k + alpha)",
+    Mutant("interpolatory.py", "rows: k - 1 + alpha", "rows: k + alpha",
            "Osada's numerator is k + alpha, standard rho's at alpha = 1 off by one"),
-    Mutant("interpolatory.py", "lift((2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha))",
-           "lift((2 * k + alpha + 1) / (2 * k + alpha))",
+    Mutant("interpolatory.py", "(2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha)",
+           "(2 * k + alpha + 1) / (2 * k + alpha)",
            "BDG's factor is taken from the next level"),
+    # parameters enter in the sample's scalar type
+    Mutant("interpolatory.py", "    beta = constant_type(s)(beta)\n", "",
+           "an mpf Richardson table forms its bases beta + n as doubles"),
+    Mutant("interpolatory.py", "alpha = constant_type(s)(alpha)  #", "alpha = alpha  #",
+           "an mpf BDG table takes the double quotient of its factor"),
+    Mutant("interpolatory.py", "alpha = constant_type(s)(alpha)\n    return", "return",
+           "an mpf Osada table's numerator k - 1 + alpha stays a double",
+           "k - 1 + alpha is exact in a double, so it equals its mpf lift; only "
+           "the guard's threshold product forms in double, not at the mpf precision"),
+    Mutant("levin.py", "    zeta = constant_type(values)(zeta)\n    if kind", "    if kind",
+           "Levin's and Weniger's mpf tables form zeta + n, and the u estimate, as doubles"),
+    Mutant("levin.py", "    zeta = constant_type(values)(zeta)\n    omegas", "    omegas",
+           "weighted_ratio_transform's mpf tables form the bases zeta + n as doubles"),
+    Mutant("core.py", "        kinds.discard(int)\n", "        pass\n",
+           "an int kernel constant makes an mpf column mixed: the guard's threshold stays a double"),
     Mutant("levin.py", "(b + p) * (b + q) /", "(b + p) * (b + p) /",
            "Weniger's factor reads (b+k-1)^2 for (b+k-1)(b+k-2)"),
     Mutant("levin.py", "omegas = [(zeta + n) * b", "omegas = [(zeta + n + 1) * b",

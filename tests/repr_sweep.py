@@ -13,25 +13,28 @@ Pytest does not collect this file.
 
 Each line reads ``<name> <outcomes> <md5>``: one line per registered
 transform, then ``omega_sequence:<rule>`` and
-``weighted_ratio_transform:<family>``.  The md5 covers the repr of every
-estimate list or exception, and of every table's content (``name``,
-``columns``, ``valid``, ``n_start``, ``order_step`` and ``consumed(k,
-n_start)`` for each k), in grid order.  The grid: the problems
-of ``perfbench/cases.py`` at several N (0 to 3 among them), offsets 0 and
-1, each sample also without its terms, mpf copies of the real samples,
-the default guard and a zero guard, and two values of zeta.  The grid
-stops at N = 24, so ``weniger_large`` fingerprints the four ``weniger_*``
-rules and the Pochhammer ``weighted_ratio_transform`` at the sizes the
-``lib_levin`` benchmark builds: the same problems at N = 30, 40, 50 and
-100, offsets 0 and 1, both values of zeta and the default guard;
+``weighted_ratio_transform:<family>``, each split by the grid sample's
+scalar type, which ends the name (``richardson:float``,
+``richardson:complex``, ``richardson:mpf``), so a change meant for mpf
+tables shows whether any float or complex table moved with it; the
+``classic_large`` and ``walk`` lines are split the same way.  The md5
+covers the repr of every estimate list or exception, and of every table's
+content (``name``, ``columns``, ``valid``, ``n_start``, ``order_step`` and
+``consumed(k, n_start)`` for each k), in grid order.  The grid: the
+problems of ``perfbench/cases.py`` at several N (0 to 3 among them),
+offsets 0 and 1, each sample also without its terms, mpf copies of the
+real samples, the default guard and a zero guard, and two values of zeta.
+The grid stops at N = 24, so ``weniger_large`` fingerprints the four
+``weniger_*`` rules and the Pochhammer ``weighted_ratio_transform`` at the
+sizes the ``lib_levin`` benchmark builds: the same problems at N = 30, 40,
+50 and 100, offsets 0 and 1, both values of zeta and the default guard;
 ``levin_large`` does the same for the four ``levin_*`` rules and the
 power-weight ``weighted_ratio_transform`` (800 tables, about 10-14 s of
-the sweep); and
-``classic_large`` fingerprints every other registered transform at the
-sizes the ``lib_classic`` benchmark builds, where most lozenge and iterated
-tables end in columns without a valid entry: each real problem in float at
-N = 100, 200 and 400 and in mpf at N = 40, each complex problem at N = 80,
-both guards.
+the sweep); and ``classic_large`` fingerprints every other registered
+transform at the sizes the ``lib_classic`` benchmark builds, where most
+lozenge and iterated tables end in columns without a valid entry: each
+real problem in float at N = 100, 200 and 400 and in mpf at N = 40, each
+complex problem at N = 80, both guards.
 
 ``fraction`` fingerprints every registered transform on exact input: the
 partial sums of ln 2 (with their terms) and ``2 + 0.9^n + 0.5 (-0.7)^n``
@@ -156,23 +159,24 @@ def samples():
 
 
 def classic_samples():
-    """The samples of ``classic_large``, or the exception raised in place of one."""
+    """The ``(scalar type, sample)`` pairs of ``classic_large``, with the exception
+    raised in place of a sample."""
     mpmath.mp.dps = MPF_DPS
     for family, params in PROBLEMS.values():
         if any(isinstance(v, complex) for v in generate_problem(ProblemSpec(family, 1, params)).values):
-            sizes = ((80, None),)
+            sizes = ((80, None, "complex"),)
         else:
-            sizes = tuple((n, None) for n in CLASSIC_SIZES) + ((40, mpmath.mpf),)
-        for n, convert in sizes:
+            sizes = tuple((n, None, "float") for n in CLASSIC_SIZES) + ((40, mpmath.mpf, "mpf"),)
+        for n, convert, kind in sizes:
             try:
                 sample = generate_problem(ProblemSpec(family, n, params))
             except Exception as exc:  # an element beyond the double range
-                yield exc
+                yield kind, exc
                 continue
             if convert is not None:
                 terms = None if sample.terms is None else tuple(map(convert, sample.terms))
                 sample = SequenceSample(tuple(map(convert, sample.values)), terms, sample.limit)
-            yield sample
+            yield kind, sample
 
 
 def fraction_samples():
@@ -181,6 +185,12 @@ def fraction_samples():
     yield make_partial_sums(terms)
     yield SequenceSample(tuple(2 + Fraction(9, 10) ** n + Fraction(1, 2) * Fraction(-7, 10) ** n
                                for n in range(FRACTION_N + 1)))
+
+
+def scalar_type(sample):
+    """The suffix of a grid sample's lines: ``mpf``, ``complex`` or ``float``."""
+    kinds = set(map(type, view(sample)[0]))
+    return "mpf" if mpmath.mpf in kinds else "complex" if complex in kinds else "float"
 
 
 def view(sample):
@@ -273,20 +283,21 @@ def main():
         for params in params_of(name):
             for sample in grid:
                 for guard in GUARDS:
-                    record(name, lambda: apply_transform(name, sample, guard, params))
+                    record(f"{name}:{scalar_type(sample)}",
+                           lambda: apply_transform(name, sample, guard, params))
     for rule in RULES:
         for zeta in ZETAS:
             for sample in grid:
-                record(f"omega_sequence:{rule}", lambda: omega_sequence(sample, rule, zeta))
+                record(f"omega_sequence:{rule}:{scalar_type(sample)}",
+                       lambda: omega_sequence(sample, rule, zeta))
     for family in (LEVIN_POWER, WENIGER_POCHHAMMER, "power"):  # "power" is no family
         for zeta in ZETAS:
             for sample in grid:
                 omegas = explicit_estimates(sample)
+                label = f"weighted_ratio_transform:{family}:{scalar_type(sample)}"
                 for guard in GUARDS:
-                    record(f"weighted_ratio_transform:{family}", lambda: weighted_ratio_transform(
-                        sample, omegas, family, zeta, guard))
-                record(f"weighted_ratio_transform:{family}", lambda: weighted_ratio_transform(
-                    sample, omegas[1:], family, zeta))
+                    record(label, lambda: weighted_ratio_transform(sample, omegas, family, zeta, guard))
+                record(label, lambda: weighted_ratio_transform(sample, omegas[1:], family, zeta))
     large = [(prefix + "large", [name for name in transform_names() if name.startswith(prefix)], weights)
              for prefix, weights in (("weniger_", WENIGER_POCHHAMMER), ("levin_", LEVIN_POWER))]
     for family, params in PROBLEMS.values():
@@ -301,14 +312,15 @@ def main():
                                 name, sample, GUARDS[0], {"zeta": zeta}))
                         record(label, lambda: weighted_ratio_transform(sample, omegas, weights, zeta))
     classic = [name for name in transform_names() if not name.startswith(("levin_", "weniger_"))]
-    for sample in classic_samples():
+    for kind, sample in classic_samples():
         if isinstance(sample, Exception):
-            record("classic_large", lambda: sample)
+            record(f"classic_large:{kind}", lambda: sample)
             continue
         for name in classic:
             for params in params_of(name):
                 for guard in GUARDS:
-                    record("classic_large", lambda: apply_transform(name, sample, guard, params))
+                    record(f"classic_large:{kind}",
+                           lambda: apply_transform(name, sample, guard, params))
     for sample in fraction_samples():
         for name in transform_names():
             for params in params_of(name):
@@ -330,6 +342,7 @@ def main():
     for sample in grid:
         if len(sample) > WALK_LENGTH:
             continue
+        kind = scalar_type(sample)
         for name in transform_names():
             build = partial(apply_transform, name, sample, GUARDS[0], params_of(name)[0])
             try:
@@ -338,8 +351,8 @@ def main():
                 continue
             for path in paths:  # each walk reads a fresh table, which it builds as it needs
                 table = build()
-                record("walk", lambda: walk_path(table, path))
-                record("walk", lambda: extract_path(table, path))
+                record(f"walk:{kind}", lambda: walk_path(table, path))
+                record(f"walk:{kind}", lambda: extract_path(table, path))
     for sample in grid:
         record("sample_view", lambda: view(sample))
     for coefficients, z in power_series():

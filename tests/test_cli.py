@@ -664,6 +664,17 @@ class TestCliRobustness:
         assert all(e[4] == "NA" for e in entries)
         assert all(row.endswith("\tabs_error=NA") for row in summaries)
 
+    @pytest.mark.parametrize("command", (["run", "--transforms", "epsilon"],
+                                         ["pade", "--l", "3", "--m", "3"]))
+    def test_a_limit_beyond_the_double_range_reports_no_error(self, capsys, command):
+        # exp(800) overflows a double, though each term and partial sum is finite
+        argv = [*command, "--problem", "power_series:name=exp:z=800:N=6", "--format", "tsv"]
+        assert main(argv) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        column = header.split("\t").index("abs_error")
+        entries = [row.split("\t") for row in rows if not row.startswith("#")]
+        assert entries and all(e[column] == "NA" for e in entries)
+
     def test_total_failure_names_the_reason(self, capsys):
         argv = ["run", "--problem", "zeta_dirichlet:z=2:N=10",
                 "--transforms", "levin_u:zeta=-1"]

@@ -323,6 +323,16 @@ class TestGuardPolicy:
             tau = mpmath.mpf(1) / 3
             assert lift([0.5])(tau) is tau and repr(lift([0.5])(Fraction(1, 3))) == "Fraction(1, 3)"
 
+    def test_an_int_operand_takes_the_type_of_the_others(self):
+        # an int among the operands is a kernel's constant, as the lozenge's 1 the
+        # guard meets beside an mpf column: the column's type decides alone
+        lift = core.constant_type
+        with mpmath.workdps(30):
+            assert repr(lift([mpmath.mpf(1), 1])(1e-14)) == repr(mpmath.mpf(1e-14))
+        assert repr(lift([0.5, 1])(2)) == "2.0"
+        for operands in ([Fraction(1), 1], [mpmath.mpf(1), 0.5, 1], [1]):
+            assert repr(lift(operands)(2)) == "2", operands
+
     def test_divide_adds_bases_in_order(self):
         guard = GuardPolicy()
         assert guard.divide([1.0, -2.0, 3.0], [4.0, 0.0, -8.0]) == [0.25, None, -0.375]

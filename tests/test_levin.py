@@ -32,7 +32,7 @@ from seqaccel import (
 from seqaccel.cli import ingest
 from seqaccel.core import is_finite
 from seqaccel.levin import WENIGER_NAMES
-from _helpers import assert_agrees_with_mpmath, mpf_samples, rel_diff
+from _helpers import assert_agrees_with_mpmath, mpf_samples, rel_diff, zeta2_mpf_error
 from oracles import closed_form, e_oracle, pochhammer_weights, power_weights
 
 LN2_SUMS = (1.0, 0.5, 0.5 + 1.0 / 3.0)
@@ -65,6 +65,17 @@ class TestOmegaSequence:
         assert omega_sequence(sample, "u", zeta=2.0) == pytest.approx(
             [2.0, -1.5, 4.0 / 3.0]
         )
+
+    def test_u_estimate_takes_zeta_in_the_sample_type(self):
+        # the float 0.3 enters as mpf(0.3), so each (zeta + n) is formed at 30 digits
+        with mpmath.workdps(30):
+            s = ZETA2_SUMS[:8]
+            want = [(mpmath.mpf(0.3) + n) * (s[n] - s[n - 1]) for n in range(1, len(s))]
+            assert repr(omega_sequence(SequenceSample(s), "u", 0.3)) == repr(want)
+
+    def test_levin_u_with_the_default_zeta_reaches_mpf_accuracy(self):
+        # with zeta + n as doubles the best entry stayed near 7.6e-15
+        assert zeta2_mpf_error(lambda s: levin_variant(s, "u", guard=GuardPolicy(1e-35)), 24) < 1e-20
 
     def test_zero_estimate_rejected(self):
         with pytest.raises(ZeroRemainderError) as info:
@@ -428,6 +439,11 @@ _BIT_IDENTITY_SAMPLES = {
 }
 
 
+def _oracle_zeta(scalars, zeta):
+    """``zeta`` as the transforms lift it: an mpf on the mpf sample."""
+    return mpmath.mpf(zeta) if scalars == "mpf" else zeta
+
+
 class TestColumnKernelBitIdentity:
     """Levin's column-wise kernel reproduces the per-entry binomial sums bit for
     bit; Weniger's three-term recursion is as accurate as those sums."""
@@ -445,7 +461,8 @@ class TestColumnKernelBitIdentity:
             table = variant(sample, kind, zeta, guard)
             omegas = omega_sequence(sample, kind, zeta)
             values = sample.values[table.n_start:table.n_start + len(omegas)]
-            oracle = _per_entry_ratio_table(values, omegas, family, zeta, guard, table.n_start)
+            oracle = _per_entry_ratio_table(values, omegas, family, _oracle_zeta(scalars, zeta),
+                                            guard, table.n_start)
         if family == LEVIN_POWER:
             _assert_bit_identical(table, oracle)
         else:
@@ -462,7 +479,8 @@ class TestColumnKernelBitIdentity:
         for omegas in ([1.0] * len(values), [(-1.0) ** n / (n + 2) for n in range(len(values))]):
             with mpmath.workdps(30):
                 table = weighted_ratio_transform(sample, omegas, family, zeta, guard)
-                oracle = _per_entry_ratio_table(values, omegas, family, zeta, guard, 0)
+                oracle = _per_entry_ratio_table(values, omegas, family,
+                                                _oracle_zeta(scalars, zeta), guard, 0)
             if family == LEVIN_POWER:
                 _assert_bit_identical(table, oracle)
             else:

@@ -205,6 +205,13 @@ class TestGenerateProblem:
         )
         assert sample.limit == pytest.approx(math.log(1.5))
 
+    @pytest.mark.parametrize("z", (800.0, 800.0 + 1j))
+    def test_power_series_whose_limit_overflows_has_none(self, z):
+        # exp(800) is beyond the double range, its first six partial sums are not
+        sample = generate_problem(ProblemSpec("power_series", 5, {"name": "exp", "z": z}))
+        assert sample.limit is None and len(sample.values) == 6
+        assert sample.values[5] == pytest.approx(sum(z ** k / math.factorial(k) for k in range(6)))
+
     def test_decay_model(self):
         sample = generate_problem(
             ProblemSpec("decay_model", 5, {"s": 1.0, "alpha": 0.5, "c1": 2.0})
