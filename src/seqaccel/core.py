@@ -146,10 +146,12 @@ def _in_double_range(value, zero_ok: bool = False) -> bool:
         return False
 
 
-def check_positive(name: str, value) -> None:
-    """Reject a parameter that is not a real number in (0, inf) within the double range."""
+def check_positive(name: str, value, values: Iterable = ()):
+    """Reject a parameter that is not a real number in (0, inf) within the double range;
+    return it lifted into ``constant_type(values)``, the type of the sample it meets."""
     if not _in_double_range(value):
         raise InvalidParameterError(f"{name} must be positive and finite")
+    return constant_type(values)(value)
 
 
 def check_integer(name: str, value, low: Optional[int] = None, high: Optional[int] = None) -> None:

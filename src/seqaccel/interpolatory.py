@@ -22,7 +22,6 @@ from .core import (
     check_integer,
     check_positive,
     compute_column,
-    constant_type,
     cross_rule_table,
     finite_scalars,
     stencil_table,
@@ -121,9 +120,8 @@ def richardson_standard(
     integer; fails for nonintegral alpha.  It takes ``guard`` only for the
     registry's one call signature: its kernel divides by ``k``, never by data.
     """
-    check_positive("beta", beta)
     s = sample.values
-    beta = constant_type(s)(beta)
+    beta = check_positive("beta", beta, s)
     bases = [beta + n for n in range(len(s))]
 
     def kernel(cur, k, rows):
@@ -168,13 +166,12 @@ def osada_rho(
     for remainders ``(n+beta)**(-alpha)`` the even-column error falls like
     ``n**(-alpha-2k)`` for any alpha > 0 (Osada 1990).
     """
-    check_positive("alpha", alpha)
     return _osada_table("rho_osada", sample.values, alpha, guard)
 
 
 def _osada_table(name: str, s: Sequence[Scalar], alpha: float,
                  guard: GuardPolicy) -> TransformTable:
-    alpha = constant_type(s)(alpha)
+    alpha = check_positive("alpha", alpha, s)
     return cross_rule_table(name, s, lambda k, rows: k - 1 + alpha, guard)
 
 
@@ -224,7 +221,6 @@ def bdg_transform(
     Iterates the closed-form Osada rho_2 step with alpha increased by two
     per level; the column-k error falls like ``n**(-alpha-2k)``.
     """
-    check_positive("alpha", alpha)
     if len(sample.values) < 3:
         raise InsufficientDataError("the BDG transformation needs at least 3 elements")
     return _bdg_table("bdg", sample.values, alpha, guard)
@@ -232,7 +228,7 @@ def bdg_transform(
 
 def _bdg_table(name: str, s: Sequence[Scalar], alpha: float,
                guard: GuardPolicy) -> TransformTable:
-    alpha = constant_type(s)(alpha)  # on an mpf column, an mpf factor at the working precision
+    alpha = check_positive("alpha", alpha, s)  # on an mpf column, an mpf factor at the working precision
 
     def kernel(cur, k, rows):
         factor = (2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha)

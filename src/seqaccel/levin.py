@@ -65,9 +65,8 @@ WENIGER_NAMES = {"u": "y", "t": "tau", "v": "phi", "d": "delta"}
 
 def _omega_with_start(sample: SequenceSample, kind: str, zeta: float) -> tuple:
     """Start index, remainder estimates and ``zeta`` in the sample's ``constant_type``."""
-    check_positive("zeta", zeta)
     values, terms = sample.values, sample.terms
-    zeta = constant_type(values)(zeta)
+    zeta = check_positive("zeta", zeta, values)
     if kind not in _ESTIMATE_RULES:
         raise InvalidParameterError(f"unknown remainder estimate kind {kind!r}")
     forward = [values[i + 1] - values[i] for i in range(len(values) - 1)]  # s_{n+1} - s_n
@@ -123,9 +122,8 @@ def weighted_ratio_transform(
     """
     if family not in _BUILDERS:
         raise InvalidParameterError(f"unknown weight family {family!r}")
-    check_positive("zeta", zeta)
     values = sample.values
-    zeta = constant_type(values)(zeta)
+    zeta = check_positive("zeta", zeta, values)
     omegas = finite_scalars(omegas, "a remainder estimate")
     if len(omegas) != len(values):
         raise InvalidParameterError(
@@ -138,22 +136,21 @@ def weighted_ratio_transform(
 
 def _table(family: str, name: str, values: Sequence[Scalar], omegas: Sequence[Scalar],
            zeta: float, guard: GuardPolicy, n_start: int, lookahead: int) -> TransformTable:
-    """Both builders' front end: ``1/omega_n``, ``s_n/omega_n`` and the bases ``zeta+n``.
-    ``lookahead`` is 1 when the estimates read one element ahead (a forward difference)."""
+    """Both builders' front end: ``1/omega_n``, ``s_n/omega_n``, the bases ``zeta+n`` and
+    their ``constant_type``, the lifted ``zeta``'s.  ``lookahead`` is 1 for a forward difference."""
     inv = [1 / w for w in omegas]
     ratio = [v * iw for v, iw in zip(values, inv)]
     bases = [zeta + n for n in range(n_start, n_start + len(values))]
-    rules = partial(_BUILDERS[family], ratio, inv, bases, guard)
+    rules = partial(_BUILDERS[family], ratio, inv, bases, constant_type((zeta,)), guard)
     return build_table(name, values, repeat(1), rules, n_start=n_start, lookahead=lookahead)
 
 
-def _ratio_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
+def _ratio_table(ratio: list, inv: list, bases: list, lift, guard: GuardPolicy,
                  columns: list, valid: list) -> Iterator[tuple]:
     """Levin's columns: every entry its (k+1)-term binomial sum with power weights, its
-    constants typed as the bases, the lifted ``zeta``'s (plain ints slow the row loop;
+    constants taken through the front end's ``lift`` (plain ints slow the row loop;
     exact on ``Fraction`` bases).  The rules stop at k = 1030, whose weight ``comb(k, k
     // 2)`` is beyond the double range, and ``build_table`` makes the rest dead."""
-    lift = constant_type(bases)
     one, zero = lift(1), lift(0)
     for k in count(1):
         if math.comb(k, k // 2).bit_length() > 1024:
@@ -179,7 +176,7 @@ def _ratio_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
         yield (), column
 
 
-def _factorial_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
+def _factorial_table(ratio: list, inv: list, bases: list, lift, guard: GuardPolicy,
                      columns: list, valid: list) -> Iterator[tuple]:
     """Weniger's columns by the three-term recursion of their numerator and denominator.
 
@@ -198,7 +195,6 @@ def _factorial_table(ratio: list, inv: list, bases: list, guard: GuardPolicy,
             else [cur[n + 1] - f[n] * cur[n] for n in rows]))
 
     num, num_ok, den, den_ok = ratio, b"\x01" * len(ratio), inv, b"\x01" * len(inv)
-    lift = constant_type(bases)
     for k in count(1):
         p, q, r, t = map(lift, (k - 1, k - 2, 2 * k - 2, 2 * k - 3))
         f = [(b + p) * (b + q) / ((b + r) * (b + t)) for b in bases[:len(num) - 1]] if k > 1 else None
