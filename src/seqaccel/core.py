@@ -453,25 +453,25 @@ class TransformTable(Record):
         return self.n_start + self._length(0) - 1
 
     def has_entry(self, k: int, n: int) -> bool:
+        check_integer("k", k)
+        check_integer("n", n)
         return 0 <= k <= self.max_order and 0 <= n - self.n_start < self._length(k)
 
     def entry(self, k: int, n: int) -> Optional[Scalar]:
-        check_integer("k", k)
-        check_integer("n", n)
         if not self.has_entry(k, n):
             raise PathRangeError(f"table {self.name} has no entry ({k}, {n})")
         i = n - self.n_start
         return self._read((k,), slice(i, i + 1))[0][2]
 
     def is_valid(self, k: int, n: int) -> bool:
-        i = n - self.n_start
-        return self.has_entry(k, n) and self._read((k,), slice(i, i + 1))[0][3]
+        return self.has_entry(k, n) and self.entry(k, n) is not None
 
     def approximant_orders(self) -> list:
         return list(range(0, self.max_order + 1, self.order_step))
 
     def column(self, k: int) -> list:
         """Entries of column ``k`` as ``(n, value, valid)`` triples."""
+        check_integer("k", k)
         return [entry[1:] for entry in self._read((k,), slice(None))]
 
     def entries(self) -> Iterator[tuple]:

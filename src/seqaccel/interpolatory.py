@@ -228,7 +228,7 @@ def bdg_transform(
 
 def _bdg_table(name: str, s: Sequence[Scalar], alpha: float,
                guard: GuardPolicy) -> TransformTable:
-    alpha = check_positive("alpha", alpha, s)  # on an mpf column, an mpf factor at the working precision
+    alpha = check_positive("alpha", alpha, s)  # an mpf factor on an mpf column
 
     def kernel(cur, k, rows):
         factor = (2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import count, repeat
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     GuardPolicy,
@@ -137,7 +137,7 @@ def weighted_ratio_transform(
 def _table(family: str, name: str, values: Sequence[Scalar], omegas: Sequence[Scalar],
            zeta: float, guard: GuardPolicy, n_start: int, lookahead: int) -> TransformTable:
     """Both builders' front end: ``1/omega_n``, ``s_n/omega_n``, the bases ``zeta+n`` and
-    their ``constant_type``, the lifted ``zeta``'s.  ``lookahead`` is 1 for a forward difference."""
+    their ``constant_type``, ``zeta``'s.  ``lookahead`` is 1 for a forward difference."""
     inv = [1 / w for w in omegas]
     ratio = [v * iw for v, iw in zip(values, inv)]
     bases = [zeta + n for n in range(n_start, n_start + len(values))]
@@ -145,7 +145,7 @@ def _table(family: str, name: str, values: Sequence[Scalar], omegas: Sequence[Sc
     return build_table(name, values, repeat(1), rules, n_start=n_start, lookahead=lookahead)
 
 
-def _ratio_table(ratio: list, inv: list, bases: list, lift, guard: GuardPolicy,
+def _ratio_table(ratio: list, inv: list, bases: list, lift: Callable, guard: GuardPolicy,
                  columns: list, valid: list) -> Iterator[tuple]:
     """Levin's columns: every entry its (k+1)-term binomial sum with power weights, its
     constants taken through the front end's ``lift`` (plain ints slow the row loop;
@@ -176,8 +176,8 @@ def _ratio_table(ratio: list, inv: list, bases: list, lift, guard: GuardPolicy,
         yield (), column
 
 
-def _factorial_table(ratio: list, inv: list, bases: list, lift, guard: GuardPolicy,
-                     columns: list, valid: list) -> Iterator[tuple]:
+def _factorial_table(ratio: list, inv: list, bases: list, lift: Callable,
+                     guard: GuardPolicy, columns: list, valid: list) -> Iterator[tuple]:
     """Weniger's columns by the three-term recursion of their numerator and denominator.
 
     ``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` from ``X_0 = s_n/omega_n``

@@ -235,7 +235,7 @@ def generate_problem(spec: ProblemSpec) -> SequenceSample:
 
 def problem_series(spec: ProblemSpec) -> tuple:
     """The ``(PowerSeries, limit)`` of a power_series or euler_factorial problem; the
-    limit is ``None`` at a pole or branch point, or where it overflows double precision."""
+    limit is ``None`` at a pole or branch point, or where it is not finite in double precision."""
     return _checked(_series, spec)
 
 
@@ -245,6 +245,7 @@ def _series(spec: ProblemSpec) -> tuple:
         coefficients = power_series_coefficients(name, spec.length + 1)
         try:
             limit = _POWER_SERIES[name]["limit"](z)
+            limit = limit if math.isfinite(abs(limit)) else None  # 1 / (1 - z) can be inf
         except (ValueError, ZeroDivisionError, OverflowError):
             limit = None  # pole, branch point or a limit beyond the double range: none attached
     elif spec.family == "euler_factorial":  # sum_k k! (-x)^k

@@ -103,19 +103,25 @@ MUTANTS = [
     Mutant("interpolatory.py", "(2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha)",
            "(2 * k + alpha + 1) / (2 * k + alpha)",
            "BDG's factor is taken from the next level"),
-    # parameters enter in the sample's scalar type
-    Mutant("interpolatory.py", "    beta = constant_type(s)(beta)\n", "",
-           "an mpf Richardson table forms its bases beta + n as doubles"),
-    Mutant("interpolatory.py", "alpha = constant_type(s)(alpha)  #", "alpha = alpha  #",
-           "an mpf BDG table takes the double quotient of its factor"),
-    Mutant("interpolatory.py", "alpha = constant_type(s)(alpha)\n    return", "return",
-           "an mpf Osada table's numerator k - 1 + alpha stays a double",
-           "k - 1 + alpha is exact in a double, so it equals its mpf lift; only "
-           "the guard's threshold product forms in double, not at the mpf precision"),
-    Mutant("levin.py", "    zeta = constant_type(values)(zeta)\n    if kind", "    if kind",
+    # parameters pass one gate, which lifts each into the sample's scalar type
+    Mutant("core.py", "    return constant_type(values)(value)\n", "    return value\n",
+           "zeta, beta and alpha enter every mpf table as doubles"),
+    Mutant("levin.py", 'check_positive("zeta", zeta, values)\n    if kind',
+           'check_positive("zeta", zeta)\n    if kind',
            "Levin's and Weniger's mpf tables form zeta + n, and the u estimate, as doubles"),
-    Mutant("levin.py", "    zeta = constant_type(values)(zeta)\n    omegas", "    omegas",
+    Mutant("levin.py", 'check_positive("zeta", zeta, values)\n    omegas',
+           'check_positive("zeta", zeta)\n    omegas',
            "weighted_ratio_transform's mpf tables form the bases zeta + n as doubles"),
+    Mutant("interpolatory.py", 'check_positive("beta", beta, s)', 'check_positive("beta", beta)',
+           "an mpf Richardson table forms its bases beta + n as doubles"),
+    Mutant("interpolatory.py", 'check_positive("alpha", alpha, s)\n    return',
+           'check_positive("alpha", alpha)\n    return',
+           "an mpf Osada table forms its numerator k - 1 + alpha in double"),
+    Mutant("interpolatory.py", 'check_positive("alpha", alpha, s)  #',
+           'check_positive("alpha", alpha)  #',
+           "an mpf BDG table takes the double quotient of its factor"),
+    Mutant("levin.py", "constant_type((zeta,))", "constant_type(())",
+           "Levin's and Weniger's constants are floats, so exact tables turn inexact"),
     Mutant("core.py", "        kinds.discard(int)\n", "        pass\n",
            "an int kernel constant makes an mpf column mixed: the guard's threshold stays a double"),
     Mutant("levin.py", "(b + p) * (b + q) /", "(b + p) * (b + p) /",

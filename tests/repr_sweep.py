@@ -7,7 +7,7 @@ round-trips at its precision, a ``Fraction``'s is its exact value).
 ``python tests/repr_sweep.py --against ROOT`` runs the sweep on this
 tree's ``src/`` and on ``ROOT/src/``, one subprocess each, prints the lines
 that differ (``-`` ROOT's, ``+`` this tree's) and exits 1 if any do.  One
-sweep takes about 50 s (2 vCPU, Python 3.11); ``--against`` runs its two
+sweep takes about 60 s (2 vCPU, Python 3.11); ``--against`` runs its two
 sweeps side by side.
 Pytest does not collect this file.
 
@@ -23,18 +23,19 @@ content (``name``, ``columns``, ``valid``, ``n_start``, ``order_step`` and
 ``consumed(k, n_start)`` for each k), in grid order.  The grid: the
 problems of ``perfbench/cases.py`` at several N (0 to 3 among them),
 offsets 0 and 1, each sample also without its terms, mpf copies of the
-real samples, the default guard and a zero guard, and two values of zeta.
+real samples, the default guard and a zero guard, and three values of zeta,
+one of them (0.3) not dyadic, so that ``zeta + n`` rounds in a double.
 The grid stops at N = 24, so ``weniger_large`` fingerprints the four
 ``weniger_*`` rules and the Pochhammer ``weighted_ratio_transform`` at the
 sizes the ``lib_levin`` benchmark builds: the same problems at N = 30, 40,
-50 and 100, offsets 0 and 1, both values of zeta and the default guard;
+50 and 100, offsets 0 and 1, each value of zeta and the default guard;
 ``levin_large`` does the same for the four ``levin_*`` rules and the
-power-weight ``weighted_ratio_transform`` (800 tables, about 10-14 s of
-the sweep); and ``classic_large`` fingerprints every other registered
-transform at the sizes the ``lib_classic`` benchmark builds, where most
-lozenge and iterated tables end in columns without a valid entry: each
-real problem in float at N = 100, 200 and 400 and in mpf at N = 40, each
-complex problem at N = 80, both guards.
+power-weight ``weighted_ratio_transform`` (1200 tables); and ``classic_large``
+fingerprints every other registered transform at the sizes the
+``lib_classic`` benchmark builds, where most lozenge and iterated tables end
+in columns without a valid entry: each real problem in float at N = 100,
+200 and 400 and in mpf at N = 40, each complex problem at N = 80, both
+guards.
 
 ``fraction`` fingerprints every registered transform on exact input: the
 partial sums of ln 2 (with their terms) and ``2 + 0.9^n + 0.5 (-0.7)^n``
@@ -133,7 +134,7 @@ WENIGER_SIZES = (30, 40, 50, 100)
 CLASSIC_SIZES = (100, 200, 400)
 OFFSETS = (0, 1)
 GUARDS = (GuardPolicy(), GuardPolicy(0.0))
-ZETAS = (1.0, 2.5)
+ZETAS = (1.0, 2.5, 0.3)  # 0.3 + n rounds in a double, so mpf lines show how zeta enters
 RULES = ("u", "t", "v", "d", "w")  # "w" is no rule
 MPF_DPS = 30
 FRACTION_N = 12

@@ -675,6 +675,17 @@ class TestCliRobustness:
         entries = [row.split("\t") for row in rows if not row.startswith("#")]
         assert entries and all(e[column] == "NA" for e in entries)
 
+    @pytest.mark.parametrize("command", (["run", "--transforms", "epsilon"], ["pade", "--staircase"]))
+    def test_an_infinite_closed_form_limit_reports_no_error(self, capsys, command):
+        # 1 / (1 - z) is an infinite complex at z = 1+1e-320j, though every term is finite
+        argv = [*command, "--problem", "power_series:name=geometric:z=1+1e-320j:N=5",
+                "--format", "tsv"]
+        assert main(argv) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        column, valid = header.split("\t").index("abs_error"), header.split("\t").index("valid")
+        entries = [row.split("\t") for row in rows if not row.startswith("#")]
+        assert any(e[valid] == "1" for e in entries) and all(e[column] == "NA" for e in entries)
+
     def test_total_failure_names_the_reason(self, capsys):
         argv = ["run", "--problem", "zeta_dirichlet:z=2:N=10",
                 "--transforms", "levin_u:zeta=-1"]

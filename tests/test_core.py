@@ -539,6 +539,17 @@ class TestPaths:
             table.consumed(k, n)
         assert [table.consumed(j, 1) for j in range(4)] == [3, 4, 5, 6]  # lookahead 1
 
+    @pytest.mark.parametrize("read, args", [
+        ("entry", (1.5, 1)), ("entry", (0, 1.5)), ("is_valid", (1.5, 1)), ("is_valid", (0, "1")),
+        ("has_entry", (1.5, 1)), ("has_entry", (0, 1.5)), ("consumed", (1.5, 1)),
+        ("consumed", (0, 1.5)), ("column", (1.5,)), ("column", ("1",)),
+    ])
+    def test_every_read_refuses_an_index_of_another_kind(self, read, args):
+        # an InvalidParameterError naming the index, never a bare TypeError or a budget
+        table = PATH_TABLES["levin_v"]()
+        with pytest.raises(InvalidParameterError, match=r"^[kn] must be an integer, got"):
+            getattr(table, read)(*args)
+
     def test_skips_invalid_but_walk_reports_them(self):
         table = iterated_aitken(SequenceSample((7.0, 7.0, 7.0)))
         assert extract_path(table, PathSpec.index_constant(0)) == [(0, 0, 7.0)]

@@ -302,6 +302,16 @@ class TestParametersInTheSampleType:
     def test_bdg_factor_with_an_int_alpha(self, build):
         assert zeta2_mpf_error(build, 30) < 1e-28
 
+    def test_osada_numerator_with_a_non_dyadic_alpha(self):
+        # 1 + 0.3 rounds in a double, not at 40 digits: column 2 is the lozenge in mpf
+        with mpmath.workdps(40):
+            s = make_partial_sums([1 / mpmath.mpf(k + 1) ** 2 for k in range(21)]).values
+            table = osada_rho(SequenceSample(s), 0.3, GuardPolicy(1e-35))
+            alpha = mpmath.mpf(0.3)
+            t1 = [alpha / (b - a) for a, b in zip(s, s[1:])]
+            want = [s[n + 1] + (1 + alpha) / (t1[n + 1] - t1[n]) for n in range(len(t1) - 1)]
+            assert [v for _, v, _ in table.column(2)] == want
+
 
 class TestExactIdentities:
     """On exact input (ln 2's partial sums in ``Fraction``, N = 12, on the

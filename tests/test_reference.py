@@ -212,6 +212,12 @@ class TestGenerateProblem:
         assert sample.limit is None and len(sample.values) == 6
         assert sample.values[5] == pytest.approx(sum(z ** k / math.factorial(k) for k in range(6)))
 
+    def test_power_series_whose_limit_is_infinite_has_none(self):
+        # 1 / (1 - z) is an infinite complex here, though every term is finite
+        z = 1 + 1e-320j
+        sample = generate_problem(ProblemSpec("power_series", 5, {"name": "geometric", "z": z}))
+        assert sample.limit is None and sample.values[5] == sum(z ** k for k in range(6))
+
     def test_decay_model(self):
         sample = generate_problem(
             ProblemSpec("decay_model", 5, {"s": 1.0, "alpha": 0.5, "c1": 2.0})
