@@ -39,13 +39,11 @@ def iterated_aitken(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
     def kernel(cur, k, rows):
         # cur[n] - d^2 / dd
         d = [cur[n + 1] - cur[n] for n in rows]
-        return guard.divide(
-            [-(x * x) for x in d],
-            [cur[n + 2] - 2 * cur[n + 1] + cur[n] for n in rows],
-            [cur[n] for n in rows],
-        )
+        return ([-(x * x) for x in d],
+                [cur[n + 2] - 2 * cur[n + 1] + cur[n] for n in rows],
+                [cur[n] for n in rows])
 
-    return stencil_table("aitken", s, 3, kernel)
+    return stencil_table("aitken", s, 3, kernel, guard)
 
 
 def wynn_epsilon(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
@@ -69,19 +67,18 @@ def brezinski_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) 
     def rules(columns, valid):
         while True:
             # odd rule: theta_{2j+1}^(n) = theta_{2j-1}^(n+1) + 1 / (theta_{2j}^(n+1) - theta_{2j}^(n))
-            yield lozenge_rule(columns, valid, lambda k, rows: 1, guard)
+            yield lozenge_rule(columns, valid, lambda k, rows: 1)
             # even rule: theta_{2j+2}^(n) = theta_{2j}^(n+1)
             #   + (D theta_{2j}^(n+1)) (D theta_{2j+1}^(n+1)) / (D^2 theta_{2j+1}^(n));
             # the even reads are implied: a valid theta_{2j+1}^(m) was computed
             # from theta_{2j}^(m) and theta_{2j}^(m+1), m = n+1 and n+2 among them
             even, odd = columns[-2], columns[-1]
-            yield [(valid[-1], (0, 1, 2))], lambda rows: guard.divide(
+            yield [(valid[-1], (0, 1, 2))], lambda rows: (
                 [(even[n + 2] - even[n + 1]) * (odd[n + 2] - odd[n + 1]) for n in rows],
                 [odd[n + 2] - 2 * odd[n + 1] + odd[n] for n in rows],
-                [even[n + 1] for n in rows],
-            )
+                [even[n + 1] for n in rows])
 
-    return build_table("theta", sample.values, cycle((1, 2)), rules, order_step=2)
+    return build_table("theta", sample.values, cycle((1, 2)), rules, guard, order_step=2)
 
 
 def iterated_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -> TransformTable:
@@ -99,10 +96,8 @@ def iterated_theta(sample: SequenceSample, guard: GuardPolicy = GuardPolicy()) -
         # cur[n+1] - num / den
         d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1], cur[n + 3] - cur[n + 2])
              for n in rows]
-        return guard.divide(
-            [-(d0 * d1 * (d2 - d1)) for d0, d1, d2 in d],
-            [d2 * (d1 - d0) - d0 * (d2 - d1) for d0, d1, d2 in d],
-            [cur[n + 1] for n in rows],
-        )
+        return ([-(d0 * d1 * (d2 - d1)) for d0, d1, d2 in d],
+                [d2 * (d1 - d0) - d0 * (d2 - d1) for d0, d1, d2 in d],
+                [cur[n + 1] for n in rows])
 
-    return stencil_table("theta_iterated", s, 4, kernel)
+    return stencil_table("theta_iterated", s, 4, kernel, guard)

@@ -8,9 +8,10 @@ s_n``).  ``build_table`` makes every table, whose columns one loop builds on
 demand; ``compute_column`` (a column and its ``bytes`` mask, 1 where valid)
 is the one place an entry turns invalid; a table's ``lookahead`` gives every
 entry's data budget.  Scalars from outside pass one edge check,
-``finite_scalars``.  Entries whose defining recursion ran into a near-zero
-denominator, or a non-finite value, are flagged invalid instead of carrying
-an unreliable number, and invalidity propagates to every dependent entry.
+``finite_scalars``.  A rule that divides by data returns its numerators,
+denominators and bases, and ``compute_column`` divides them with the table's
+guard: entries that meet a near-zero denominator, or a non-finite value, are
+flagged invalid, and invalidity propagates to every dependent entry.
 """
 
 from __future__ import annotations
@@ -255,11 +256,11 @@ class GuardPolicy(Record):
     def divide(self, nums, dens: Sequence, bases: Optional[Iterable] = None) -> list:
         """Row-wise ``base + num / den`` (``num / den`` without ``bases``).
 
-        Every kernel divides through here, so this is the one place the
-        guard is evaluated: a row whose denominator trips it is ``None``.
+        Only ``compute_column`` calls it, once per column: the one place the
+        guard is evaluated, where a row whose denominator trips it is ``None``.
         ``nums`` is a list, or one scalar for every row whose bound ``threshold
         * max(1, |num|)`` is formed once.  A kernel of the form ``a - num /
-        den`` passes ``-num``, since ``a + (-num) / den`` is the same number
+        den`` returns ``-num``, since ``a + (-num) / den`` is the same number
         to the last bit.  The threshold and the 1 take the operands'
         ``constant_type``: after a ``float`` or ``complex`` first denominator,
         unscanned, as written; ``max`` is spelt out, its product skipped when
@@ -500,14 +501,14 @@ class TransformTable(Record):
 
     def _extend(self, top: int) -> list:
         """The columns, built through order ``top`` one per pass under the lock, at
-        mpmath's precision of the build; once all are, the rules and masks go.  The
-        rules slot turns ``None`` once a column has no computable row, or a rule's
-        exception, which every later read of a column not yet built raises."""
+        mpmath's precision of the build and with its guard; once all are, the work
+        goes.  The rules slot turns ``None`` once a column has no computable row, or a
+        rule's exception, which every later read of a column not yet built raises."""
         state = vars(self)
-        work = state.get("_work")  # [lengths, columns, masks, rules, lock, precision] until built
+        work = state.get("_work")  # [lengths, columns, masks, rules, lock, precision, guard]
         if work is None:
             return state["columns"]
-        lengths, columns, masks, _, lock, precision = work
+        lengths, columns, masks, _, lock, precision, guard = work
         if len(columns) <= top:
             with lock, precision:
                 while len(columns) <= top:  # unless another thread built it meanwhile
@@ -516,7 +517,7 @@ class TransformTable(Record):
                         raise rules
                     try:
                         rule = rules and next(rules, None)
-                        col = rule and compute_column(length, *rule)
+                        col = rule and compute_column(length, *rule, guard)
                     except Exception as exc:  # no rule runs again: every later read raises it
                         work[3] = exc
                         raise
@@ -530,7 +531,8 @@ class TransformTable(Record):
         return columns
 
 
-def compute_column(length: int, antecedents: Iterable, column: Callable) -> Optional[tuple]:
+def compute_column(length: int, antecedents: Iterable, column: Callable,
+                   guard: Optional[GuardPolicy]) -> Optional[tuple]:
     """Column ``(entries, mask)`` of ``length`` rows; the one place an entry turns invalid.
 
     Every table column and ``estimate_decay``'s list come from here; a zero
@@ -538,13 +540,14 @@ def compute_column(length: int, antecedents: Iterable, column: Callable) -> Opti
     A mask is a ``bytes`` of one byte per row, 1 where the entry is valid.
     Each antecedent is a ``(mask, shifts)`` pair, one per antecedent column:
     row ``i`` depends on ``mask[i + shift]`` for every shift.  A rule declares
-    each read that no other declared read implies.  ``column(rows)`` returns
-    the entries of the rows ``rows``, in order, and runs only on rows whose
-    antecedents are all valid; a column without such a row never calls it and
-    is ``None``.  An entry is invalid for one of three causes:
+    each read that no other declared read implies.  ``column(rows)`` gives the
+    rows ``rows``, in order: their entries, or a rule's ``(nums, dens[, bases])``
+    for the one ``guard.divide``.  It runs only on rows whose antecedents are all
+    valid; a column without such a row never calls it and is ``None``.  An entry
+    is invalid for one of three causes:
 
     - an invalid antecedent: the row is not computed;
-    - a guard trip: ``column`` gave ``None`` (``GuardPolicy.divide``);
+    - a guard trip: a ``None`` entry (``GuardPolicy.divide``);
     - a non-finite value, checked once for the whole column.
 
     A fully valid antecedent mask (no 0 byte) is skipped without slicing
@@ -565,7 +568,7 @@ def compute_column(length: int, antecedents: Iterable, column: Callable) -> Opti
             if not usable:
                 return None
     rows = range(length) if usable is None else list(compress(count(), usable.to_bytes(length, "big")))
-    entries = column(rows)
+    entries = guard.divide(*out) if type(out := column(rows)) is tuple else out
     if len(rows) == length:
         try:  # an mpf or complex sum would cost more than the check it spares
             total = sum(entries) if type(entries[-1]) is float else None
@@ -590,6 +593,7 @@ def build_table(
     values: Sequence[Scalar],
     steps: Iterable[int],
     rules: Callable[[list, list], Iterator[tuple]],
+    guard: GuardPolicy,
     n_start: int = 0,
     order_step: int = 1,
     lookahead: int = 0,
@@ -601,8 +605,8 @@ def build_table(
     valid)`` is a generator over the columns and their masks (as
     ``compute_column`` returns them), working state the table does not
     keep; it yields, column by column, the ``(antecedents, column)``
-    arguments of ``compute_column``.  Only ``TransformTable._extend``'s
-    loop appends, as reads of the table need its columns.
+    arguments of ``compute_column``, whose ``guard`` the table holds till built.
+    Only ``TransformTable._extend``'s loop appends, as reads need its columns.
     A rule's rows read the column before it, or working columns that die
     with it (Weniger's N and D), so once a column has no computable row, or
     ``rules`` stops, no later one has: the rest are appended invalid, with
@@ -617,7 +621,7 @@ def build_table(
         masks = [b"\x01" * lengths[0]]
         del vars(table)["columns"]
         vars(table)["_work"] = [lengths, columns, masks, rules(columns, masks), allocate_lock(),
-                                mp.workprec(mp.prec) if mp else nullcontext()]
+                                mp.workprec(mp.prec) if mp else nullcontext(), guard]
     return table
 
 
@@ -625,26 +629,28 @@ def stencil_table(
     name: str,
     values: Sequence[Scalar],
     width: int,
-    kernel: Callable[[list, int, Sequence[int]], list],
+    kernel: Callable[[list, int, Sequence[int]], Union[list, tuple]],
+    guard: GuardPolicy,
 ) -> TransformTable:
     """Tables whose column ``k`` applies a ``width``-element step to column ``k-1``.
 
-    ``kernel(cur, k, rows)`` returns column ``k`` at the rows ``rows``:
-    row ``n`` comes from ``cur[n] .. cur[n + width - 1]`` of column
-    ``k-1``, so column ``k`` consumes ``(width-1)*k + 1`` elements.
+    ``kernel(cur, k, rows)`` is column ``k``'s ``column(rows)``: row ``n``
+    comes from ``cur[n] .. cur[n + width - 1]`` of column ``k-1``, so column
+    ``k`` consumes ``(width-1)*k + 1`` elements.
     """
     return build_table(name, values, repeat(width - 1), lambda columns, valid: (
-        ([(valid[-1], range(width))], partial(kernel, columns[-1], len(columns))) for _ in count()))
+        ([(valid[-1], range(width))], partial(kernel, columns[-1], len(columns))) for _ in count()),
+        guard)
 
 
 def lozenge_rule(
     columns: list,
     valid: list,
     numerator: Callable[[int, Sequence[int]], Iterable[Scalar]],
-    guard: GuardPolicy,
 ) -> tuple:
     """The ``compute_column`` arguments of column ``k = len(columns)`` of the lozenge rule
-    ``T_k^(n) = T_{k-2}^(n+1) + num_k^(n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``.
+    ``T_k^(n) = T_{k-2}^(n+1) + num_k^(n) / (T_{k-1}^(n+1) - T_{k-1}^(n))``, whose
+    ``column`` gives ``(nums, dens, bases)``.
 
     ``numerator(k, rows)`` gives ``num_k^(n)`` for the rows ``rows``: one
     constant (epsilon's plain 1, Osada's ``k - 1 + alpha`` in the lifted alpha's
@@ -656,7 +662,7 @@ def lozenge_rule(
 
     def column(rows):
         bases = repeat(0) if k == 1 else [base[n + 1] for n in rows]
-        return guard.divide(numerator(k, rows), [cur[n + 1] - cur[n] for n in rows], bases)
+        return numerator(k, rows), [cur[n + 1] - cur[n] for n in rows], bases
 
     # T_{k-2}^(n+1) is implied: a valid T_{k-1}^(n) was computed from it
     return [(valid[k - 1], (0, 1))], column
@@ -676,7 +682,7 @@ def cross_rule_table(
     approximants.
     """
     return build_table(name, values, repeat(1), lambda columns, valid: (
-        lozenge_rule(columns, valid, numerator, guard) for _ in count()), order_step=2)
+        lozenge_rule(columns, valid, numerator) for _ in count()), guard, order_step=2)
 
 
 class PathSpec(Record):

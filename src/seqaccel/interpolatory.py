@@ -101,12 +101,10 @@ def neville_richardson(
     x = _require_points(points, TO_ZERO, len(s))
 
     def kernel(cur, k, rows):
-        return guard.divide(
-            [x[n] * cur[n + 1] - x[n + k] * cur[n] for n in rows],
-            [x[n] - x[n + k] for n in rows],
-        )
+        return ([x[n] * cur[n + 1] - x[n + k] * cur[n] for n in rows],
+                [x[n] - x[n + k] for n in rows])
 
-    return stencil_table("richardson_general", s, 2, kernel)
+    return stencil_table("richardson_general", s, 2, kernel, guard)
 
 
 def richardson_standard(
@@ -127,7 +125,7 @@ def richardson_standard(
     def kernel(cur, k, rows):
         return [cur[n + 1] + bases[n] / k * (cur[n + 1] - cur[n]) for n in rows]
 
-    return stencil_table("richardson", s, 2, kernel)
+    return stencil_table("richardson", s, 2, kernel, guard)
 
 
 def wynn_rho(
@@ -192,14 +190,12 @@ def iterated_rho(
 
     def kernel(cur, k, rows):
         d = [(n, cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
-        return guard.divide(
-            [(x[n + 2 * k] - x[n]) * d1 * d0 for n, d0, d1 in d],
-            [(x[n + 2 * k] - x[n + 1]) * d0 - (x[n + 2 * k - 1] - x[n]) * d1
-             for n, d0, d1 in d],
-            [cur[n + 1] for n in rows],
-        )
+        return ([(x[n + 2 * k] - x[n]) * d1 * d0 for n, d0, d1 in d],
+                [(x[n + 2 * k] - x[n + 1]) * d0 - (x[n + 2 * k - 1] - x[n]) * d1
+                 for n, d0, d1 in d],
+                [cur[n + 1] for n in rows])
 
-    return stencil_table("rho_iterated_general", s, 3, kernel)
+    return stencil_table("rho_iterated_general", s, 3, kernel, guard)
 
 
 def iterated_rho_standard(
@@ -234,13 +230,11 @@ def _bdg_table(name: str, s: Sequence[Scalar], alpha: float,
         factor = (2 * (k - 1) + alpha + 1) / (2 * (k - 1) + alpha)
         # cur[n+1] - num / den
         d = [(cur[n + 1] - cur[n], cur[n + 2] - cur[n + 1]) for n in rows]
-        return guard.divide(
-            [-(factor * d1 * d0) for d0, d1 in d],
-            [d1 - d0 for d0, d1 in d],
-            [cur[n + 1] for n in rows],
-        )
+        return ([-(factor * d1 * d0) for d0, d1 in d],
+                [d1 - d0 for d0, d1 in d],
+                [cur[n + 1] for n in rows])
 
-    return stencil_table(name, s, 3, kernel)
+    return stencil_table(name, s, 3, kernel, guard)
 
 
 def estimate_decay(
@@ -263,11 +257,10 @@ def estimate_decay(
     d = [b - a for a, b in zip(s, s[1:])]
     dd = [b - a for a, b in zip(d, d[1:])]
 
-    def column(rows):  # t - 1, not the guard's base -1: -1 + t turns a -0.0 imaginary part +0.0
-        ratios = guard.divide([dd[n] * dd[n + 1] for n in rows],
-                              [d[n + 1] * dd[n + 1] - d[n + 2] * dd[n] for n in rows])
-        return [None if t is None else t - 1 for t in ratios]
-    return compute_column(len(s) - 3, (), column)[0]
+    def column(rows):  # then t - 1, not the guard's base -1: -1 + t turns -0.0 imaginary parts +0.0
+        return ([dd[n] * dd[n + 1] for n in rows],
+                [d[n + 1] * dd[n + 1] - d[n + 2] * dd[n] for n in rows])
+    return [None if t is None else t - 1 for t in compute_column(len(s) - 3, (), column, guard)[0]]
 
 
 def median_last_quartile(estimates: Sequence[Optional[Scalar]]) -> Scalar:

@@ -141,11 +141,11 @@ def _table(family: str, name: str, values: Sequence[Scalar], omegas: Sequence[Sc
     inv = [1 / w for w in omegas]
     ratio = [v * iw for v, iw in zip(values, inv)]
     bases = [zeta + n for n in range(n_start, n_start + len(values))]
-    rules = partial(_BUILDERS[family], ratio, inv, bases, constant_type((zeta,)), guard)
-    return build_table(name, values, repeat(1), rules, n_start=n_start, lookahead=lookahead)
+    rules = partial(_BUILDERS[family], ratio, inv, bases, constant_type((zeta,)))
+    return build_table(name, values, repeat(1), rules, guard, n_start=n_start, lookahead=lookahead)
 
 
-def _ratio_table(ratio: list, inv: list, bases: list, lift: Callable, guard: GuardPolicy,
+def _ratio_table(ratio: list, inv: list, bases: list, lift: Callable,
                  columns: list, valid: list) -> Iterator[tuple]:
     """Levin's columns: every entry its (k+1)-term binomial sum with power weights, its
     constants taken through the front end's ``lift`` (plain ints slow the row loop;
@@ -171,13 +171,13 @@ def _ratio_table(ratio: list, inv: list, bases: list, lift: Callable, guard: Gua
                     z += y * u
                 nums.append(x)
                 dens.append(z)
-            return guard.divide(nums, dens)
+            return nums, dens
 
         yield (), column
 
 
 def _factorial_table(ratio: list, inv: list, bases: list, lift: Callable,
-                     guard: GuardPolicy, columns: list, valid: list) -> Iterator[tuple]:
+                     columns: list, valid: list) -> Iterator[tuple]:
     """Weniger's columns by the three-term recursion of their numerator and denominator.
 
     ``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` from ``X_0 = s_n/omega_n``
@@ -189,10 +189,10 @@ def _factorial_table(ratio: list, inv: list, bases: list, lift: Callable,
     guard trip on ``T`` stays in its entry; only a non-finite N or D spreads.
     """
 
-    def advance(cur, ok, f):  # X_k and its mask from X_{k-1}, or None
+    def advance(cur, ok, f):  # X_k and its mask from X_{k-1}, or None; no division, no guard
         return compute_column(len(cur) - 1, [(ok, (0, 1))], lambda rows: (
             [cur[n + 1] - cur[n] for n in rows] if f is None
-            else [cur[n + 1] - f[n] * cur[n] for n in rows]))
+            else [cur[n + 1] - f[n] * cur[n] for n in rows]), None)
 
     num, num_ok, den, den_ok = ratio, b"\x01" * len(ratio), inv, b"\x01" * len(inv)
     for k in count(1):
@@ -202,7 +202,7 @@ def _factorial_table(ratio: list, inv: list, bases: list, lift: Callable,
         if not (nums and dens):
             return  # T_k has no computable row either
         (num, num_ok), (den, den_ok) = nums, dens
-        yield [(num_ok, (0,)), (den_ok, (0,))], lambda rows: guard.divide(
+        yield [(num_ok, (0,)), (den_ok, (0,))], lambda rows: (
             [num[n] for n in rows], [den[n] for n in rows])
 
 

@@ -15,7 +15,7 @@ its reason).  An unmutated copy runs first and must pass.  Exits 1 when a
 mutant survives that the list does not mark equivalent, or when one so
 marked is killed; exits 2 when the unmutated copy fails or a snippet is
 not found exactly once.  It runs the mutants one after another, 2-20 s
-each and 2-4 min in all (2 vCPU, Python 3.11).  Its name does not
+each and 2-5 min in all (2 vCPU, Python 3.11).  Its name does not
 start with ``test_``, so pytest does not collect it, and it is not part
 of tier-1; CI runs it on one Python version.  A change to a kernel, the
 guard, a budget, a path or a CLI choice adds its mutants here.
@@ -70,9 +70,26 @@ MUTANTS = [
            "bound = threshold",
            "a scalar numerator's guard bound is absolute, not relative to |num|"),
     Mutant("interpolatory.py",
-           "for n in rows])\n        return [None if t is None else t - 1 for t in ratios]",
-           "for n in rows], [-1] * len(rows))\n        return ratios",
+           "for n in rows])\n    return [None if t is None else t - 1 for t in compute_column(",
+           "for n in rows], [-1] * len(rows))\n    return [t for t in compute_column(",
            "estimate_decay's - 1 as the guard's base: -1 + t turns a -0.0 part +0.0"),
+    Mutant("core.py", "guard.divide(*out)", "guard.divide(*out[:2])",
+           "the one division drops its bases: lozenge and stencil entries lose T_{k-2} or cur"),
+    # each builder's guard passes through its table to compute_column
+    Mutant("core.py", "compute_column(length, *rule, guard)",
+           "compute_column(length, *rule, GuardPolicy())",
+           "every table divides under the default guard, not the one it was built with"),
+    Mutant("core.py", "for _ in count()),\n        guard)", "for _ in count()),\n        GuardPolicy())",
+           "stencil tables (Aitken, iterated theta and rho, BDG, Neville) ignore their guard"),
+    Mutant("core.py", "for _ in count()), guard, order_step=2)",
+           "for _ in count()), GuardPolicy(), order_step=2)",
+           "lozenge tables (epsilon, rho, Osada, Pade) ignore their guard"),
+    Mutant("classic.py", "rules, guard, order_step=2)", "rules, GuardPolicy(), order_step=2)",
+           "the theta algorithm ignores its guard"),
+    Mutant("levin.py", "rules, guard, n_start=n_start", "rules, GuardPolicy(), n_start=n_start",
+           "Levin and Weniger tables ignore their guard"),
+    Mutant("interpolatory.py", "(), column, guard)", "(), column, GuardPolicy())",
+           "estimate_decay ignores its guard"),
     # the CLI's choices
     Mutant("cli.py", "if name not in cells or (err is not None and err < cells[name][1]):",
            "if name not in cells:",
@@ -90,9 +107,9 @@ MUTANTS = [
     Mutant("pade.py", "one = constant_type(g)(1)", "one = 1.0",
            "Q(0) is a float on every series, exact and mpf ones included"),
     # the kernels
-    Mutant("classic.py", "[cur[n] for n in rows],", "[cur[n + 1] for n in rows],",
+    Mutant("classic.py", "[cur[n] for n in rows])", "[cur[n + 1] for n in rows])",
            "Aitken's step adds its correction to s_{n+1}, not s_n"),
-    Mutant("classic.py", "[even[n + 1] for n in rows],", "[even[n + 2] for n in rows],",
+    Mutant("classic.py", "[even[n + 1] for n in rows])", "[even[n + 2] for n in rows])",
            "theta's even rule takes its base one row down"),
     Mutant("classic.py", "[-(d0 * d1 * (d2 - d1))", "[-(d1 * d1 * (d2 - d1))",
            "iterated theta's numerator reads d1 d1 for d0 d1"),

@@ -23,8 +23,10 @@ content (``name``, ``columns``, ``valid``, ``n_start``, ``order_step`` and
 ``consumed(k, n_start)`` for each k), in grid order.  The grid: the
 problems of ``perfbench/cases.py`` at several N (0 to 3 among them),
 offsets 0 and 1, each sample also without its terms, mpf copies of the
-real samples, the default guard and a zero guard, and three values of zeta,
-one of them (0.3) not dyadic, so that ``zeta + n`` rounds in a double.
+real samples, the default guard and a zero guard, three values of zeta,
+one of them (0.3) not dyadic, so that ``zeta + n`` rounds in a double, and
+two of alpha for ``rho_osada`` and ``bdg``, 1 and 0.3, so that ``k - 1 +
+alpha`` rounds in a double too.
 The grid stops at N = 24, so ``weniger_large`` fingerprints the four
 ``weniger_*`` rules and the Pochhammer ``weighted_ratio_transform`` at the
 sizes the ``lib_levin`` benchmark builds: the same problems at N = 30, 40,
@@ -135,6 +137,7 @@ CLASSIC_SIZES = (100, 200, 400)
 OFFSETS = (0, 1)
 GUARDS = (GuardPolicy(), GuardPolicy(0.0))
 ZETAS = (1.0, 2.5, 0.3)  # 0.3 + n rounds in a double, so mpf lines show how zeta enters
+ALPHAS = (1.0, 0.3)  # k - 1 + 0.3 rounds in a double, so mpf lines show how alpha enters
 RULES = ("u", "t", "v", "d", "w")  # "w" is no rule
 MPF_DPS = 30
 FRACTION_N = 12
@@ -259,7 +262,7 @@ def outcome(build):
 
 def params_of(name):
     if name in ("rho_osada", "bdg"):
-        return [{"alpha": 1.0}]
+        return [{"alpha": alpha} for alpha in ALPHAS]
     if name.startswith(("levin_", "weniger_")):
         return [{"zeta": zeta} for zeta in ZETAS]
     return [{}]

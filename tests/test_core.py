@@ -840,7 +840,7 @@ class TestColumnPrimitives:
             calls.append(list(rows))
             return [{0: 1.0, 2: None, 3: float("inf")}[i] for i in rows]
 
-        got = compute_column(4, [(bytes([1, 0, 1, 1]), (0,))], column)
+        got = compute_column(4, [(bytes([1, 0, 1, 1]), (0,))], column, GuardPolicy())
         assert calls == [[0, 2, 3]]
         assert got == ([1.0, None, None, None], bytes([1, 0, 0, 0]))
 
@@ -851,10 +851,10 @@ class TestColumnPrimitives:
             raise AssertionError("column called without a usable row")
 
         flags = bytes(3)
-        assert compute_column(3, [(flags, (0,))], column) is None
+        assert compute_column(3, [(flags, (0,))], column, GuardPolicy()) is None
         # build_table makes that column, and every later one, dead
         table = build_table("probe", [1.0] * 4, repeat(1),
-                            lambda columns, valid: repeat(([(flags, (0,))], column)))
+                            lambda columns, valid: repeat(([(flags, (0,))], column)), GuardPolicy())
         assert table.columns[1:] == [[None] * 3, [None] * 2, [None]]
         assert table.valid[1:] == [[False] * 3, [False] * 2, [False]]
         assert table.valid[1] is not flags
@@ -867,24 +867,26 @@ class TestColumnPrimitives:
             raise AssertionError("column called without a usable row")
 
         odd, even = bytes([1, 0, 1, 0]), bytes([0, 0, 1])
-        assert compute_column(2, [(odd, (0, 2)), (even, (1,))], column) is None
+        assert compute_column(2, [(odd, (0, 2)), (even, (1,))], column, GuardPolicy()) is None
 
     def test_finite_float_column_whose_sum_overflows_stays_valid(self):
         from seqaccel.core import compute_column
 
         entries = [1e308, 1e308, -1e308]
-        assert compute_column(3, (), lambda rows: entries) == (entries, bytes([1, 1, 1]))
+        got = compute_column(3, (), lambda rows: entries, GuardPolicy())
+        assert got == (entries, bytes([1, 1, 1]))
 
     def test_non_finite_and_tripped_rows_are_invalid(self):
         from seqaccel.core import compute_column
 
         entries = [1.0, math.inf, 2.0, None, -math.inf, math.nan, 3.0]
-        assert compute_column(7, (), lambda rows: entries) == (
+        assert compute_column(7, (), lambda rows: entries, GuardPolicy()) == (
             [1.0, None, 2.0, None, None, None, 3.0],
             bytes([1, 0, 1, 0, 0, 0, 1]),
         )
         # the column ran, so a later column may still have a computable row
-        assert compute_column(2, (), lambda rows: [None, math.nan]) == ([None, None], bytes([0, 0]))
+        assert compute_column(2, (), lambda rows: [None, math.nan], GuardPolicy()) == (
+            [None, None], bytes([0, 0]))
 
     @pytest.mark.parametrize("entries", [
         [1.0, complex(1.7e308, 1.7e308)],
@@ -896,7 +898,7 @@ class TestColumnPrimitives:
         from seqaccel.core import compute_column
 
         wide = [v == complex(1.7e308, 1.7e308) for v in entries]
-        assert compute_column(len(entries), (), lambda rows: entries) == (
+        assert compute_column(len(entries), (), lambda rows: entries, GuardPolicy()) == (
             [None if w else v for v, w in zip(entries, wide)], bytes([not w for w in wide]))
 
     @given(_column_cases())
@@ -912,7 +914,7 @@ class TestColumnPrimitives:
             calls.append(list(rows))
             return [value(i) for i in rows]
 
-        got = compute_column(length, antecedents, column)
+        got = compute_column(length, antecedents, column, GuardPolicy())
         if not usable:
             assert got is None and calls == []
             return
@@ -938,7 +940,8 @@ class TestColumnPrimitives:
 
         entries = [Spy(1), None, Spy(mpmath.inf), Spy(2)]
         for antecedents in ((), [(bytes([1, 0, 1, 1]), (0,))]):
-            got = compute_column(4, antecedents, lambda rows: [entries[i] for i in rows])
+            got = compute_column(4, antecedents, lambda rows: [entries[i] for i in rows],
+                                 GuardPolicy())
             assert got == ([entries[0], None, None, entries[3]], bytes([1, 0, 0, 1]))
         assert None not in compared
 
@@ -947,10 +950,36 @@ class TestColumnPrimitives:
 
         flags, entries = bytearray([1, 0, 1]), [1.0, math.inf]
         antecedents = [(flags, (0,))]
-        got = compute_column(3, antecedents, lambda rows: entries)
+        got = compute_column(3, antecedents, lambda rows: entries, GuardPolicy())
         assert got == ([1.0, None, None], bytes([1, 0, 0]))
         assert flags == bytes([1, 0, 1]) and entries == [1.0, math.inf]
         assert antecedents == [(flags, (0,))]
+
+    def test_a_rule_that_divides_is_divided_by_the_guard_before_the_finiteness_pass(self):
+        from seqaccel.core import compute_column
+
+        calls = []
+
+        class Recording(GuardPolicy):
+            def divide(self, nums, dens, bases=None):
+                calls.append((nums, dens, bases))
+                return super().divide(nums, dens, bases)
+
+        guard = Recording()
+        nums, dens, bases = [1.0, 1.0, 1e308, 2.0], [2.0, 0.0, 1e-10, 4.0], [1.0, 1.0, 1.0, -1.0]
+        # a zero denominator trips the guard; 1e308 / 1e-10 overflows to an infinity
+        assert compute_column(4, (), lambda rows: (nums, dens, bases), guard) == (
+            [1.5, None, None, -0.5], bytes([1, 0, 0, 1]))
+        assert compute_column(4, (), lambda rows: (nums, dens), guard) == (
+            [0.5, None, None, 0.5], bytes([1, 0, 0, 1]))
+        # a rule that runs on some rows only divides those
+        got = compute_column(4, [(bytes([0, 1, 1, 1]), (0,))],
+                             lambda rows: ([nums[i] for i in rows], [dens[i] for i in rows]), guard)
+        assert got == ([None, None, None, 0.5], bytes([0, 0, 0, 1]))
+        assert calls == [(nums, dens, bases), (nums, dens, None), (nums[1:], dens[1:], None)]
+        # plain entries are the column as they are
+        assert compute_column(2, (), lambda rows: [1.0, 2.0], guard) == ([1.0, 2.0], b"\x01\x01")
+        assert len(calls) == 3
 
     # (build, the call of GuardPolicy.divide that trips every row): each
     # computed column divides once, so that column is the last one computed
@@ -967,14 +996,15 @@ class TestColumnPrimitives:
         monkeypatch.undo()
         compute = core.compute_column
 
-        def forced(length, antecedents, column):
-            pair = compute(length, antecedents, column)
+        def forced(length, antecedents, column, guard):
+            pair = compute(length, antecedents, column, guard)
             return pair if pair or not live else ([None] * length, bytes(length))
 
-        def spy(length, antecedents, column):
+        def spy(length, antecedents, column, guard):
             k = len(computed) + 1  # build_table computes columns 1, 2, ... in order
             computed.append(k)
-            return forced(length, antecedents, lambda rows: (kernels.append(k), column(rows))[1])
+            return forced(length, antecedents, lambda rows: (kernels.append(k), column(rows))[1],
+                          guard)
 
         monkeypatch.setattr(core, "compute_column", spy)
         monkeypatch.setattr(levin, "compute_column", forced)
@@ -1067,7 +1097,7 @@ class TestColumnPrimitives:
             seen.update((k, n) for n in rows)
             return [None if (k, n) == (1, 2) else sum(cur[n:n + width]) for n in rows]
 
-        table = stencil_table("probe", values, width, kernel)
+        table = stencil_table("probe", values, width, kernel, GuardPolicy())
         assert table.max_order == (len(values) - 1) // (width - 1)
         bad = {(1, 2)}
         for k in range(2, table.max_order + 1):
@@ -1107,7 +1137,7 @@ class TestColumnPrimitives:
             calls.append(k)
             return [None if k == 2 else cur[n] + cur[n + 1] for n in rows]
 
-        table = stencil_table("probe", [1.0] * 9, 2, kernel)
+        table = stencil_table("probe", [1.0] * 9, 2, kernel, GuardPolicy())
         assert table.max_order == 8
         assert all(v is None for k in range(2, 9) for v in table.columns[k])
         assert calls == [1, 2]
@@ -1180,7 +1210,7 @@ class TestLazyColumns:
             calls.append(k)
             return [cur[n] + cur[n + 1] for n in rows]
 
-        table = stencil_table("probe", [1.0] * 9, 2, kernel)
+        table = stencil_table("probe", [1.0] * 9, 2, kernel, GuardPolicy())
         assert (table.max_order, table.max_index, table.consumed(8, 0), calls) == (8, 8, 9, [])
         assert table.has_entry(8, 0) and not table.has_entry(8, 1)
         assert [v for _, _, v in extract_path(table, PathSpec.order_constant(2))] == [4.0] * 7
@@ -1203,7 +1233,7 @@ class TestLazyColumns:
                     [cur[n] + cur[n + 1] for n in rows] if where != "kernel" or k != 3
                     else 1 / 0)
 
-        table = build_table("probe", [1.0] * 9, repeat(1), rules)
+        table = build_table("probe", [1.0] * 9, repeat(1), rules, GuardPolicy())
         error = ArithmeticError  # ZeroDivisionError is one
         for _ in range(2):
             with pytest.raises(error):
@@ -1256,7 +1286,8 @@ class TestLazyColumns:
             time.sleep(0.02)  # the other readers reach the build meanwhile
             return [cur[n] + cur[n + 1] for n in rows]
 
-        table, start = stencil_table("probe", [1.0] * 6, 2, kernel), threading.Barrier(4, timeout=30)
+        table = stencil_table("probe", [1.0] * 6, 2, kernel, GuardPolicy())
+        start = threading.Barrier(4, timeout=30)
 
         def read():
             start.wait()
@@ -1339,6 +1370,25 @@ def test_only_core_names_finite_entries():
         if "finite_entries" in names:
             naming.append(path.name)
     assert naming == ["core.py"]
+
+
+def test_only_core_calls_divide():
+    """``core.compute_column`` makes each column's one guarded division: a column
+    rule returns its numerators, denominators and bases, and no other module calls
+    ``GuardPolicy.divide``."""
+    import ast
+    import pathlib
+
+    import seqaccel
+
+    package = pathlib.Path(seqaccel.__file__).parent
+    calling = [
+        path.name for path in sorted(package.glob("*.py"))
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "divide"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
+    assert calling == ["core.py"]
 
 
 def test_public_surface():
