@@ -62,17 +62,17 @@ def magnitude(value: Scalar):
 def constant_type(operands: Iterable) -> Callable:
     """The conversion of a kernel's ``int`` and ``float`` constants where they meet
     ``operands``: to ``float`` for ``float`` and ``complex`` operands, to their own type
-    where all share one that keeps its type times a float and has real moduli
-    (``mpmath.mpf``, not ``Fraction`` or ``mpc``), and only where exact; any other
-    constant, or column, keeps it as it is: each the conversion the mixed operation makes.
-    An ``int`` operand, a kernel's constant such as the lozenge's 1, takes the others' type."""
+    where all share one whose ``abs`` keeps it (``mpmath.mpf``, ``Fraction``,
+    ``Decimal``; not ``mpc``), and only where exact; any other constant, or column,
+    keeps it as it is.  An ``int`` operand, a kernel's constant such as the lozenge's
+    1, takes the others' type."""
     kinds = set(map(type, operands))
     if len(kinds) > 1:
         kinds.discard(int)
     kind = float if kinds <= {float, complex} else kinds.pop() if len(kinds) == 1 else None
     try:
-        own = kind is float or type(kind(1) * 1.0) is kind is type(abs(kind(1)))
-    except TypeError:  # no one type, or one not made from an int or without float arithmetic
+        own = kind is float or type(abs(kind(1))) is kind
+    except TypeError:  # no one type, or one not made from an int
         own = False
     return partial(_lifted, kind if own else None)
 
@@ -113,14 +113,14 @@ def finite_entries(values: list) -> list:
 
 
 def finite_scalars(values: Iterable, what: str) -> tuple:
-    """``values`` as a tuple, each ``int`` made a ``float``, when each is a finite number:
-    a ``float``, ``int`` or ``complex`` needs its modulus in the double range."""
+    """``values`` as a tuple, each ``int`` made a ``float``, when each is a finite number,
+    not a ``bool``: a ``float``, ``int`` or ``complex`` needs its modulus in the double range."""
     values = tuple(values)
     kinds = set(map(type, values))
     if int in kinds:  # nan stands in for an int beyond the double range
         values = tuple([v if type(v) is not int else float(v) if abs(v) <= _DOUBLE_MAX
                         else math.nan for v in values])
-    if _numbers(kinds, values):
+    if bool not in kinds and _numbers(kinds, values):
         checked = finite_entries(values)  # one sum unless an entry fails
         if checked is values or None not in checked:
             return values
@@ -139,9 +139,9 @@ def _numbers(kinds: set, values: tuple) -> bool:
 
 def _in_double_range(value, zero_ok: bool = False) -> bool:
     """``value`` is a real number in (0, max double], or in [0, max double] when
-    ``zero_ok``; a ``complex``, a ``str`` or a ``tuple`` is not."""
+    ``zero_ok``; a ``bool``, a ``complex``, a ``str`` or a ``tuple`` is not."""
     try:
-        return not isinstance(value, complex) and (
+        return not isinstance(value, (bool, complex)) and (
             0 <= value if zero_ok else 0 < value) and value <= _DOUBLE_MAX
     except TypeError:
         return False
@@ -156,10 +156,10 @@ def check_positive(name: str, value, values: Iterable = ()):
 
 
 def check_integer(name: str, value, low: Optional[int] = None, high: Optional[int] = None) -> None:
-    """Reject a parameter that is not an ``int`` (a ``float`` or a ``str`` is not),
-    or that lies outside ``[low, high]``; a bound given as ``None`` is absent."""
-    if not isinstance(value, int) or (low is not None and value < low) or (
-            high is not None and value > high):
+    """Reject a parameter that is not an ``int`` (a ``bool``, a ``float`` or a ``str``
+    is not), or that lies outside ``[low, high]``; a bound given as ``None`` is absent."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+            low is not None and value < low) or (high is not None and value > high):
         bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
         raise InvalidParameterError(f"{name} must be an integer{bounds}, got {value!r}")
 
@@ -262,11 +262,12 @@ class GuardPolicy(Record):
         * max(1, |num|)`` is formed once.  A kernel of the form ``a - num /
         den`` returns ``-num``, since ``a + (-num) / den`` is the same number
         to the last bit.  The threshold and the 1 take the operands'
-        ``constant_type``: after a ``float`` or ``complex`` first denominator,
-        unscanned, as written; ``max`` is spelt out, its product skipped when
-        ``|num| <= 1``, because a call per row costs more than the rest of
-        the row.  A row whose ``abs`` overflows trips the guard too; the
-        arguments, then read again, are lists or ``itertools.repeat`` objects.
+        ``constant_type``, exact on a ``Fraction`` column: after a ``float``
+        or ``complex`` first denominator, unscanned, as written; ``max`` is
+        spelt out, its product skipped when ``|num| <= 1``, because a call per
+        row costs more than the rest of the row.  A row whose ``abs``
+        overflows trips the guard too; the arguments, then read again, are
+        lists or ``itertools.repeat`` objects.
         """
         scalar = not hasattr(nums, "__iter__")
         threshold, one = self.relative_threshold, 1.0
@@ -302,7 +303,7 @@ def _check_partial_sums(values: Sequence[Scalar], terms: Sequence[Scalar]) -> No
     diffs = [values[0], *map(operator.sub, values[1:], values)]
     bad = [
         n for n, v, got, want in zip(range(len(values)), map(abs, values), diffs, terms)
-        if abs((got - want) / (v if v > (w := abs(want)) and v > 1.0 else w if w > 1.0 else 1.0))
+        if abs((got - want) / (v if v > (w := abs(want)) and v > 1 else w if w > 1 else 1))
         > _CONSISTENCY_RTOL
     ]
     if bad:

@@ -268,7 +268,7 @@ def median_last_quartile(estimates: Sequence[Optional[Scalar]]) -> Scalar:
     tail = [t for t in estimates[3 * len(estimates) // 4:] if t is not None]
     if not tail:
         raise InsufficientDataError("no valid decay estimates in the last quartile")
-    tail.sort(key=lambda t: (t.real, t.imag) if isinstance(t, complex) else t)
+    tail.sort(key=lambda t: (t.real, t.imag))  # every scalar's: a float may meet a complex
     mid = len(tail) // 2
     if len(tail) % 2 == 1:
         return tail[mid]

@@ -88,14 +88,9 @@ def _omega_with_start(sample: SequenceSample, kind: str, zeta: float) -> tuple:
             n = start + dens.index(0)
             raise ZeroRemainderError(n, f"v estimate undefined at n={n}: equal differences")
         omegas = [b * f / den for b, f, den in zip(backward, forward[start:], dens)]
-    _reject_zero(omegas, start)
+    if 0 in omegas:
+        raise ZeroRemainderError(start + omegas.index(0))
     return start, omegas, zeta
-
-
-def _reject_zero(omegas: Sequence[Scalar], start: int) -> None:
-    for i, w in enumerate(omegas):
-        if w == 0:
-            raise ZeroRemainderError(start + i)
 
 
 def omega_sequence(sample: SequenceSample, kind: str, zeta: float = 1.0) -> list:
@@ -129,7 +124,8 @@ def weighted_ratio_transform(
         raise InvalidParameterError(
             f"{len(omegas)} remainder estimates for {len(values)} elements"
         )
-    _reject_zero(omegas, 0)
+    if 0 in omegas:
+        raise ZeroRemainderError(omegas.index(0))
     name = "levin_ratio" if family == LEVIN_POWER else "weniger_ratio"
     return _table(family, name, values, omegas, zeta, guard, n_start=0, lookahead=0)
 
@@ -183,21 +179,20 @@ def _factorial_table(ratio: list, inv: list, bases: list, lift: Callable,
     ``X_k^(n) = X_{k-1}^(n+1) - f_k(n) X_{k-1}^(n)`` from ``X_0 = s_n/omega_n``
     and ``1/omega_n`` gives (-1)^k times the binomial sums of the Pochhammer
     weights, so ``T_k = N_k / D_k`` is the same ratio.  A column is one pass:
-    ``f_k(n)`` once for N and D (``f_1 = 1``: the general factor, with n the
+    ``f_k(n)`` once for N and D (``f_1`` is int 1s: the general factor, with n the
     absolute index, is 0/0 at zeta = 1, n = 0), N_k and D_k in place of the
     working columns before them, and ``T_k`` by one guarded division.  A
     guard trip on ``T`` stays in its entry; only a non-finite N or D spreads.
     """
 
     def advance(cur, ok, f):  # X_k and its mask from X_{k-1}, or None; no division, no guard
-        return compute_column(len(cur) - 1, [(ok, (0, 1))], lambda rows: (
-            [cur[n + 1] - cur[n] for n in rows] if f is None
-            else [cur[n + 1] - f[n] * cur[n] for n in rows]), None)
+        return compute_column(len(cur) - 1, [(ok, (0, 1))], lambda rows: [
+            cur[n + 1] - f[n] * cur[n] for n in rows], None)
 
     num, num_ok, den, den_ok = ratio, b"\x01" * len(ratio), inv, b"\x01" * len(inv)
     for k in count(1):
         p, q, r, t = map(lift, (k - 1, k - 2, 2 * k - 2, 2 * k - 3))
-        f = [(b + p) * (b + q) / ((b + r) * (b + t)) for b in bases[:len(num) - 1]] if k > 1 else None
+        f = [(b + p) * (b + q) / ((b + r) * (b + t)) if k > 1 else 1 for b in bases[:len(num) - 1]]
         nums, dens = advance(num, num_ok, f), advance(den, den_ok, f)
         if not (nums and dens):
             return  # T_k has no computable row either

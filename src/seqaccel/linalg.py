@@ -2,9 +2,9 @@
 
 Gaussian elimination with partial pivoting, written against generic
 scalars so that complex (or exact) coefficient types survive the solve,
-its pivot threshold included: a pivot below ``_PIVOT_RTOL`` (1e-13) times
-the largest entry modulus of the matrix, or below 1e-13 when none exceeds
-1, raises ``SingularMatrixError`` rather than an ill-conditioned solution.
+its pivot threshold included (lifted by ``core.constant_type``):
+a pivot below 1e-13 times the largest entry modulus of the matrix, or below
+1e-13 when none exceeds 1, raises ``SingularMatrixError``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from typing import Sequence
 
+from .core import constant_type
 from .errors import SingularMatrixError
 
 _PIVOT_RTOL = 1e-13
@@ -24,7 +25,7 @@ def solve_dense(matrix: Sequence[Sequence], rhs: Sequence) -> list:
         raise ValueError("solve_dense needs a square system")
     b = list(rhs)
     scale = max((abs(x) for row in a for x in row), default=0.0)
-    threshold = type(scale)(_PIVOT_RTOL) * scale if scale > 1 else _PIVOT_RTOL
+    threshold = constant_type((scale,))(_PIVOT_RTOL) * scale if scale > 1 else _PIVOT_RTOL
 
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))

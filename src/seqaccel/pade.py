@@ -65,7 +65,7 @@ def pade_direct(series: PowerSeries, l: int, m: int) -> PadeApproximant:
     def gamma(i: int) -> Scalar:
         return g[i] if i >= 0 else 0
 
-    one = constant_type(g)(1)  # Q(0): 1.0 on float and complex series
+    one = constant_type(g)(1)  # Q(0): 1.0 on float and complex series, Fraction(1) on Fraction ones
     matrix = [[gamma(l + 1 + r - c) for c in range(1, m + 1)] for r in range(m)]
     rhs = [-gamma(l + 1 + r) for r in range(m)]
     try:

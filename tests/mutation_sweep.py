@@ -14,8 +14,8 @@ stays in the copy).  It prints one line per mutant: ``killed``,
 its reason).  An unmutated copy runs first and must pass.  Exits 1 when a
 mutant survives that the list does not mark equivalent, or when one so
 marked is killed; exits 2 when the unmutated copy fails or a snippet is
-not found exactly once.  It runs the mutants one after another, 2-20 s
-each and 2-5 min in all (2 vCPU, Python 3.11).  Its name does not
+not found exactly once.  It runs the mutants one after another, 2-22 s
+each and about 7 min in all (2 vCPU, Python 3.11).  Its name does not
 start with ``test_``, so pytest does not collect it, and it is not part
 of tier-1; CI runs it on one Python version.  A change to a kernel, the
 guard, a budget, a path or a CLI choice adds its mutants here.
@@ -100,8 +100,11 @@ MUTANTS = [
            "--limit is ignored for a --problem"),
     Mutant("interpolatory.py", "if len(tail) % 2 == 1:", "if False:",
            "the median of an odd last quartile averages two entries"),
+    Mutant("interpolatory.py", "key=lambda t: (t.real, t.imag))",
+           "key=lambda t: (t.real, t.imag) if isinstance(t, complex) else t)",
+           "the median of a last quartile that mixes float and complex raises TypeError"),
     # the direct Pade solve
-    Mutant("linalg.py", "type(scale)(_PIVOT_RTOL) * scale if scale > 1 else _PIVOT_RTOL",
+    Mutant("linalg.py", "constant_type((scale,))(_PIVOT_RTOL) * scale if scale > 1 else _PIVOT_RTOL",
            "_PIVOT_RTOL * max(1.0, scale)",
            "a Fraction matrix beyond the double range raises OverflowError"),
     Mutant("pade.py", "one = constant_type(g)(1)", "one = 1.0",
@@ -141,6 +144,15 @@ MUTANTS = [
            "Levin's and Weniger's constants are floats, so exact tables turn inexact"),
     Mutant("core.py", "        kinds.discard(int)\n", "        pass\n",
            "an int kernel constant makes an mpf column mixed: the guard's threshold stays a double"),
+    Mutant("core.py", "own = kind is float or type(abs(kind(1))) is kind",
+           "own = kind is float or type(kind(1) * 1.0) is kind is type(abs(kind(1)))",
+           "constants meet Fraction and Decimal columns as floats: exact tables turn inexact"),
+    Mutant("core.py", "and v > 1 else w if w > 1 else 1))", "and v > 1.0 else w if w > 1.0 else 1.0))",
+           "the partial-sum check of a Decimal series divides by a float and raises TypeError"),
+    Mutant("levin.py", "if k > 1 else 1 for b in", "if k > 1 else 0 for b in",
+           "Weniger's first column takes X_0^(n+1) for X_0^(n+1) - X_0^(n)"),
+    Mutant("levin.py", "    if 0 in omegas:\n        raise ZeroRemainderError(omegas.index(0))\n", "",
+           "a zero user-supplied estimate raises ZeroDivisionError, not ZeroRemainderError"),
     Mutant("levin.py", "(b + p) * (b + q) /", "(b + p) * (b + p) /",
            "Weniger's factor reads (b+k-1)^2 for (b+k-1)(b+k-2)"),
     Mutant("levin.py", "omegas = [(zeta + n) * b", "omegas = [(zeta + n + 1) * b",
@@ -156,6 +168,14 @@ MUTANTS = [
            "a stencil computes a row whose last operand is invalid"),
     Mutant("core.py", "or abs(d) < (threshold * m", "or abs(d) <= (threshold * m",
            "the guard trips at |d| equal to its bound, not only below it"),
+    # the edge checks refuse a bool
+    Mutant("core.py", "if isinstance(value, bool) or not isinstance(value, int) or (",
+           "if not isinstance(value, int) or (",
+           "True passes for the integer 1: an order, an index or a length"),
+    Mutant("core.py", "not isinstance(value, (bool, complex))", "not isinstance(value, complex)",
+           "True passes for the positive parameter 1.0, and GuardPolicy(True) for a threshold"),
+    Mutant("core.py", "if bool not in kinds and _numbers(", "if _numbers(",
+           "a sample, term, limit, coefficient or point keeps True for 1.0"),
     # budgets and paths
     Mutant("core.py", "+ 1 + self.lookahead - self._length(k)", "+ 1 - self._length(k)",
            "budgets leave out the element a forward-difference estimate reads ahead"),

@@ -48,7 +48,10 @@ in ``Fraction`` at N = 12, both guards, each parameter also as a
 every grid sample and both ``fraction`` samples: ``estimate_decay`` under
 both guards, and, for the power series whose coefficients are the sample's
 values at z = 0.5 and -1.5 in their scalar type, ``staircase_sequence``
-under both guards and ``pade_direct`` for every [l/m] with l + m <= 6.
+under both guards and ``pade_direct`` for every [l/m] with l + m <= 6.  Its
+lines are split by the sample's scalar type as the table lines are, with
+``entry_points:fraction`` for the exact samples, so a change meant for
+exact types shows there alone.
 
 ``walk`` fingerprints how tables are read: ``walk_path`` and
 ``extract_path`` of every registered transform's table (its first
@@ -192,9 +195,10 @@ def fraction_samples():
 
 
 def scalar_type(sample):
-    """The suffix of a grid sample's lines: ``mpf``, ``complex`` or ``float``."""
+    """The suffix of a sample's lines: ``mpf``, ``fraction``, ``complex`` or ``float``."""
     kinds = set(map(type, view(sample)[0]))
-    return "mpf" if mpmath.mpf in kinds else "complex" if complex in kinds else "float"
+    return ("mpf" if mpmath.mpf in kinds else "fraction" if Fraction in kinds
+            else "complex" if complex in kinds else "float")
 
 
 def view(sample):
@@ -333,16 +337,16 @@ def main():
                     for guard in GUARDS:
                         record("fraction", lambda: apply_transform(name, sample, guard, given))
     for sample in grid + list(fraction_samples()):
-        values = view(sample)[0]
+        values, label = view(sample)[0], f"entry_points:{scalar_type(sample)}"
         for guard in GUARDS:
-            record("entry_points", lambda: estimate_decay(sample, guard))
+            record(label, lambda: estimate_decay(sample, guard))
         for z in map(type(values[0]), SERIES_POINTS):  # a series of the sample's scalar type
             series = partial(PowerSeries, values, z)
             for guard in GUARDS:
-                record("entry_points", lambda: staircase_sequence(series(), guard))
+                record(label, lambda: staircase_sequence(series(), guard))
             for d in range(min(len(values), PADE_DEGREE + 1)):
                 for l in range(d + 1):
-                    record("entry_points", lambda: pade_direct(series(), l, d - l))
+                    record(label, lambda: pade_direct(series(), l, d - l))
     for sample in grid:
         if len(sample) > WALK_LENGTH:
             continue

@@ -326,6 +326,13 @@ class TestCliEndToEnd:
         assert len(summary) == 1
         assert float(summary[0].split("\t")[1]) == pytest.approx(0.5, abs=1e-2)
 
+    def test_estimate_alpha_cli_on_real_and_complex_values(self, tmp_path, capsys):
+        # every eighth value written as a complex: the last quartile mixes estimate types
+        values = [1 + 1 / (n + 1) ** 1.5 for n in range(60)]
+        text = "".join(f"{v!r}+0j\n" if n % 8 == 7 else f"{v!r}\n" for n, v in enumerate(values))
+        assert main(["estimate-alpha", "--values", "--input", write(tmp_path / "f.csv", text)]) == 0
+        assert "# alpha_estimate" in capsys.readouterr().out
+
     def test_pade_direct_cli(self, capsys):
         assert main([
             "pade", "--problem", "power_series:name=exp:z=1:N=4",

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, count, repeat
@@ -25,6 +26,7 @@ from seqaccel import (
     brezinski_theta,
     euler_maclaurin_zeta,
     extract_path,
+    generate_problem,
     iterated_aitken,
     levin_variant,
     make_partial_sums,
@@ -272,9 +274,9 @@ class TestGuardPolicy:
                     (kind(threshold), kind(1.0), False), (kind(threshold), kind(up), True),
                     (kind(on), kind(2.0), False), (kind(below), kind(2.0), True),
                 ]
-            # a Fraction column's threshold * |num| is a float product, as written:
-            # threshold * 5.0 rounds up, so exactly 5 * threshold trips
-            cases.append((Fraction(threshold) * 5, Fraction(5), True))
+            # a Fraction column's threshold * |num| is exact, where the float product
+            # threshold * 5.0 rounds up: exactly 5 * threshold sits on the bound
+            cases.append((Fraction(threshold) * 5, Fraction(5), False))
         for den, num, tripped in cases:
             for nums in ([num], num):  # one numerator per row, and the scalar form
                 for bases, base in ((None, 0), ([1.0], 1.0)):
@@ -300,10 +302,13 @@ class TestGuardPolicy:
             assert GuardPolicy(tau).divide(3.0, [1e-14 * 3.0]) == [None]
 
     def test_constant_type_is_the_conversion_a_mixed_operation_makes(self):
-        # float for float and complex operands; mpf where every operand is one and
-        # the working precision holds the constant; else the constant as written
+        # float for float and complex operands; mpf, Fraction or Decimal where every
+        # operand is one and the type holds the constant; else the constant as written
         lift = core.constant_type
         assert repr(lift([0.5, 1.5])(2)) == repr(lift([0.5, 1j])(2)) == repr(lift([])(2)) == "2.0"
+        assert repr(lift([Fraction(1)])(2)) == repr(Fraction(2))
+        assert repr(lift([Fraction(1)])(1e-14)) == repr(Fraction(1e-14))
+        assert repr(lift([Decimal(1)])(0.5)) == repr(Decimal("0.5"))
         with mpmath.workdps(30):
             assert repr(lift([mpmath.mpf(1)])(2)) == repr(mpmath.mpf(2))
             assert repr(lift([mpmath.mpf(1)])(1e-14)) == repr(mpmath.mpf(1e-14))
@@ -314,7 +319,7 @@ class TestGuardPolicy:
             def __new__(cls, value, error):
                 return super().__new__(cls, value)
 
-        for operands in ([Fraction(1)], [Fraction(1), 0.5], [mpmath.mpf(1), 0.5],
+        for operands in ([Fraction(1), 0.5], [mpmath.mpf(1), 0.5],
                          [mpmath.mpc(1)], [1, 2], [Measured(1.0, 0.1)]):
             assert repr(lift(operands)(2)) == "2", operands
         # a constant of another type meets a float as it is: an mpf threshold or
@@ -330,7 +335,8 @@ class TestGuardPolicy:
         with mpmath.workdps(30):
             assert repr(lift([mpmath.mpf(1), 1])(1e-14)) == repr(mpmath.mpf(1e-14))
         assert repr(lift([0.5, 1])(2)) == "2.0"
-        for operands in ([Fraction(1), 1], [mpmath.mpf(1), 0.5, 1], [1]):
+        assert repr(lift([Fraction(1), 1])(2)) == repr(Fraction(2))
+        for operands in ([mpmath.mpf(1), 0.5, 1], [1]):
             assert repr(lift(operands)(2)) == "2", operands
 
     def test_divide_adds_bases_in_order(self):
@@ -754,8 +760,8 @@ class TestEdgeCheck:
 
     @pytest.mark.parametrize(
         "bad",
-        (10**400, math.inf, math.nan, 1.7e308 + 1.7e308j, mpmath.mpf("inf"), "a", (1.0, 2.0)),
-        ids=("int", "inf", "nan", "wide_complex", "mpf_inf", "str", "tuple"),
+        (10**400, math.inf, math.nan, 1.7e308 + 1.7e308j, mpmath.mpf("inf"), "a", (1.0, 2.0), True),
+        ids=("int", "inf", "nan", "wide_complex", "mpf_inf", "str", "tuple", "bool"),
     )
     @pytest.mark.parametrize("place, build, message", _EDGE_PLACES,
                              ids=[place for place, _, _ in _EDGE_PLACES])
@@ -765,7 +771,7 @@ class TestEdgeCheck:
         with pytest.raises(InvalidParameterError, match=message):
             build(bad)
 
-    @pytest.mark.parametrize("bad", (1.5, "2"), ids=("float", "str"))
+    @pytest.mark.parametrize("bad", (1.5, "2", True), ids=("float", "str", "bool"))
     @pytest.mark.parametrize("place, build", _INTEGER_PLACES,
                              ids=[place for place, _ in _INTEGER_PLACES])
     def test_integer_parameter_of_another_kind_is_refused(self, place, build, bad):
@@ -789,6 +795,96 @@ class TestEdgeCheck:
             assert [repr(c) for c in got.columns] == [repr(c) for c in want.columns], name
             assert got.valid == want.valid, name
         assert iterated_aitken(sample).columns[1] == [0.0, -2.0, -5.0, -9.0, -14.0]
+
+
+def _registry_tables(sample, guard, alpha, skip=()):
+    """``{name: table or the exception it raises}`` of every registered transform whose
+    name does not start with ``skip``, ``alpha`` given to the two that take it."""
+    from seqaccel.cli import apply_transform, transform_names
+
+    tables = {}
+    for name in (name for name in transform_names() if not name.startswith(skip)):
+        params = {"alpha": alpha} if name in ("rho_osada", "bdg") else {}
+        try:
+            tables[name] = apply_transform(name, sample, guard, params)
+        except Exception as exc:  # the mirror must raise it too
+            tables[name] = exc
+    return tables
+
+
+def _assert_mpf_mirror(sample):
+    """At 53 bits an mpf copy of ``sample`` builds every table but Levin's, under both
+    guards, as the float sample does: ``mpf(x) == y`` entry for entry, the same
+    validity, the same exception.  Levin's weights come from libm's ``**`` on floats
+    and mpmath's on mpf, which round some of them differently."""
+    with mpmath.workprec(53):
+        copy = SequenceSample(tuple(map(mpmath.mpf, sample.values)),
+                              sample.terms and tuple(map(mpmath.mpf, sample.terms)))
+        for guard in (GuardPolicy(), GuardPolicy(0)):
+            mpfs = _registry_tables(copy, guard, 0.3, "levin_")
+            for name, want in _registry_tables(sample, guard, 0.3, "levin_").items():
+                got = mpfs[name]
+                if isinstance(want, Exception):
+                    assert repr(got) == repr(want), name
+                    continue
+                assert len(got.columns) == len(want.columns), name
+                for k, (col, ref) in enumerate(zip(got.columns, want.columns)):
+                    assert [None if x is None else mpmath.mpf(x) for x in ref] == col, (name, k)
+
+
+def _entry_types(table) -> set:
+    return {type(v) for col in table.columns for v in col if v is not None}
+
+
+class TestExactTypes:
+    """A table keeps its sample's scalar type: each kernel constant, parameter and
+    guard threshold enters it through ``core.constant_type``."""
+
+    def test_fraction_tables_hold_only_fractions(self):
+        sample = make_partial_sums([Fraction((-1) ** n, n + 1) for n in range(13)])
+        for name, table in _registry_tables(sample, GuardPolicy(), Fraction(1, 2)).items():
+            assert _entry_types(table) == {Fraction}, name
+        # a float alpha, the default zeta and beta enter as Fractions too
+        for name, table in _registry_tables(sample, GuardPolicy(), 0.5).items():
+            assert _entry_types(table) == {Fraction}, name
+
+    def test_decimal_tables_hold_only_decimals(self):
+        # a Decimal series passes the partial-sum check; its tables build in Decimal
+        sample = make_partial_sums([Decimal((-1) ** n) / (n + 1) for n in range(13)])
+        for name, table in _registry_tables(sample, GuardPolicy(), 0.5).items():
+            assert _entry_types(table) == {Decimal}, name
+            assert any(table.valid[1]), name
+
+    def test_a_pivot_floor_takes_the_matrix_type(self):
+        from seqaccel.errors import SingularMatrixError
+        from seqaccel.linalg import solve_dense
+
+        exact = solve_dense([[Fraction(3), Fraction(1)], [Fraction(1), Fraction(2)]], [1, 1])
+        assert exact == [Fraction(1, 5), Fraction(2, 5)]
+        # the floor of an int matrix is 1e-13 times its scale, not int(1e-13) = 0
+        with pytest.raises(SingularMatrixError):
+            solve_dense([[10**15, 10**15 + 1], [10**15 + 1, 10**15 + 2]], [1, 1])
+
+
+class TestMpfMirror:
+    """An mpf table at 53 bits is its float table: the lift of a kernel's constants
+    and of the guard's threshold into mpf changes no entry."""
+
+    @pytest.mark.parametrize("sample", [
+        make_partial_sums([(n + 1) ** -2.0 for n in range(61)]),
+        make_partial_sums([(-1) ** n / (n + 1) for n in range(61)]),
+        generate_problem(ProblemSpec("euler_factorial", 60, {"x": 0.1})),
+    ], ids=["zeta2", "ln2", "euler"])
+    def test_fixed_samples(self, sample):
+        _assert_mpf_mirror(sample)
+
+    # moderate doubles: the float build overflows or underflows to a subnormal where
+    # mpf, whose exponent has no bound, does not
+    @settings(deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3).filter(lambda x: x == 0 or abs(x) >= 1e-3),
+                    min_size=1, max_size=25))
+    def test_drawn_samples(self, values):
+        _assert_mpf_mirror(SequenceSample(tuple(values)))
 
 
 #: (finite entries, entries that are not) of each scalar kind a kernel returns;

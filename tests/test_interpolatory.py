@@ -436,3 +436,11 @@ class TestEstimateDecay:
         assert median_last_quartile([None] * 6 + [3.0, 1.0, 2.0]) == 2.0
         with pytest.raises(InsufficientDataError):
             median_last_quartile([1.0, None, None, None])
+
+    def test_median_last_quartile_of_complex_estimates(self):
+        # every scalar sorts by (real, imag): a float beside a complex, an mpc beside another
+        assert median_last_quartile([None] * 6 + [3.0, 1 + 0j, 2.0]) == 2.0
+        assert median_last_quartile([None] * 6 + [1 + 1j, 1.0, 1 - 1j]) == 1.0
+        assert median_last_quartile([None] * 12 + [2.0, 1j, 0.5 + 1j, 4.0]) == (1.25 + 0.5j)
+        mpcs = [mpmath.mpc(3, 1), mpmath.mpc(1, -1), mpmath.mpc(1, 2)]
+        assert median_last_quartile([None] * 6 + mpcs) == mpmath.mpc(1, 2)

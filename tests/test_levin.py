@@ -83,6 +83,11 @@ class TestOmegaSequence:
         assert info.value.index == 1
         with pytest.raises(ZeroRemainderError):
             omega_sequence(SequenceSample((1.0, 2.0, 3.0)), "v")
+        # a user-supplied estimate that is zero, of any type, at its own index
+        for zero in (-0.0, mpmath.mpf(0)):
+            with pytest.raises(ZeroRemainderError) as info:
+                weighted_ratio_transform(SequenceSample((1.0, 2.0, 3.0)), (1.0, zero, 1.0))
+            assert info.value.index == 1
 
     def test_unknown_kind_and_zeta_validation(self):
         with pytest.raises(InvalidParameterError):
